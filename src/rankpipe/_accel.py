@@ -1,39 +1,9 @@
-"""Optional numba acceleration for the cycle-loop kernels.
+"""Backend flag for the batch kernels.
 
-The hot kernels in :mod:`rankpipe._kernels` are written as plain loops over
-numpy arrays.  By default they are compiled with ``numba.njit``; setting the
-environment variable ``RANKPIPE_NO_NUMBA=1`` (before import) runs the very
-same functions as ordinary Python/numpy code instead.  The fallback is slow
-but has identical behavior, which the test suite verifies.
+The kernels in :mod:`rankpipe._kernels` are whole-array numpy code with no
+compiled twin, so ``NUMBA_ENABLED`` is always ``False``.  It stays so that
+tools naming the backend keep working; ``RANKPIPE_NO_NUMBA`` no longer
+changes anything.
 """
 
-import os
-
-_flag = os.environ.get("RANKPIPE_NO_NUMBA", "").strip().lower()
-_numba_wanted = _flag in ("", "0", "false", "no")
-
-if _numba_wanted:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-
-def maybe_njit(**options):
-    """``@njit(**options)`` when numba is active, identity decorator otherwise.
-
-    The undecorated function stays reachable as ``.py_func`` either way, so
-    benchmarks can compare the compiled and interpreted paths directly.
-    """
-
-    def wrap(func):
-        if NUMBA_ENABLED:
-            return _njit(**options)(func)
-        func.py_func = func
-        return func
-
-    return wrap
+NUMBA_ENABLED = False

@@ -1,275 +1,133 @@
-"""Cycle-accurate batch kernels for the refinement-stage chains.
+"""Set-parallel batch kernels for the refinement-stage chains.
 
-These loops are the hot path behind ``run_stream`` and the image drivers.
-They are numba-compiled by default and fall back to plain Python/numpy when
-``RANKPIPE_NO_NUMBA=1`` is set (see :mod:`rankpipe._accel`).
+These functions are the hot path behind ``run_stream``, ``run_windows``,
+``sliding_cycles`` and the image drivers.  They fill the same per-cycle
+``dv``/``res`` trace as clocking the chain would, without stepping clocks.
 
-State layout per chain, all int64 arrays indexed by stage ``s``:
+A set's result depends only on its own samples, and it appears at a fixed
+cycle: a set whose first sample enters at cycle ``start`` pulses ``dv`` at
+``start + S(N+L) - 1`` for S = B/2 stages of N cycles plus L latency each.
+So each kernel
 
-* ``pm_pre/pm_bits``   latched partial median the stage is refining
-* ``hold_pre/hold_bits/hold_ok``  the stage's registered pm_out, read by the
-  next stage when its first-data marker arrives
-* ``acc1/acc2/acc3``   preset accumulators (wrap-around at counter width)
-* ``pos/active``       set-position counter and in-set flag
-* ``em_*``             L-slot output delay ring (the stage's internal pipe)
+1. reads the set starts from the first-data markers and finds the first
+   marker that arrives mid-set (the framing break);
+2. runs the B/2 radix-4 passes over every set at once: per set, count the
+   samples at or above the three quarter boundaries of the surviving range,
+   keep bit C-1 of the accumulator ``preset + count`` (the ``count >= M``
+   comparator) and priority-encode the two result bits;
+3. writes each result at its dv cycle when that cycle falls inside the
+   stream and before the framing break;
+4. counts boundary comparisons in closed form: 3 per sample for every
+   stage-cycle a stage spends inside a set, before the end of the stream.
 
-Stages are clocked downstream-first within a cycle so a stage's freshly
-registered pm_out is never consumed in the same cycle it was produced.
+The clock-stepped object engines (``Engine``, ``McEngine``,
+``SlidingEnsemble``) are the reference these kernels are tested against
+cycle for cycle.
 """
 
 import numpy as np
-
-from ._accel import maybe_njit
+from numpy.lib.stride_tricks import sliding_window_view
 
 MODE_SCALAR = 0  # single-sample comparisons (thermometer flags, +1 counts)
 MODE_ENCODER = 1  # per-column triples through 3-in-2-out encoders and adders
 
-# error codes returned by the kernels alongside the failing cycle index
-ERR_NONE = 0
-ERR_MID_SET_MARKER = 1
-ERR_NO_PARTIAL_MEDIAN = 2
-ERR_SELECTOR_COLLISION = 3
 
+def _framing(d1st, set_cycles):
+    """Set starts up to the framing break, and the break cycle (-1 if none).
 
-@maybe_njit(cache=True, nogil=True)
-def _chain_cycle(cols, d1st, t, stagger, data_bits, set_cycles, preset, cmask,
-                 msb, latency, mode, pm_pre, pm_bits, hold_pre, hold_bits,
-                 hold_ok, acc1, acc2, acc3, pos, active, em_ok, em_pre,
-                 em_bits, shared, sh1, sh2, sh3):
-    """Advance one finder chain by one clock.
-
-    ``stagger`` delays the chain's view of the first-data markers (used by
-    the sliding ensemble); ``shared`` injects precomputed first-stage
-    increments shared across an ensemble.  Returns
-    ``(fired, value, err, comparisons)``.
+    The framing breaks at the first marker arriving fewer than
+    ``set_cycles`` cycles after the previous one, while the first stage is
+    still counting that set.
     """
-    stages = data_bits // 2
-    delay = set_cycles + latency
-    slot = t % (latency + 1)
-    fired = 0
-    value = 0
-    comparisons = 0
-    for s in range(stages - 1, -1, -1):
-        if latency > 0 and em_ok[s, slot] == 1:
-            em_ok[s, slot] = 0
-            hold_pre[s] = em_pre[s, slot]
-            hold_bits[s] = em_bits[s, slot]
-            hold_ok[s] = 1
-            if s == stages - 1:
-                fired = 1
-                value = hold_pre[s]
-        u = t - s * delay
-        if u < 0:
-            continue
-        uf = u - stagger
-        f = d1st[uf] if uf >= 0 else 0
-        if f == 1:
-            if active[s] == 1:
-                return fired, value, ERR_MID_SET_MARKER, comparisons
-            if s == 0:
-                pm_pre[s] = 0
-                pm_bits[s] = 0
-            else:
-                if hold_ok[s - 1] == 0:
-                    return fired, value, ERR_NO_PARTIAL_MEDIAN, comparisons
-                pm_pre[s] = hold_pre[s - 1]
-                pm_bits[s] = hold_bits[s - 1]
-            acc1[s] = preset
-            acc2[s] = preset
-            acc3[s] = preset
-            active[s] = 1
-            pos[s] = 0
-        if active[s] == 1:
-            q = 1 << (data_bits - pm_bits[s] - 2)
-            b1 = pm_pre[s] + q
-            b2 = b1 + q
-            b3 = b2 + q
-            if s == 0 and shared == 1:
-                i1 = sh1
-                i2 = sh2
-                i3 = sh3
-            elif mode == MODE_SCALAR:
-                x = cols[u, 0]
-                i1 = 1 if x >= b1 else 0
-                i2 = 1 if x >= b2 else 0
-                i3 = 1 if x >= b3 else 0
-                comparisons += 3
-            else:
-                channels = cols.shape[1]
-                i1 = 0
-                i2 = 0
-                i3 = 0
-                g = 0
-                while g < channels:
-                    hi = g + 3
-                    if hi > channels:
-                        hi = channels
-                    e1 = 0
-                    e2 = 0
-                    e3 = 0
-                    for k in range(g, hi):
-                        x = cols[u, k]
-                        if x >= b1:
-                            e1 += 1
-                        if x >= b2:
-                            e2 += 1
-                        if x >= b3:
-                            e3 += 1
-                    i1 += e1
-                    i2 += e2
-                    i3 += e3
-                    g = hi
-                comparisons += 3 * channels
-            acc1[s] = (acc1[s] + i1) & cmask
-            acc2[s] = (acc2[s] + i2) & cmask
-            acc3[s] = (acc3[s] + i3) & cmask
-            pos[s] += 1
-            if pos[s] == set_cycles:
-                m3 = 1 if (acc3[s] & msb) != 0 else 0
-                m2 = 1 if (acc2[s] & msb) != 0 else 0
-                m1 = 1 if (acc1[s] & msb) != 0 else 0
-                if m3 == 1:
-                    two = 3
-                elif m2 == 1:
-                    two = 2
-                elif m1 == 1:
-                    two = 1
-                else:
-                    two = 0
-                npre = pm_pre[s] + two * q
-                nbits = pm_bits[s] + 2
-                active[s] = 0
-                pos[s] = 0
-                if latency == 0:
-                    hold_pre[s] = npre
-                    hold_bits[s] = nbits
-                    hold_ok[s] = 1
-                    if s == stages - 1:
-                        fired = 1
-                        value = npre
-                else:
-                    w = (t + latency) % (latency + 1)
-                    em_ok[s, w] = 1
-                    em_pre[s, w] = npre
-                    em_bits[s, w] = nbits
-    return fired, value, ERR_NONE, comparisons
+    starts = np.flatnonzero(d1st)
+    bad = np.flatnonzero(np.diff(starts) < set_cycles)
+    if bad.size:
+        return starts[:bad[0] + 1], int(starts[bad[0] + 1])
+    return starts, -1
 
 
-@maybe_njit(cache=True, nogil=True)
+def _busy_cycles(starts, stages, delay, set_cycles, end):
+    """Stage-cycles spent counting before ``end``: stage s of a set counts
+    for ``set_cycles`` cycles from ``start + s * delay``."""
+    begin = starts[:, None] + delay * np.arange(stages)
+    return int(np.clip(end - begin, 0, set_cycles).sum())
+
+
+def _search(cols, starts, set_cycles, data_bits, rank, counter_bits):
+    """The rank-th largest of each set ``cols[start:start + set_cycles]``."""
+    windows = sliding_window_view(cols, set_cycles, axis=0)
+    # evenly spaced sets (every driver's framing) stay a view of the stream;
+    # only irregular framing pays for a gathered copy
+    if len(starts) > 1 and (np.diff(starts) == starts[1] - starts[0]).all():
+        sets = windows[starts[0]::starts[1] - starts[0]][:len(starts)]
+    else:
+        sets = windows[starts]
+    preset = (1 << (counter_bits - 1)) - rank
+    msb = 1 << (counter_bits - 1)
+    pre = np.zeros(len(starts), np.int64)
+    for s in range(data_bits // 2):
+        q = 1 << (data_bits - 2 * s - 2)
+        counts = ((sets >= (pre + k * q)[:, None, None]).sum(axis=(1, 2))
+                  for k in (1, 2, 3))
+        # bit C-1 of the wrapped C-bit accumulator is bit C-1 of the sum
+        m1, m2, m3 = (((preset + count) & msb) != 0 for count in counts)
+        pre += q * np.select([m3, m2, m1], [3, 2, 1], 0)
+    return pre
+
+
 def chain_run(cols, d1st, data_bits, set_cycles, rank, counter_bits, latency,
               mode, dv, res):
-    """Clock one chain over a ``(T, K)`` column stream.
+    """One chain over a ``(T, K)`` column stream.
 
-    ``mode`` selects the scalar (K=1) or encoder-tree increment logic.
-    Fills ``dv``/``res`` per cycle and returns ``(err_cycle, comparisons)``
-    with ``err_cycle == -1`` when the framing held.
+    ``mode`` selects the scalar (column 0 only) or encoder-tree (all K
+    channels) increment logic; both count the samples at or above each
+    boundary.  Fills ``dv``/``res`` per cycle and returns
+    ``(err_cycle, comparisons)`` with ``err_cycle == -1`` when the framing
+    held; after a break, only cycles before ``err_cycle`` are filled and
+    counted.
     """
-    total = cols.shape[0]
+    if mode == MODE_SCALAR:
+        cols = cols[:, :1]
+    total, channels = cols.shape
     stages = data_bits // 2
-    preset = (1 << (counter_bits - 1)) - rank
-    cmask = (1 << counter_bits) - 1
-    msb = 1 << (counter_bits - 1)
-    pm_pre = np.zeros(stages, np.int64)
-    pm_bits = np.zeros(stages, np.int64)
-    hold_pre = np.zeros(stages, np.int64)
-    hold_bits = np.zeros(stages, np.int64)
-    hold_ok = np.zeros(stages, np.int64)
-    acc1 = np.zeros(stages, np.int64)
-    acc2 = np.zeros(stages, np.int64)
-    acc3 = np.zeros(stages, np.int64)
-    pos = np.zeros(stages, np.int64)
-    active = np.zeros(stages, np.int64)
-    em_ok = np.zeros((stages, latency + 1), np.int64)
-    em_pre = np.zeros((stages, latency + 1), np.int64)
-    em_bits = np.zeros((stages, latency + 1), np.int64)
-    comparisons = 0
-    for t in range(total):
-        fired, value, err, c = _chain_cycle(
-            cols, d1st, t, 0, data_bits, set_cycles, preset, cmask, msb,
-            latency, mode, pm_pre, pm_bits, hold_pre, hold_bits, hold_ok,
-            acc1, acc2, acc3, pos, active, em_ok, em_pre, em_bits, 0, 0, 0, 0)
-        comparisons += c
-        if err != ERR_NONE:
-            return t, comparisons
-        if fired == 1:
-            dv[t] = 1
-            res[t] = value
-    return -1, comparisons
+    delay = set_cycles + latency
+    starts, err = _framing(d1st, set_cycles)
+    end = total if err < 0 else err
+    comparisons = 3 * channels * _busy_cycles(starts, stages, delay,
+                                              set_cycles, end)
+    fire = starts + stages * delay - 1
+    done = fire < end
+    if done.any():
+        dv[fire[done]] = 1
+        res[fire[done]] = _search(cols, starts[done], set_cycles, data_bits,
+                                  rank, counter_bits)
+    return err, comparisons
 
 
-@maybe_njit(cache=True, nogil=True)
 def sliding_run(cols, d1st, data_bits, rank, counter_bits, latency, dv, res,
                 chain_id):
     """W staggered W-channel chains over one shared ``(T, W)`` column stream.
 
     Chain ``j`` sees the first-data markers delayed by ``j`` cycles, so its
     windows start ``j`` columns later; all chains read the same data.  The
-    first-stage comparisons are computed once per column and shared, as the
-    stage-1 boundaries are the same fixed root-range values for every chain.
-    Returns ``(err_cycle, comparisons)``.
+    first-stage comparisons are counted once per column, shared by all
+    chains, as the stage-1 boundaries are the same fixed root-range values
+    for every chain.
+    Returns ``(err_cycle, comparisons)`` like :func:`chain_run`.
     """
-    total = cols.shape[0]
-    width = cols.shape[1]
+    total, width = cols.shape
     stages = data_bits // 2
-    preset = (1 << (counter_bits - 1)) - rank
-    cmask = (1 << counter_bits) - 1
-    msb = 1 << (counter_bits - 1)
-    pm_pre = np.zeros((width, stages), np.int64)
-    pm_bits = np.zeros((width, stages), np.int64)
-    hold_pre = np.zeros((width, stages), np.int64)
-    hold_bits = np.zeros((width, stages), np.int64)
-    hold_ok = np.zeros((width, stages), np.int64)
-    acc1 = np.zeros((width, stages), np.int64)
-    acc2 = np.zeros((width, stages), np.int64)
-    acc3 = np.zeros((width, stages), np.int64)
-    pos = np.zeros((width, stages), np.int64)
-    active = np.zeros((width, stages), np.int64)
-    em_ok = np.zeros((width, stages, latency + 1), np.int64)
-    em_pre = np.zeros((width, stages, latency + 1), np.int64)
-    em_bits = np.zeros((width, stages, latency + 1), np.int64)
-    rq = 1 << (data_bits - 2)
-    rb1 = rq
-    rb2 = 2 * rq
-    rb3 = 3 * rq
-    comparisons = 0
-    for t in range(total):
-        s1 = 0
-        s2 = 0
-        s3 = 0
-        g = 0
-        while g < width:
-            hi = g + 3
-            if hi > width:
-                hi = width
-            e1 = 0
-            e2 = 0
-            e3 = 0
-            for k in range(g, hi):
-                x = cols[t, k]
-                if x >= rb1:
-                    e1 += 1
-                if x >= rb2:
-                    e2 += 1
-                if x >= rb3:
-                    e3 += 1
-            s1 += e1
-            s2 += e2
-            s3 += e3
-            g = hi
-        comparisons += 3 * width
-        for j in range(width):
-            fired, value, err, c = _chain_cycle(
-                cols, d1st, t, j, data_bits, width, preset, cmask, msb,
-                latency, MODE_ENCODER, pm_pre[j], pm_bits[j], hold_pre[j],
-                hold_bits[j], hold_ok[j], acc1[j], acc2[j], acc3[j], pos[j],
-                active[j], em_ok[j], em_pre[j], em_bits[j], 1, s1, s2, s3)
-            comparisons += c
-            if err != ERR_NONE:
-                return t, comparisons
-            if fired == 1:
-                if dv[t] == 1:
-                    return t, comparisons  # two chains matured together
-                dv[t] = 1
-                res[t] = value
-                chain_id[t] = j
-    return -1, comparisons
+    delay = width + latency
+    markers, err = _framing(d1st, width)
+    end = total if err < 0 else err
+    starts = (markers[:, None] + np.arange(width)).ravel()
+    comparisons = 3 * width * (end + _busy_cycles(
+        starts + delay, stages - 1, delay, width, end))
+    fire = starts + stages * delay - 1
+    done = fire < end
+    if done.any():
+        dv[fire[done]] = 1
+        res[fire[done]] = _search(cols, starts[done], width, data_bits, rank,
+                                  counter_bits)
+        chain_id[fire[done]] = np.tile(np.arange(width), len(markers))[done]
+    return err, comparisons

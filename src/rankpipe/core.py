@@ -7,11 +7,11 @@ two more result bits once the whole set has passed through.  Data pipes
 delay the raw stream so every stage sees a set exactly when the previous
 stage's partial median for it is ready.
 
-Two implementations share the cycle semantics: the ``Stage``/``Engine``
-classes here are the readable clock-by-clock reference, while
-:mod:`rankpipe._kernels` holds the batch loops used by ``run_stream`` and
-the image drivers.  The test suite checks them against each other
-cycle-for-cycle.
+The ``Stage``/``Engine`` classes here step the chain clock by clock and
+are the reference for the cycle semantics.  ``run_stream`` and the image
+drivers use :mod:`rankpipe._kernels` instead, which computes every set's
+result at once and writes it at its fixed dv cycle.  The test suite checks
+the two against each other cycle-for-cycle.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "suite",
-    deadline=None,  # first calls hit JIT compilation
+    deadline=None,  # the clock-stepped object engines are slow per example
     max_examples=40,
     suppress_health_check=[HealthCheck.too_slow],
 )

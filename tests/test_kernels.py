@@ -1,73 +1,191 @@
-"""Backend plumbing: the compiled kernels and their interpreted fallback
-must behave identically, and the env flag must actually switch paths."""
+"""The batch kernels against the clock-stepped object engines on framing the
+drivers never produce (idle gaps, cut-off streams, zero pipe latency,
+mid-set markers, irregular sliding markers), plus the backend flag."""
 
-import contextlib
 import os
 import subprocess
 import sys
 
 import numpy as np
 
-from rankpipe import _accel, _kernels
-from rankpipe.params import FilterParams
+from rankpipe import (
+    Engine,
+    FilterParams,
+    FramingError,
+    McEngine,
+    McParams,
+    SlidingEnsemble,
+    _kernels,
+    comparison_count,
+    refine,
+)
 
 
-@contextlib.contextmanager
-def interpreted_inner_loop():
-    # the batch kernels resolve _chain_cycle via the module namespace, so
-    # swapping it makes the py_func runs fully interpreted
-    compiled = _kernels._chain_cycle
-    _kernels._chain_cycle = getattr(compiled, "py_func", compiled)
-    try:
-        yield
-    finally:
-        _kernels._chain_cycle = compiled
+def _stream(rng, n, bits, channels, gap_hi, sets, tail):
+    """Columns and markers for ``sets`` sets of ``n`` cycles separated by
+    random idle gaps in ``[0, gap_hi]``, cut ``tail`` cycles after the last
+    set starts."""
+    starts = []
+    t = int(rng.integers(0, 3))
+    for _ in range(sets):
+        starts.append(t)
+        t += n + int(rng.integers(0, gap_hi + 1))
+    total = starts[-1] + tail
+    d1st = np.zeros(total, dtype=np.uint8)
+    d1st[starts] = 1
+    cols = rng.integers(0, 1 << bits, size=(total, channels)).astype(np.int64)
+    return cols, d1st
 
 
-def _run_chain(kernel, din, d1st, p):
+def _clock(engine, cols, d1st, scalar=False):
+    """Per-cycle dv/result of an object engine, and the cycle at which it
+    raised ``FramingError`` (-1 if it never did)."""
+    dv = np.zeros(len(d1st), dtype=bool)
+    res = np.zeros(len(d1st), dtype=np.int64)
+    for t, (col, f) in enumerate(zip(cols, d1st)):
+        try:
+            out = engine.clock(int(col[0]) if scalar else col, bool(f))
+        except FramingError:
+            return t, dv, res
+        dv[t], res[t] = out.dv, out.result
+    return -1, dv, res
+
+
+def _chain_kernel(p, cols, d1st, mode):
     dv = np.zeros(len(d1st), dtype=np.uint8)
     res = np.zeros(len(d1st), dtype=np.int64)
-    err, cmp_ = kernel(din, d1st, p.data_bits, p.set_size, p.rank,
-                       p.counter_bits, p.pipe_latency, _kernels.MODE_SCALAR,
-                       dv, res)
-    return err, cmp_, dv, res
+    set_cycles = p.columns if isinstance(p, McParams) else p.set_size
+    err, comparisons = _kernels.chain_run(
+        cols, d1st, p.data_bits, set_cycles, p.rank, p.counter_bits,
+        p.pipe_latency, mode, dv, res)
+    return err, comparisons, dv.astype(bool), res
 
 
-def test_compiled_and_interpreted_chain_run_agree():
-    p = FilterParams(data_bits=8, set_size=5, rank=2)
+def _random_chain(rng, latency):
+    """A random single- or multi-channel configuration and its engine."""
+    bits = int(rng.choice([2, 4, 8]))
+    n = int(rng.integers(1, 7))
+    if rng.random() < 0.5:
+        p = FilterParams(data_bits=bits, set_size=n,
+                         rank=int(rng.integers(1, n + 1)),
+                         pipe_latency=latency)
+        return p, Engine(p), 1, _kernels.MODE_SCALAR, n
+    k = int(rng.integers(1, 4))
+    p = McParams(channels=k, columns=n, rank=int(rng.integers(1, n * k + 1)),
+                 data_bits=bits, pipe_latency=latency)
+    return p, McEngine(p), k, _kernels.MODE_ENCODER, n
+
+
+def test_chain_run_matches_the_object_engines_on_irregular_framing():
+    # idle gaps between sets, streams cut off anywhere from mid-set through
+    # mid-drain to fully drained, with and without pipe latency
     rng = np.random.default_rng(70)
-    total = 5 * 4 + p.drain_cycles
-    din = np.zeros((total, 1), dtype=np.int64)
-    din[:20, 0] = rng.integers(0, 256, size=20)
-    d1st = np.zeros(total, dtype=np.uint8)
-    d1st[0:20:5] = 1
-    fast = _run_chain(_kernels.chain_run, din, d1st, p)
-    with interpreted_inner_loop():
-        slow = _run_chain(_kernels.chain_run.py_func, din, d1st, p)
-    assert fast[0] == slow[0] and fast[1] == slow[1]
-    assert (fast[2] == slow[2]).all() and (fast[3] == slow[3]).all()
+    cut = {"mid-set": 0, "mid-drain": 0, "drained": 0}
+    for case in range(60):
+        p, engine, k, mode, n = _random_chain(rng, latency=(0, 1, 5)[case % 3])
+        tail = int(rng.integers(1, p.alignment + 4))
+        sets = int(rng.integers(1, 5))
+        cols, d1st = _stream(rng, n, p.data_bits, k, 2 * n, sets, tail)
+        cut["mid-set" if tail < n else
+            "drained" if tail > p.alignment else "mid-drain"] += 1
+        err, comparisons, dv, res = _chain_kernel(p, cols, d1st, mode)
+        want_err, want_dv, want_res = _clock(
+            engine, cols, d1st, scalar=mode == _kernels.MODE_SCALAR)
+        assert err == want_err == -1
+        assert (dv == want_dv).all()
+        assert (res[dv] == want_res[want_dv]).all()
+        assert comparisons == engine.comparisons
+    assert min(cut.values()) > 0, cut
 
 
-def test_compiled_and_interpreted_sliding_run_agree():
+def test_chain_run_breaks_where_the_engine_raises():
     rng = np.random.default_rng(71)
-    w = 3
-    total = 30
-    cols = rng.integers(0, 256, size=(total, w)).astype(np.int64)
-    d1st = np.zeros(total, dtype=np.uint8)
-    d1st[0:18:w] = 1
-    def run(kernel):
-        dv = np.zeros(total, dtype=np.uint8)
-        res = np.zeros(total, dtype=np.int64)
-        chain = np.full(total, -1, dtype=np.int64)
-        err, cmp_ = kernel(cols, d1st, 8, 4, 8, 5, dv, res, chain)
-        return err, cmp_, dv, res, chain
+    for case in range(30):
+        p, engine, k, mode, n = _random_chain(rng, latency=(0, 5)[case % 2])
+        if n == 1:
+            continue  # a one-cycle set has no middle
+        cols, d1st = _stream(rng, n, p.data_bits, k, n, 3, p.alignment + 1)
+        late = np.flatnonzero(d1st)[-1] + int(rng.integers(1, n))
+        d1st[late] = 1  # mid-set marker in the last set
+        err, _, dv, res = _chain_kernel(p, cols, d1st, mode)
+        want_err, want_dv, want_res = _clock(
+            engine, cols, d1st, scalar=mode == _kernels.MODE_SCALAR)
+        assert err == want_err == late
+        assert (dv == want_dv).all()
+        assert (res[dv] == want_res[want_dv]).all()
 
-    outs = [run(_kernels.sliding_run)]
-    with interpreted_inner_loop():
-        outs.append(run(_kernels.sliding_run.py_func))
-    assert outs[0][0] == outs[1][0] and outs[0][1] == outs[1][1]
-    for a, b in zip(outs[0][2:], outs[1][2:]):
-        assert (a == b).all()
+
+def test_scalar_mode_reads_only_the_first_column():
+    p = FilterParams(data_bits=8, set_size=3, rank=1)
+    cols = np.zeros((p.alignment + 1, 2), dtype=np.int64)
+    cols[:3, 0] = [5, 9, 1]
+    cols[:, 1] = 255
+    d1st = np.zeros(len(cols), dtype=np.uint8)
+    d1st[0] = 1
+    err, comparisons, dv, res = _chain_kernel(p, cols, d1st,
+                                              _kernels.MODE_SCALAR)
+    assert err == -1 and res[dv].tolist() == [9]
+    assert comparisons == comparison_count(p, 1)
+
+
+def test_wrapping_counters_resolve_by_priority_like_refine():
+    # 2-bit counters, preset 1: counts 3/1/0 for boundaries 1/2/3 wrap the
+    # first accumulator to 0, so the MSBs (0, 1, 0) are not thermometer-coded
+    # and the priority encoder picks the middle quarter
+    dv = np.zeros(3, dtype=np.uint8)
+    res = np.zeros(3, dtype=np.int64)
+    cols = np.array([[1], [1], [2]], dtype=np.int64)
+    d1st = np.array([1, 0, 0], dtype=np.uint8)
+    err, _ = _kernels.chain_run(cols, d1st, 2, 3, 1, 2, 0,
+                                _kernels.MODE_SCALAR, dv, res)
+    assert err == -1 and dv.tolist() == [0, 0, 1]
+    assert res[2] == refine(0, 1, 0) == 2
+
+
+def _sliding(window, rank, latency, cols, d1st):
+    dv = np.zeros(len(d1st), dtype=np.uint8)
+    res = np.zeros(len(d1st), dtype=np.int64)
+    chain = np.full(len(d1st), -1, dtype=np.int64)
+    err, comparisons = _kernels.sliding_run(cols, d1st, 8, rank, 8, latency,
+                                            dv, res, chain)
+    return err, comparisons, dv.astype(bool), res, chain
+
+
+def test_sliding_run_matches_the_ensemble_on_irregular_markers():
+    rng = np.random.default_rng(72)
+    for case in range(16):
+        window = (3, 5)[case % 2]
+        latency = (0, 2)[case // 2 % 2]
+        rank = int(rng.integers(1, window * window + 1))
+        ens = SlidingEnsemble(window, rank, pipe_latency=latency)
+        cols, d1st = _stream(rng, window, 8, window, 2 * window, 4,
+                             int(rng.integers(1, ens.alignment + window + 2)))
+        if case >= 12:  # a mid-set marker in the last window
+            late = np.flatnonzero(d1st)[-1] + int(rng.integers(1, window))
+            if late < len(d1st):
+                d1st[late] = 1
+        err, comparisons, dv, res, chain = _sliding(window, rank, latency,
+                                                    cols, d1st)
+        want_err = -1
+        for t in range(len(d1st)):
+            try:
+                out = ens.clock(cols[t], bool(d1st[t]))
+            except FramingError:
+                want_err = t
+                break
+            assert dv[t] == (out is not None)
+            if out is not None:
+                assert res[t] == out
+                assert chain[t] == ens.last_chain
+        assert err == want_err
+        assert not dv[ens.cycle:].any()
+        if err < 0:
+            # the first stage's comparisons are made once per column and
+            # shared, where each object chain makes its own
+            own_first = sum(c.stages[0].comparisons for c in ens.chains)
+            shared_first = 3 * window * len(d1st)
+            assert comparisons == (sum(c.comparisons for c in ens.chains)
+                                   - own_first + shared_first)
 
 
 def test_env_flag_selects_the_interpreted_path():
@@ -86,7 +204,17 @@ def test_env_flag_selects_the_interpreted_path():
     assert "fallback ok" in proc.stdout
 
 
-def test_numba_is_active_by_default():
-    if os.environ.get("RANKPIPE_NO_NUMBA", "").strip() in ("", "0"):
-        assert _accel.NUMBA_ENABLED
-        assert hasattr(_kernels.chain_run, "py_func")
+def test_kernels_need_no_compiler():
+    script = (
+        "import sys\n"
+        "import rankpipe._accel as a\n"
+        "import rankpipe as rp\n"
+        "assert not a.NUMBA_ENABLED\n"
+        "assert 'numba' not in sys.modules\n"
+        "print('numpy only')\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "RANKPIPE_NO_NUMBA"}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy only" in proc.stdout
