@@ -22,6 +22,7 @@ from .ensembles import (
     Ensemble9753,
     SlidingEnsemble,
     enable_schedule,
+    ensemble9753_cycles,
     ensemble9753_results,
     sliding_cycles,
     sliding_window_results,
@@ -83,6 +84,7 @@ __all__ = [
     "counter_preset",
     "enable_schedule",
     "encode3",
+    "ensemble9753_cycles",
     "ensemble9753_results",
     "filter_image",
     "filter_image_oracle",

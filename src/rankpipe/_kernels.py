@@ -1,7 +1,7 @@
 """Set-parallel batch kernels for the refinement-stage chains.
 
 These functions are the hot path behind ``run_stream``, ``run_windows``,
-``sliding_cycles`` and the image drivers.  They fill the same per-cycle
+``sliding_cycles``, ``ensemble9753_cycles`` and the image drivers.  They fill the same per-cycle
 ``dv``/``res`` trace as clocking the chain would, without stepping clocks.
 
 A set's result depends only on its own samples, and it appears at a fixed
@@ -21,8 +21,8 @@ So each kernel
    stage-cycle a stage spends inside a set, before the end of the stream.
 
 The clock-stepped object engines (``Engine``, ``McEngine``,
-``SlidingEnsemble``) are the reference these kernels are tested against
-cycle for cycle.
+``SlidingEnsemble``, ``Ensemble9753``) are the reference these kernels are
+tested against cycle for cycle.
 """
 
 import numpy as np

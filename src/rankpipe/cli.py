@@ -8,26 +8,27 @@ Exit codes: 0 on success, 1 for validation or I/O problems, 2 when a
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from . import imaging, oracle, pgm
 from .core import run_stream, stream_cycles
-from .ensembles import CADENCE, Ensemble9753, sliding_cycles
+from .ensembles import CADENCE, ensemble9753_cycles, sliding_cycles
 from .imaging import Border, Rect, frame_rate, percentile_to_rank
 from .multichannel import mc_stream_cycles
-from .params import ConfigError, FilterParams, FramingError, McParams, padded_bits
+from .params import ConfigError, FilterParams, FramingError, McParams
 
 DEFAULT_CLOCK_HZ = 275e6
+BLANK = -1  # trace cell left empty; samples are never negative
+_CHUNK_ROWS = 1024  # trace rows rendered per write
 
 
 class CheckFailure(Exception):
     """A --check cross-verification against the oracle found a mismatch."""
 
 
-def _read_values(path: str | None) -> list[int]:
+def _read_values(path: str | None) -> np.ndarray:
     if path is None:
         text = sys.stdin.read()
     else:
@@ -39,16 +40,10 @@ def _read_values(path: str | None) -> list[int]:
             values.append(int(token))
         except ValueError:
             raise ConfigError(f"non-integer token {token!r} in the input stream")
-    return values
-
-
-def _infer_bits(values, override: int | None) -> int:
-    if override is not None:
-        return override
-    peak = max(values, default=0)
-    if peak < 0:
+    values = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
+    if values.min(initial=0) < 0:
         raise ConfigError("samples must be non-negative")
-    return max(2, padded_bits(peak.bit_length()))
+    return values
 
 
 def _resolve_rank(args, n: int) -> int:
@@ -95,13 +90,15 @@ def cmd_filter(args) -> int:
     pgm.write_pgm(args.output, report.image, maxval, binary=binary)
     height, width = image.shape
     fps = frame_rate(args.clock, width, height, n)
+    measured = frame_rate(args.clock, width, height, report.cycles_per_result)
     print(f"window: {imaging.format_window(shape)}  N={n}  M={rank}")
     print(f"engine: {report.engine}  border: {border.value}  "
           f"data-bits: {report.data_bits}")
     print(f"cycles: {report.cycles} simulated "
           f"({report.cycles_per_result:.3f} per result)")
     print(f"frame rate: {fps:.2f} fps at {args.clock / 1e6:.1f} MHz "
-          f"(single-core formula)")
+          f"(single-core formula), {measured:.2f} fps measured "
+          f"({report.engine})")
     return 0
 
 
@@ -110,12 +107,8 @@ def cmd_rank(args) -> int:
     if args.set_size < 1:
         raise ConfigError("--set-size must be positive")
     rank = _resolve_rank(args, args.set_size)
-    if len(values) % args.set_size:
-        raise ConfigError(
-            f"{len(values)} values is not a multiple of the set size "
-            f"{args.set_size}"
-        )
-    bits = _infer_bits(values, args.data_bits)
+    bits = (imaging.infer_data_bits(values) if args.data_bits is None
+            else args.data_bits)
     params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
     results = run_stream(params, values)
     for value in results:
@@ -132,8 +125,6 @@ def cmd_rank(args) -> int:
 
 
 def _reshape_columns(values, channels: int) -> np.ndarray:
-    if channels < 1:
-        raise ConfigError("channel count must be positive")
     if len(values) % channels:
         raise ConfigError(
             f"{len(values)} values is not a multiple of {channels} channels"
@@ -142,79 +133,47 @@ def _reshape_columns(values, channels: int) -> np.ndarray:
 
 
 def _write_trace(path, header, rows) -> None:
+    """Write ``header`` and the int64 ``rows`` table as CSV, BLANK cells empty."""
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CHUNK_ROWS):
+            chunk = rows[start:start + _CHUNK_ROWS]
+            text = line * len(chunk) % tuple(chunk.ravel().tolist())
+            # no sample is negative, so "-1" only ever renders BLANK
+            fh.write(text.replace(str(BLANK), ""))
 
 
-def _trace_stream(trace, channels: int, extra_header=(), extra_rows=None):
-    total = len(trace.d1st)
-    din = trace.din.reshape(total, -1)
-    dout = trace.dout.reshape(total, -1)
+def _trace_table(trace, channels: int, tail_header, *tail):
+    """Header and ``(cycles, columns)`` table of a per-clock trace: cycle, d1st,
+    din, dv, dout, the results (BLANK off dv rows), then ``tail``."""
     header = (["cycle", "d1st"] + [f"din{k}" for k in range(channels)]
-              + ["dv"] + [f"dout{k}" for k in range(channels)] + ["result"]
-              + list(extra_header))
-    rows = []
-    for t in range(total):
-        row = [t, int(trace.d1st[t])]
-        row += [int(v) for v in din[t]]
-        row.append(int(trace.dv[t]))
-        row += [int(v) for v in dout[t]]
-        row.append(int(trace.result[t]) if trace.dv[t] else "")
-        if extra_rows is not None:
-            row += extra_rows[t]
-        rows.append(row)
-    return header, rows
+              + ["dv"] + [f"dout{k}" for k in range(channels)]
+              + list(tail_header))
+    total = len(trace.dv)
+    result = np.where(trace.dv[:, None], trace.result.reshape(total, -1), BLANK)
+    return header, np.column_stack([np.arange(total), trace.d1st, trace.din,
+                                    trace.dv, trace.dout, result, *tail])
 
 
-def _trace_9753(cols, ranks) -> tuple[list, list]:
-    ens = Ensemble9753(ranks)
-    n = cols.shape[0]
-    zero = np.zeros(CADENCE, dtype=np.int64)
-    d1st_log, en_log, quads = [], [], []
-    for t in range(n + ens.drain_columns):
-        col = cols[t] if t < n else zero
-        d1st = t < n and t % CADENCE == 0 and t + CADENCE <= n
-        quad = ens.clock(col, d1st=d1st)
-        d1st_log.append(int(d1st))
-        en_log.append(tuple(int(flag) for flag in ens.enable_flags()))
-        quads.append(quad)
-    total = len(quads)
-    dv_cycles = [t for t, quad in enumerate(quads) if quad is not None]
-    first_anchor = 0 if n >= CADENCE else None
-    delay = dv_cycles[0] - first_anchor if dv_cycles and first_anchor == 0 else 0
-    header = (["cycle", "d1st"] + [f"din{k}" for k in range(CADENCE)]
-              + ["dv"] + [f"dout{k}" for k in range(CADENCE)]
-              + ["result9", "result7", "result5", "result3",
-                 "en7", "en5", "en3"])
-    rows = []
-    for t in range(total):
-        col = cols[t] if t < n else zero
-        dcol = cols[t - delay] if delay and 0 <= t - delay < n else zero
-        quad = quads[t]
-        row = [t, d1st_log[t]]
-        row += [int(v) for v in col]
-        row.append(int(quad is not None))
-        row += [int(v) for v in dcol]
-        row += ([int(v) for v in quad] if quad is not None else ["", "", "", ""])
-        row += list(en_log[t])
-        rows.append(row)
-    return header, rows
+def _trace_stream(trace, channels: int):
+    return _trace_table(trace, channels, ["result"])
+
+
+def _trace_9753(cols, ranks, data_bits: int = 8):
+    trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits)
+    names = [f"result{w}" for w in (9, 7, 5, 3)] + ["en7", "en5", "en3"]
+    return _trace_table(trace, CADENCE, names, trace.enables)
 
 
 def cmd_trace(args) -> int:
     values = _read_values(args.input)
-    bits = _infer_bits(values, args.data_bits)
+    bits = (imaging.infer_data_bits(values) if args.data_bits is None
+            else args.data_bits)
     if args.engine == "single":
         if args.set_size is None:
             raise ConfigError("--set-size is required for single-engine traces")
         rank = _resolve_rank(args, args.set_size)
-        if len(values) % args.set_size:
-            raise ConfigError(
-                f"{len(values)} values is not a multiple of the set size "
-                f"{args.set_size}"
-            )
         params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
         trace = stream_cycles(params, values)
         header, rows = _trace_stream(trace, 1)
@@ -245,7 +204,7 @@ def cmd_trace(args) -> int:
         if len(ranks) != 4:
             raise ConfigError("--ranks must list four values m9,m7,m5,m3")
         cols = _reshape_columns(values, CADENCE)
-        header, rows = _trace_9753(cols, ranks)
+        header, rows = _trace_9753(cols, ranks, bits)
     _write_trace(args.output, header, rows)
     print(f"wrote {len(rows)} cycles to {args.output}")
     return 0

@@ -10,6 +10,9 @@ cadence.  Enable signals gate the narrower chains onto the middle columns
 of each cadence (and centered rows of each column), yielding the four
 concentric window results every 9 clocks.  Overriding the enabled phase
 windows produces non-square rectangles instead.
+
+``sliding_cycles`` and ``ensemble9753_cycles`` run on the batch kernels; the
+clocked ``SlidingEnsemble`` and ``Ensemble9753`` are their reference.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _DelayRing, _FinderChain
+from .core import StreamTrace, _DelayRing, _FinderChain
 from .multichannel import McStage
 from .params import ConfigError, FramingError, McParams
 
@@ -104,17 +107,11 @@ class SlidingEnsemble:
 
 
 @dataclass(frozen=True)
-class SlidingTrace:
+class SlidingTrace(StreamTrace):
     """Per-clock record of a batch sliding run, drain included."""
 
-    din: np.ndarray
-    d1st: np.ndarray
-    dv: np.ndarray
-    dout: np.ndarray
-    result: np.ndarray
     chain: np.ndarray
     alignment: int
-    comparisons: int
 
     def window_results(self, n_starts: int) -> np.ndarray:
         """Results for window starts 0..n_starts-1 (one per consecutive cycle)."""
@@ -132,12 +129,11 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
     appended to flush every window that was started, including the garbage
     tails past the strip edge (callers keep the first ``n - W + 1`` results).
     """
-    ens_params = McParams(channels=window, columns=window, rank=rank,
-                          data_bits=data_bits, counter_bits=counter_bits,
-                          pipe_latency=pipe_latency)
+    p = McParams(channels=window, columns=window, rank=rank,
+                 data_bits=data_bits, counter_bits=counter_bits,
+                 pipe_latency=pipe_latency)
     if window % 2 == 0:
         raise ConfigError("sliding ensembles support odd window sides only")
-    p = ens_params
     cols = np.ascontiguousarray(np.asarray(cols, dtype=np.int64))
     if cols.ndim != 2 or cols.shape[1] != window:
         raise ConfigError(f"column stream must have shape (n, {window})")
@@ -258,6 +254,9 @@ class Ensemble9753:
         col = np.asarray(col, dtype=np.int64)
         if col.shape != (CADENCE,):
             raise ConfigError(f"column must carry exactly {CADENCE} samples")
+        p = self.chains[0].params
+        if col.min() < 0 or col.max() > p.max_value:
+            raise ConfigError(f"samples must fit in {p.data_bits} bits")
         if self._phase is None:
             if not d1st:
                 return None  # columns before the first anchor are ignored
@@ -284,8 +283,6 @@ class Ensemble9753:
 
     def enable_flags(self) -> tuple[bool, ...]:
         """Enabled state of every chain past the first at the last phase."""
-        if self.last_phase < 0:
-            return tuple(False for _ in self.chains[1:])
         return tuple(self.last_phase in chain.phase_set
                      for chain in self.chains[1:])
 
@@ -297,6 +294,66 @@ class Ensemble9753:
         return CADENCE * (stages * worst + 2)
 
 
+@dataclass(frozen=True)
+class Trace9753(StreamTrace):
+    """Per-clock record of a batch 9753 run, drain included: ``result`` has
+    one column per chain, ``dout`` replays the strip delayed to the first
+    quadruple, and ``enables`` flags every chain past the first."""
+
+    enables: np.ndarray
+
+
+def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
+                        counter_bits: int = 8, pipe_latency: int = 5,
+                        chains=None) -> Trace9753:
+    """Batch-run full cadences of a 9-row column strip plus the drain.
+
+    Gives what clocking :class:`Ensemble9753` gives.  A gated chain lives in
+    its own enabled-column time, so it is one ``chain_run`` over the strip's
+    enabled columns and its own rows; gated fire index g maps back to cycle
+    ``9 * (g // w) + first_phase + g % w`` for w enabled phases.  The k-th
+    quadruple emerges with the last of the chains' k-th results.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.ndim != 2 or cols.shape[1] != CADENCE:
+        raise ConfigError(f"column strip must have shape (n, {CADENCE})")
+    ens = Ensemble9753(ranks, data_bits=data_bits, counter_bits=counter_bits,
+                       pipe_latency=pipe_latency, chains=chains)
+    p = ens.chains[0].params
+    if cols.size and (cols.min() < 0 or cols.max() > p.max_value):
+        raise ConfigError(f"samples must fit in {p.data_bits} bits")
+    din = np.pad(cols, ((0, ens.drain_columns), (0, 0)))
+    total = len(din)
+    anchors = np.arange(0, len(cols) - CADENCE + 1, CADENCE)
+    # phases count from the first anchor, cycle 0; without one no chain runs
+    phase = np.arange(total) % CADENCE if anchors.size else np.full(total, -1)
+    enabled = [np.isin(phase, chain.phases) for chain in ens.chains]
+    fires, results, comparisons = [], [], 0
+    for chain, on in zip(ens.chains, enabled):
+        cp, width = chain.params, len(chain.phases)
+        rows = din[on, chain.row_offset:chain.row_offset + cp.channels]
+        marks = np.isin(np.arange(len(rows)), anchors // CADENCE * width)
+        dv, res = np.zeros(len(rows), np.uint8), np.zeros(len(rows), np.int64)
+        _, count = _kernels.chain_run(
+            rows, marks, cp.data_bits, width, cp.rank, cp.counter_bits,
+            cp.pipe_latency, _kernels.MODE_ENCODER, dv, res)
+        comparisons += count
+        g = np.flatnonzero(dv)
+        fires.append(CADENCE * (g // width) + chain.first_phase + g % width)
+        results.append(res[g])
+    # the drain lets every chain fire once per anchor
+    cycles = np.max(fires, axis=0)
+    dv = np.isin(np.arange(total), cycles)
+    result = np.zeros((total, len(ens.chains)), dtype=np.int64)
+    result[cycles] = np.transpose(results)
+    dout = np.zeros_like(din)
+    if anchors.size:
+        dout[cycles[0]:] = din[:total - cycles[0]]
+    return Trace9753(din=din, d1st=np.isin(np.arange(total), anchors), dv=dv,
+                     dout=dout, result=result,
+                     enables=np.array(enabled)[1:].T, comparisons=comparisons)
+
+
 def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
                          counter_bits: int = 8, pipe_latency: int = 5,
                          chains=None):
@@ -306,26 +363,8 @@ def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     data present are anchored.  ``cycles[i]`` is the clock at which
     ``quadruples[i]`` emerged.
     """
-    cols = np.ascontiguousarray(np.asarray(cols, dtype=np.int64))
-    if cols.ndim != 2 or cols.shape[1] != CADENCE:
-        raise ConfigError(f"column strip must have shape (n, {CADENCE})")
-    ens = Ensemble9753(ranks, data_bits=data_bits, counter_bits=counter_bits,
-                       pipe_latency=pipe_latency, chains=chains)
-    n = cols.shape[0]
-    cycles = []
-    outs = []
-    t = 0
-    for i in range(n):
-        out = ens.clock(cols[i], d1st=(i % CADENCE == 0 and i + CADENCE <= n))
-        if out is not None:
-            cycles.append(t)
-            outs.append(out)
-        t += 1
-    zero = np.zeros(CADENCE, dtype=np.int64)
-    for _ in range(ens.drain_columns):
-        out = ens.clock(zero, d1st=False)
-        if out is not None:
-            cycles.append(t)
-            outs.append(out)
-        t += 1
-    return cycles, outs
+    trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits,
+                                counter_bits=counter_bits,
+                                pipe_latency=pipe_latency, chains=chains)
+    return (np.flatnonzero(trace.dv).tolist(),
+            [tuple(q) for q in trace.results.tolist()])

@@ -1,10 +1,25 @@
 """Command-line surface: argument handling, exit codes, output formats,
 and trace determinism."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from rankpipe import Border, Rect, cli, pgm
+from rankpipe import (
+    Border,
+    Ensemble9753,
+    Engine,
+    FilterParams,
+    McEngine,
+    McParams,
+    Rect,
+    SlidingEnsemble,
+    cli,
+    pgm,
+)
+from rankpipe.imaging import infer_data_bits
 from rankpipe.oracle import filter_image_oracle, select_desc
 
 
@@ -56,6 +71,16 @@ class TestRank:
                                stdin="1 two 3", monkeypatch=monkeypatch)
         assert code == 1
         assert "two" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--set-size", "3", "--rank", "1"],
+        ["rank", "--set-size", "3", "--rank", "1", "--data-bits", "8"],
+        ["trace", "-o", "unused.csv", "--engine", "9753"]])
+    def test_negative_samples_are_rejected(self, capsys, monkeypatch, argv):
+        code, _, err = run_cli(capsys, argv, stdin=" ".join(["7", "-2"] * 81),
+                               monkeypatch=monkeypatch)
+        assert code == 1
+        assert "non-negative" in err
 
     def test_rank_xor_percentile(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["rank", "--set-size", "3"],
@@ -120,6 +145,25 @@ class TestFilter:
         assert "N=81" in out and "M=48" in out
         result, _ = pgm.read_pgm(out_path)
         assert (result == filter_image_oracle(img, Rect(9, 9), 48)).all()
+
+    def test_frame_rate_from_the_measured_cycles(self, capsys, tmp_path,
+                                                 image_file):
+        in_path, img = image_file
+        code, out, _ = run_cli(capsys, ["filter", str(in_path),
+                                        str(tmp_path / "out.pgm"),
+                                        "--window", "5x5", "--engine",
+                                        "sliding", "--rank", "13",
+                                        "--clock", "1e6"])
+        assert code == 0
+        height, width = img.shape
+        cycles = int(out.split("cycles: ")[1].split()[0])
+        assert f"cycles: {cycles} simulated ({cycles / img.size:.3f} per " \
+               "result)" in out
+        assert cycles < 25 * img.size  # sliding beats the formula's N
+        formula = 1e6 / (width * height * 25)
+        measured = 1e6 / (width * height * (cycles / img.size))
+        assert (f"frame rate: {formula:.2f} fps at 1.0 MHz (single-core "
+                f"formula), {measured:.2f} fps measured (sliding)") in out
 
     def test_9753_is_not_an_image_engine(self, capsys, tmp_path, image_file):
         in_path, _ = image_file
@@ -230,6 +274,195 @@ class TestTrace:
             assert fields[i7] == str(int(enable_schedule(7, phase)))
             assert fields[i5] == str(int(enable_schedule(5, phase)))
             assert fields[i3] == str(int(enable_schedule(3, phase)))
+
+
+def render_csv(header, rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("ascii")
+
+
+def trace_header(channels, tail):
+    return (["cycle", "d1st"] + [f"din{k}" for k in range(channels)] + ["dv"]
+            + [f"dout{k}" for k in range(channels)] + tail)
+
+
+def clocked_stream_csv(engine, values, window, rank) -> bytes:
+    """A per-clock trace rendered row by row from a clocked object engine.
+
+    ``window`` is the set size for the single engine, else (width, height).
+    """
+    bits = infer_data_bits(values)
+    if engine == "single":
+        p = FilterParams(data_bits=bits, set_size=window, rank=rank)
+        eng, cols, period = Engine(p), values.reshape(-1, 1), window
+        total = len(cols) + p.drain_cycles
+
+        def step(col, d1st):
+            out = eng.clock(int(col[0]), d1st)
+            return out.dv, out.result, [out.dout]
+    elif engine == "multichannel":
+        width, height = window
+        p = McParams(channels=height, columns=width, rank=rank, data_bits=bits)
+        eng, cols, period = McEngine(p), values.reshape(-1, height), width
+        total = len(cols) + p.drain_cycles
+
+        def step(col, d1st):
+            out = eng.clock(col, d1st)
+            return out.dv, out.result, out.dout.tolist()
+    else:
+        width = window[0]
+        eng = SlidingEnsemble(width, rank, data_bits=bits)
+        cols, period = values.reshape(-1, width), width
+        last_anchor = (len(cols) - 1) // width * width
+        total = last_anchor + width + eng.alignment
+
+        def step(col, d1st):
+            t = eng.cycle
+            result = eng.clock(col, d1st)
+            late = t - eng.alignment
+            dout = cols[late].tolist() if 0 <= late < len(cols) else zero
+            return result is not None, result, dout
+    n, channels = cols.shape
+    zero = [0] * channels
+    rows = []
+    for t in range(total):
+        col = cols[t] if t < n else np.zeros(channels, dtype=np.int64)
+        d1st = t < n and t % period == 0
+        dv, result, dout = step(col, d1st)
+        rows.append([t, int(d1st), *col.tolist(), int(dv), *dout,
+                     int(result) if dv else ""])
+    return render_csv(trace_header(channels, ["result"]), rows)
+
+
+def clocked_9753_csv(values, ranks) -> bytes:
+    """A 9753 trace from clocking Ensemble9753 column by column."""
+    cols = values.reshape(-1, 9)
+    ens = Ensemble9753(ranks, data_bits=infer_data_bits(values))
+    n = cols.shape[0]
+    zero = np.zeros(9, dtype=np.int64)
+    d1st_log, en_log, quads = [], [], []
+    for t in range(n + ens.drain_columns):
+        col = cols[t] if t < n else zero
+        d1st = t < n and t % 9 == 0 and t + 9 <= n
+        quad = ens.clock(col, d1st=d1st)
+        d1st_log.append(int(d1st))
+        en_log.append(tuple(int(flag) for flag in ens.enable_flags()))
+        quads.append(quad)
+    dv_cycles = [t for t, quad in enumerate(quads) if quad is not None]
+    delay = dv_cycles[0] if dv_cycles else 0
+    rows = []
+    for t, quad in enumerate(quads):
+        col = cols[t] if t < n else zero
+        dcol = cols[t - delay] if delay and 0 <= t - delay < n else zero
+        row = [t, d1st_log[t]]
+        row += [int(v) for v in col]
+        row.append(int(quad is not None))
+        row += [int(v) for v in dcol]
+        row += ([int(v) for v in quad] if quad is not None
+                else ["", "", "", ""])
+        row += list(en_log[t])
+        rows.append(row)
+    header = trace_header(9, ["result9", "result7", "result5", "result3",
+                              "en7", "en5", "en3"])
+    return render_csv(header, rows)
+
+
+class TestTraceBytes:
+    """Every trace engine writes exactly what clocking its object engine and
+    rendering each row through csv.writer gives."""
+
+    def trace(self, capsys, tmp_path, values, args):
+        src, dst = tmp_path / "in.txt", tmp_path / "out.csv"
+        src.write_text(" ".join(str(v) for v in values.tolist()))
+        code, out, err = run_cli(capsys, ["trace", str(src), "-o", str(dst),
+                                          *args])
+        assert code == 0, err
+        data = dst.read_bytes()
+        cycles = len(data.splitlines()) - 1
+        assert out == f"wrote {cycles} cycles to {dst}\n"
+        return data
+
+    @pytest.mark.parametrize("bits,sets,size,rank", [
+        (8, 7, 5, 2), (16, 5, 3, 2), (3, 4, 4, 4), (8, 0, 3, 1)])
+    def test_single(self, capsys, tmp_path, bits, sets, size, rank):
+        rng = np.random.default_rng(70 + bits)
+        values = rng.integers(0, 1 << bits, size=sets * size)
+        got = self.trace(capsys, tmp_path, values,
+                         ["--set-size", str(size), "--rank", str(rank)])
+        assert got == clocked_stream_csv("single", values, size, rank)
+
+    @pytest.mark.parametrize("bits,window,windows,rank", [
+        (8, (4, 3), 3, 6), (16, (3, 2), 4, 4), (6, (1, 5), 6, 5)])
+    def test_multichannel(self, capsys, tmp_path, bits, window, windows,
+                          rank):
+        rng = np.random.default_rng(80 + bits)
+        values = rng.integers(0, 1 << bits,
+                              size=window[0] * window[1] * windows)
+        got = self.trace(capsys, tmp_path, values,
+                         ["--engine", "multichannel", "--window",
+                          f"{window[0]}x{window[1]}", "--rank", str(rank)])
+        assert got == clocked_stream_csv("multichannel", values, window, rank)
+
+    @pytest.mark.parametrize("width,columns,rank", [(3, 7, 5), (5, 10, 13)])
+    def test_sliding(self, capsys, tmp_path, width, columns, rank):
+        rng = np.random.default_rng(90 + width)
+        values = rng.integers(0, 256, size=width * columns)
+        got = self.trace(capsys, tmp_path, values,
+                         ["--engine", "sliding", "--window",
+                          f"{width}x{width}", "--rank", str(rank)])
+        assert got == clocked_stream_csv("sliding", values, (width, width),
+                                         rank)
+
+    @pytest.mark.parametrize("columns,ranks", [
+        (5, (41, 25, 13, 5)),  # shorter than one cadence: nothing anchors
+        (22, (1, 49, 13, 9)),  # partial trailing cadence, custom ranks
+        (18, (41, 25, 13, 5))])
+    def test_9753(self, capsys, tmp_path, columns, ranks):
+        rng = np.random.default_rng(100 + columns)
+        values = rng.integers(0, 256, size=9 * columns)
+        got = self.trace(capsys, tmp_path, values,
+                         ["--engine", "9753", "--ranks",
+                          ",".join(str(m) for m in ranks)])
+        assert got == clocked_9753_csv(values, ranks)
+
+    def test_9753_honours_the_sample_width(self, capsys, tmp_path):
+        rng = np.random.default_rng(110)
+        strip = rng.integers(0, 1 << 12, size=(9, 18))
+        got = self.trace(capsys, tmp_path, strip.T.ravel(), ["--engine", "9753"])
+        assert got == clocked_9753_csv(strip.T.ravel(), (41, 25, 13, 5))
+        lines = got.decode("ascii").splitlines()
+        first = lines[0].split(",").index("result9")
+        quads = [tuple(int(v) for v in row.split(",")[first:first + 4])
+                 for row in lines[1:] if row.split(",")[first]]
+        expected = []
+        for anchor in (0, 9):
+            expected.append(tuple(
+                select_desc(strip[off:9 - off, anchor + off:anchor + 9 - off]
+                            .ravel().tolist(), m)
+                for off, m in zip(range(4), (41, 25, 13, 5))))
+        assert quads == expected
+
+    def test_rows_render_the_same_across_chunks(self, capsys, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 4)
+        values = np.random.default_rng(111).integers(0, 256, size=5 * 9)
+        got = self.trace(capsys, tmp_path, values,
+                         ["--set-size", "5", "--rank", "3"])
+        assert got == clocked_stream_csv("single", values, 5, 3)
+
+    @pytest.mark.parametrize("bits", ["8", "18"])
+    def test_9753_rejects_a_data_width_the_samples_exceed(self, capsys,
+                                                          tmp_path, bits):
+        src = tmp_path / "in.txt"
+        src.write_text(" ".join(["4000"] * 162))
+        code, _, err = run_cli(capsys, ["trace", str(src), "-o",
+                                        str(tmp_path / "out.csv"), "--engine",
+                                        "9753", "--data-bits", bits])
+        assert code == 1
+        assert "bits" in err
 
 
 class TestBench:

@@ -10,6 +10,7 @@ from rankpipe import (
     FramingError,
     SlidingEnsemble,
     enable_schedule,
+    ensemble9753_cycles,
     ensemble9753_results,
     sliding_cycles,
     sliding_window_results,
@@ -211,3 +212,69 @@ class Test9753:
             Ensemble9753(chains=[(4, (0, 1, 2, 3), 5)])  # even channel count
         with pytest.raises(ConfigError):
             Ensemble9753(ranks=(1, 2, 3))
+
+
+def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, chains=None):
+    """Clock Ensemble9753 over a strip plus its drain, anchoring every full
+    cadence: (emit cycles, quadruples, per-cycle enable flags, comparisons)."""
+    ens = Ensemble9753(ranks, data_bits=data_bits, chains=chains)
+    n = len(cols)
+    zero = np.zeros(9, dtype=np.int64)
+    cycles, quads, enables = [], [], []
+    for t in range(n + ens.drain_columns):
+        quad = ens.clock(cols[t] if t < n else zero,
+                         d1st=t % 9 == 0 and t + 9 <= n)
+        enables.append(ens.enable_flags())
+        if quad is not None:
+            cycles.append(t)
+            quads.append(quad)
+    comparisons = sum(chain._chain.comparisons for chain in ens.chains)
+    return cycles, quads, np.array(enables, dtype=bool), comparisons
+
+
+class TestBatch9753:
+    """The batch path gives what clocking the object ensemble gives."""
+
+    @pytest.mark.parametrize("columns,bits,ranks,chains", [
+        (0, 8, (41, 25, 13, 5), None),
+        (5, 8, (41, 25, 13, 5), None),  # shorter than one cadence
+        (27, 8, (41, 25, 13, 5), None),
+        (31, 6, (1, 49, 13, 9), None),  # partial trailing cadence
+        (20, 12, (81, 1, 25, 1), None),
+        (22, 8, (), [(7, tuple(range(9)), 32), (5, (2, 3, 4), 8),
+                     (3, tuple(range(9)), 14)]),  # non-square, all-phase
+        (19, 4, (), [(9, (4,), 5)]),  # one single-phase chain
+        (26, 10, (), [(1, (0, 1, 2, 3, 4, 5, 6, 7, 8), 5), (9, (6, 7, 8), 27),
+                      (3, (1, 2), 6), (5, (0,), 3)]),
+    ])
+    def test_matches_the_clocked_ensemble(self, columns, bits, ranks, chains):
+        rng = np.random.default_rng(columns * 100 + bits)
+        cols = rng.integers(0, 1 << bits, size=(columns, 9))
+        cycles, quads, enables, comparisons = clocked_9753(cols, ranks, bits,
+                                                           chains)
+        trace = ensemble9753_cycles(cols, ranks, data_bits=bits, chains=chains)
+        assert np.flatnonzero(trace.dv).tolist() == cycles
+        assert [tuple(q) for q in trace.result[trace.dv].tolist()] == quads
+        assert not trace.result[~trace.dv].any()
+        assert np.array_equal(trace.enables, enables)
+        assert trace.comparisons == comparisons
+        assert len(trace.din) == len(enables)
+        assert trace.d1st.tolist() == [t % 9 == 0 and t + 9 <= columns
+                                       for t in range(len(trace.din))]
+        assert ensemble9753_results(cols, ranks, data_bits=bits,
+                                    chains=chains) == (cycles, quads)
+
+    def test_twelve_bit_strip_matches_the_oracle(self):
+        rng = np.random.default_rng(36)
+        strip = rng.integers(0, 1 << 12, size=(9, 18))
+        _, quads = ensemble9753_results(strip.T, data_bits=12)
+        assert quads == [oracle_9753(strip, 0), oracle_9753(strip, 9)]
+
+    def test_samples_wider_than_the_data_bits_are_rejected(self):
+        strip = np.full((18, 9), 300, dtype=np.int64)
+        with pytest.raises(ConfigError, match="8 bits"):
+            ensemble9753_results(strip)
+        with pytest.raises(ConfigError, match="8 bits"):
+            Ensemble9753().clock(strip[0], d1st=True)
+        with pytest.raises(ConfigError):
+            Ensemble9753().clock(-strip[0])
