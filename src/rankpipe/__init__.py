@@ -32,21 +32,17 @@ from .imaging import (
     Custom,
     Diamond,
     Rect,
-    StripBuffer,
     filter_image,
     frame_rate,
     infer_data_bits,
     parse_window,
     percentile_to_rank,
     run_filter,
-    strip_feed,
     window_offsets,
     window_size,
 )
 from .multichannel import (
     McEngine,
-    encode3,
-    mc_incgen,
     mc_stream_cycles,
     run_windows,
 )
@@ -78,12 +74,10 @@ __all__ = [
     "Rect",
     "SlidingEnsemble",
     "Stage",
-    "StripBuffer",
     "boundaries",
     "comparison_count",
     "counter_preset",
     "enable_schedule",
-    "encode3",
     "ensemble9753_cycles",
     "ensemble9753_results",
     "filter_image",
@@ -91,7 +85,6 @@ __all__ = [
     "frame_rate",
     "incgen",
     "infer_data_bits",
-    "mc_incgen",
     "mc_stream_cycles",
     "parse_window",
     "percentile_to_rank",
@@ -103,7 +96,6 @@ __all__ = [
     "sliding_cycles",
     "sliding_window_results",
     "stream_cycles",
-    "strip_feed",
     "window_offsets",
     "window_size",
 ]

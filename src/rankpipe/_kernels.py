@@ -1,8 +1,10 @@
 """Set-parallel batch kernels for the refinement-stage chains.
 
 These functions are the hot path behind ``run_stream``, ``run_windows``,
-``sliding_cycles``, ``ensemble9753_cycles`` and the image drivers.  They fill the same per-cycle
-``dv``/``res`` trace as clocking the chain would, without stepping clocks.
+``sliding_cycles``, ``ensemble9753_cycles`` and the image driver.  They
+fill the same per-cycle ``dv``/``res`` trace as clocking the chain would,
+without stepping clocks.  A chain reads a ``(T, K)`` column stream, and a
+single-channel chain is the K = 1 case.
 
 A set's result depends only on its own samples, and it appears at a fixed
 cycle: a set whose first sample enters at cycle ``start`` pulses ``dv`` at
@@ -27,9 +29,6 @@ tested against cycle for cycle.
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-MODE_SCALAR = 0  # single-sample comparisons (thermometer flags, +1 counts)
-MODE_ENCODER = 1  # per-column triples through 3-in-2-out encoders and adders
 
 
 def _framing(d1st, set_cycles):
@@ -76,18 +75,16 @@ def _search(cols, starts, set_cycles, data_bits, rank, counter_bits):
 
 
 def chain_run(cols, d1st, data_bits, set_cycles, rank, counter_bits, latency,
-              mode, dv, res):
-    """One chain over a ``(T, K)`` column stream.
+              dv, res):
+    """One chain over a ``(T, K)`` column stream; K = 1 is the
+    single-channel engine.
 
-    ``mode`` selects the scalar (column 0 only) or encoder-tree (all K
-    channels) increment logic; both count the samples at or above each
-    boundary.  Fills ``dv``/``res`` per cycle and returns
+    Every stage counts the samples of each column at or above its
+    boundaries.  Fills ``dv``/``res`` per cycle and returns
     ``(err_cycle, comparisons)`` with ``err_cycle == -1`` when the framing
     held; after a break, only cycles before ``err_cycle`` are filled and
     counted.
     """
-    if mode == MODE_SCALAR:
-        cols = cols[:, :1]
     total, channels = cols.shape
     stages = data_bits // 2
     delay = set_cycles + latency

@@ -15,7 +15,7 @@ import numpy as np
 from . import imaging, oracle, pgm
 from .core import run_stream, stream_cycles
 from .ensembles import CADENCE, ensemble9753_cycles, sliding_cycles
-from .imaging import Border, Rect, frame_rate, percentile_to_rank
+from .imaging import Border, frame_rate, percentile_to_rank
 from .multichannel import mc_stream_cycles
 from .params import ConfigError, FilterParams, FramingError, McParams
 
@@ -34,16 +34,13 @@ def _read_values(path: str | None) -> np.ndarray:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    values = []
-    for token in text.split():
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ConfigError(f"non-integer token {token!r} in the input stream")
-    values = np.asarray(values) if values else np.zeros(0, dtype=np.int64)
-    if values.min(initial=0) < 0:
-        raise ConfigError("samples must be non-negative")
-    return values
+    try:
+        return np.array(text.split(), dtype=np.int64)
+    except ValueError as exc:
+        raise ConfigError(f"bad sample in the input stream: {exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError("samples in the input stream must be below 2**63"
+                          ) from exc
 
 
 def _resolve_rank(args, n: int) -> int:
@@ -129,7 +126,7 @@ def _reshape_columns(values, channels: int) -> np.ndarray:
         raise ConfigError(
             f"{len(values)} values is not a multiple of {channels} channels"
         )
-    return np.asarray(values, dtype=np.int64).reshape(-1, channels)
+    return values.reshape(-1, channels)
 
 
 def _write_trace(path, header, rows) -> None:
@@ -177,27 +174,19 @@ def cmd_trace(args) -> int:
         params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
         trace = stream_cycles(params, values)
         header, rows = _trace_stream(trace, 1)
-    elif args.engine == "multichannel":
+    elif args.engine in ("multichannel", "sliding"):
         if args.window is None:
-            raise ConfigError("--window WxH is required for multichannel traces")
+            raise ConfigError(f"--window is required for {args.engine} traces")
         shape = imaging.parse_window(args.window)
-        if not isinstance(shape, Rect):
-            raise ConfigError("multichannel traces need a rectangular window")
+        imaging.require_engine(shape, args.engine)
         rank = _resolve_rank(args, shape.width * shape.height)
         cols = _reshape_columns(values, shape.height)
-        params = McParams(channels=shape.height, columns=shape.width,
-                          rank=rank, data_bits=bits)
-        trace = mc_stream_cycles(params, cols)
-        header, rows = _trace_stream(trace, shape.height)
-    elif args.engine == "sliding":
-        if args.window is None:
-            raise ConfigError("--window WxW is required for sliding traces")
-        shape = imaging.parse_window(args.window)
-        if not isinstance(shape, Rect) or shape.width != shape.height:
-            raise ConfigError("sliding traces need a square window")
-        rank = _resolve_rank(args, shape.width * shape.height)
-        cols = _reshape_columns(values, shape.height)
-        trace = sliding_cycles(shape.width, rank, cols, data_bits=bits)
+        if args.engine == "multichannel":
+            params = McParams(channels=shape.height, columns=shape.width,
+                              rank=rank, data_bits=bits)
+            trace = mc_stream_cycles(params, cols)
+        else:
+            trace = sliding_cycles(shape.width, rank, cols, data_bits=bits)
         header, rows = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = tuple(int(r) for r in args.ranks.split(","))
@@ -214,17 +203,10 @@ _STANDARD_WINDOWS = ("3x3", "5x5", "3x5", "3x7", "diamond5", "diamond7")
 
 
 def _formula_cycles_per_result(shape, engine: str) -> int:
+    imaging.require_engine(shape, engine)
     if engine == "single":
         return imaging.window_size(shape)
-    if engine == "multichannel":
-        if not isinstance(shape, Rect):
-            raise ConfigError("the multi-channel engine needs a rectangle")
-        return shape.width
-    if engine == "sliding":
-        if not isinstance(shape, Rect) or shape.width != shape.height:
-            raise ConfigError("the sliding ensemble needs a square window")
-        return 1
-    raise ConfigError(f"no cycle formula for engine {engine!r}")
+    return shape.width if engine == "multichannel" else 1
 
 
 def cmd_bench(args) -> int:

@@ -1,4 +1,5 @@
-"""Single-channel streaming percentile engine.
+"""The streaming percentile chain: stages, the single-channel engine, and
+the batch framing that every chain engine shares.
 
 A chain of B/2 refinement stages narrows the surviving value range by a
 factor of four per stage: each stage counts how many samples of a data set
@@ -8,8 +9,9 @@ delay the raw stream so every stage sees a set exactly when the previous
 stage's partial median for it is ready.
 
 The ``Stage``/``Engine`` classes here step the chain clock by clock and
-are the reference for the cycle semantics.  ``run_stream`` and the image
-drivers use :mod:`rankpipe._kernels` instead, which computes every set's
+are the reference for the cycle semantics; a stage takes one sample or one
+column per clock, so the K-channel engine is this one with K samples per
+clock.  ``run_stream`` and the image driver use :mod:`rankpipe._kernels` instead, which computes every set's
 result at once and writes it at its fixed dv cycle.  The test suite checks
 the two against each other cycle-for-cycle.
 """
@@ -28,6 +30,7 @@ from .params import (
     FilterParams,
     FramingError,
     PartialMedian,
+    as_samples,
 )
 
 _ROOT = PartialMedian()
@@ -42,7 +45,8 @@ def boundaries(pm: PartialMedian, data_bits: int) -> tuple[int, int, int]:
 
 
 def incgen(x: int, pm: PartialMedian, data_bits: int) -> tuple[bool, bool, bool]:
-    """Boundary comparisons ``(ge3, ge2, ge1)`` for one sample.
+    """Boundary comparisons ``(ge3, ge2, ge1)`` for one sample, or flag
+    arrays for an array of samples.
 
     When ``x`` lies inside ``pm``'s range the flags are thermometer-coded:
     ge3 implies ge2 implies ge1.  Out-of-range samples are compared as
@@ -97,9 +101,9 @@ class Stage:
 
     Holds the three preset accumulators, the set-position counter, and an
     L-deep output delay modeling the stage's internal pipeline registers.
-    ``clock`` consumes one sample per call and returns the maturing partial
-    median, if any: that happens exactly ``latency`` cycles after the last
-    sample of a set.
+    ``clock`` consumes one sample (or one column of K samples) per call and
+    returns the maturing partial median, if any: that happens exactly
+    ``latency`` cycles after the last input of a set.
     """
 
     def __init__(self, data_bits: int, set_cycles: int, rank: int,
@@ -121,9 +125,11 @@ class Stage:
         self._cycle = 0
 
     def _increments(self, x) -> tuple[int, int, int]:
-        ge3, ge2, ge1 = incgen(x, self.pm, self.data_bits)
-        self.comparisons += 3
-        return int(ge1), int(ge2), int(ge3)
+        """Samples of ``x`` (one sample or one column) at or above each
+        boundary, lowest boundary first."""
+        flags = incgen(np.asarray(x), self.pm, self.data_bits)
+        self.comparisons += 3 * np.size(x)
+        return tuple(int(np.count_nonzero(ge)) for ge in reversed(flags))
 
     def clock(self, x, d1st: bool, pm_in: PartialMedian | None):
         """Advance one cycle; returns the pm_out maturing this cycle, if any."""
@@ -173,12 +179,9 @@ class _DelayRing:
 
     def __init__(self, capacity: int, channels: int | None = None):
         self._cap = max(capacity, 1)
-        if channels is None:
-            self._data = np.zeros(self._cap, dtype=np.int64)
-            self._zero = 0
-        else:
-            self._data = np.zeros((self._cap, channels), dtype=np.int64)
-            self._zero = np.zeros(channels, dtype=np.int64)
+        shape = (self._cap,) if channels is None else (self._cap, channels)
+        self._data = np.zeros(shape, dtype=np.int64)
+        self._zero = self._data[0].copy()
         self._d1st = np.zeros(self._cap, dtype=bool)
 
     def push(self, t: int, value, d1st: bool) -> None:
@@ -241,25 +244,29 @@ class Engine:
     def __init__(self, params: FilterParams):
         self.params = params
         p = params
-        self._ring = _DelayRing(p.stages * p.pipe_delay)
+        self._ring = _DelayRing(p.stages * p.pipe_delay,
+                                getattr(p, "channels", None))
         self._chain = _FinderChain(
-            lambda: Stage(p.data_bits, p.set_size, p.rank, p.counter_bits,
+            lambda: Stage(p.data_bits, p.set_cycles, p.rank, p.counter_bits,
                           p.pipe_latency),
             p.stages, p.pipe_delay, self._ring)
         self._t = 0
 
-    def clock(self, din: int, d1st: bool = False) -> CycleOutput:
-        p = self.params
-        if not 0 <= din <= p.max_value:
-            raise ConfigError(f"sample {din} does not fit in {p.data_bits} bits")
+    def _column(self, din) -> np.ndarray:
+        """One clock's input under the sample contract: a single sample."""
+        din = as_samples(din, self.params.data_bits)
+        if din.shape != ():
+            raise ConfigError(f"one sample per clock, got shape {din.shape}")
+        return din
+
+    def clock(self, din, d1st: bool = False) -> CycleOutput:
         t = self._t
-        self._ring.push(t, din, d1st)
+        self._ring.push(t, self._column(din), d1st)
         result = self._chain.clock(t)
-        dout, _ = self._ring.read(t, p.alignment)
+        dout, _ = self._ring.read(t, self.params.alignment)
         self._t += 1
-        if result is None:
-            return CycleOutput(dv=False, dout=int(dout), result=0)
-        return CycleOutput(dv=True, dout=int(dout), result=result)
+        return CycleOutput(dv=result is not None, dout=dout.copy(),
+                           result=result or 0)
 
     @property
     def stages(self) -> list[Stage]:
@@ -294,43 +301,45 @@ class StreamTrace:
         return len(self.din)
 
 
-def frame_markers(n_samples: int, set_size: int, drain: int) -> np.ndarray:
-    """First-marker pattern for back-to-back sets followed by idle drain."""
-    d1st = np.zeros(n_samples + drain, dtype=np.uint8)
-    d1st[0:n_samples:set_size] = 1
-    return d1st
+def _chain_trace(params, cols, what: str) -> StreamTrace:
+    """Frame ``cols`` (samples, or ``(n, K)`` columns) into back-to-back
+    sets of ``params.set_cycles``, run the chain through them plus the
+    drain, and return the full per-cycle trace.  ``what`` names the stream
+    in error messages."""
+    p = params
+    n = len(cols)
+    if n % p.set_cycles:
+        raise FramingError(
+            f"{what} length {n} is not a multiple of the set length "
+            f"{p.set_cycles}"
+        )
+    cols = as_samples(cols, p.data_bits)
+    total = n + p.drain_cycles
+    din = np.zeros((total,) + cols.shape[1:], dtype=np.int64)
+    din[:n] = cols
+    d1st = np.zeros(total, dtype=np.uint8)
+    d1st[0:n:p.set_cycles] = 1
+    dv = np.zeros(total, dtype=np.uint8)
+    res = np.zeros(total, dtype=np.int64)
+    err, comparisons = _kernels.chain_run(
+        din.reshape(total, -1), d1st, p.data_bits, p.set_cycles, p.rank,
+        p.counter_bits, p.pipe_latency, dv, res)
+    if err >= 0:
+        raise FramingError(f"{what} framing broke at cycle {err}")
+    dout = np.zeros_like(din)
+    if total > p.alignment:
+        dout[p.alignment:] = din[:total - p.alignment]
+    return StreamTrace(din=din, d1st=d1st.astype(bool), dv=dv.astype(bool),
+                       dout=dout, result=res, comparisons=comparisons)
 
 
 def stream_cycles(params: FilterParams, data) -> StreamTrace:
     """Frame ``data`` into back-to-back sets, clock the engine through them
     plus the drain, and return the full per-cycle trace."""
-    p = params
-    data = np.ascontiguousarray(np.asarray(data, dtype=np.int64))
+    data = np.asarray(data)
     if data.ndim != 1:
         raise ConfigError("stream data must be one-dimensional")
-    if data.size % p.set_size:
-        raise FramingError(
-            f"stream length {data.size} is not a multiple of the set size "
-            f"{p.set_size}"
-        )
-    if data.size and (data.min() < 0 or data.max() > p.max_value):
-        raise ConfigError(f"samples must fit in {p.data_bits} bits")
-    total = data.size + p.drain_cycles
-    din = np.zeros(total, dtype=np.int64)
-    din[:data.size] = data
-    d1st = frame_markers(data.size, p.set_size, p.drain_cycles)
-    dv = np.zeros(total, dtype=np.uint8)
-    res = np.zeros(total, dtype=np.int64)
-    err, comparisons = _kernels.chain_run(
-        din.reshape(-1, 1), d1st, p.data_bits, p.set_size, p.rank,
-        p.counter_bits, p.pipe_latency, _kernels.MODE_SCALAR, dv, res)
-    if err >= 0:
-        raise FramingError(f"stream framing broke at cycle {err}")
-    dout = np.zeros(total, dtype=np.int64)
-    if total > p.alignment:
-        dout[p.alignment:] = din[:total - p.alignment]
-    return StreamTrace(din=din, d1st=d1st.astype(bool), dv=dv.astype(bool),
-                       dout=dout, result=res, comparisons=comparisons)
+    return _chain_trace(params, data, "stream")
 
 
 def run_stream(params: FilterParams, data) -> np.ndarray:
@@ -340,7 +349,6 @@ def run_stream(params: FilterParams, data) -> np.ndarray:
     back-to-back and the engine is drained afterwards so every result is
     collected.
     """
-    data = np.asarray(data, dtype=np.int64)
-    if data.size == 0:
+    if np.size(data) == 0:
         return np.zeros(0, dtype=np.int64)
     return stream_cycles(params, data).results

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import StreamTrace, _DelayRing, _FinderChain
-from .multichannel import McStage
-from .params import ConfigError, FramingError, McParams
+from .core import Stage, StreamTrace, _DelayRing, _FinderChain
+from .params import ConfigError, FramingError, McParams, as_samples
 
 CADENCE = 9  # fixed column cadence of the 9753 variant
 
@@ -64,8 +63,8 @@ class SlidingEnsemble:
         self._ring = _DelayRing(p.stages * p.pipe_delay, channels=window)
         self.chains = [
             _FinderChain(
-                lambda: McStage(p.data_bits, p.columns, p.rank, p.counter_bits,
-                                p.pipe_latency),
+                lambda: Stage(p.data_bits, p.columns, p.rank, p.counter_bits,
+                              p.pipe_latency),
                 p.stages, p.pipe_delay, self._ring, d1st_offset=j)
             for j in range(window)
         ]
@@ -74,14 +73,11 @@ class SlidingEnsemble:
 
     def clock(self, col, d1st: bool = False) -> int | None:
         """Returns the window result maturing this cycle, if any."""
-        p = self.params
-        col = np.asarray(col, dtype=np.int64)
+        col = as_samples(col, self.params.data_bits)
         if col.shape != (self.window,):
             raise ConfigError(
                 f"column must carry exactly {self.window} samples, got {col.shape}"
             )
-        if col.min() < 0 or col.max() > p.max_value:
-            raise ConfigError(f"samples must fit in {p.data_bits} bits")
         t = self._t
         self._ring.push(t, col, d1st)
         result = None
@@ -134,13 +130,12 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
                  pipe_latency=pipe_latency)
     if window % 2 == 0:
         raise ConfigError("sliding ensembles support odd window sides only")
-    cols = np.ascontiguousarray(np.asarray(cols, dtype=np.int64))
+    cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[1] != window:
         raise ConfigError(f"column stream must have shape (n, {window})")
     if cols.size == 0:
         raise ConfigError("sliding runs need at least one column")
-    if cols.min() < 0 or cols.max() > p.max_value:
-        raise ConfigError(f"samples must fit in {p.data_bits} bits")
+    cols = as_samples(cols, p.data_bits)
     n = cols.shape[0]
     last_anchor = ((n - 1) // window) * window
     last_start = last_anchor + window - 1
@@ -167,8 +162,7 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
 
 def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray:
     """Results of every full W-wide window of a column strip, in start order."""
-    cols = np.asarray(cols, dtype=np.int64)
-    n_starts = cols.shape[0] - window + 1
+    n_starts = len(cols) - window + 1
     if n_starts < 1:
         return np.zeros(0, dtype=np.int64)
     return sliding_cycles(window, rank, cols, **kwargs).window_results(n_starts)
@@ -204,8 +198,8 @@ class _GatedChain:
         self.row_offset = (CADENCE - channels) // 2
         self._ring = _DelayRing(p.stages * p.pipe_delay, channels=channels)
         self._chain = _FinderChain(
-            lambda: McStage(p.data_bits, p.columns, p.rank, p.counter_bits,
-                            p.pipe_latency),
+            lambda: Stage(p.data_bits, p.columns, p.rank, p.counter_bits,
+                          p.pipe_latency),
             p.stages, p.pipe_delay, self._ring)
         self._t = 0
         self.results: deque = deque()
@@ -251,12 +245,9 @@ class Ensemble9753:
 
     def clock(self, col, d1st: bool = False):
         """Returns the per-chain result tuple when a window position completes."""
-        col = np.asarray(col, dtype=np.int64)
+        col = as_samples(col, self.chains[0].params.data_bits)
         if col.shape != (CADENCE,):
             raise ConfigError(f"column must carry exactly {CADENCE} samples")
-        p = self.chains[0].params
-        if col.min() < 0 or col.max() > p.max_value:
-            raise ConfigError(f"samples must fit in {p.data_bits} bits")
         if self._phase is None:
             if not d1st:
                 return None  # columns before the first anchor are ignored
@@ -314,14 +305,12 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     ``9 * (g // w) + first_phase + g % w`` for w enabled phases.  The k-th
     quadruple emerges with the last of the chains' k-th results.
     """
-    cols = np.asarray(cols, dtype=np.int64)
+    cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[1] != CADENCE:
         raise ConfigError(f"column strip must have shape (n, {CADENCE})")
     ens = Ensemble9753(ranks, data_bits=data_bits, counter_bits=counter_bits,
                        pipe_latency=pipe_latency, chains=chains)
-    p = ens.chains[0].params
-    if cols.size and (cols.min() < 0 or cols.max() > p.max_value):
-        raise ConfigError(f"samples must fit in {p.data_bits} bits")
+    cols = as_samples(cols, ens.chains[0].params.data_bits)
     din = np.pad(cols, ((0, ens.drain_columns), (0, 0)))
     total = len(din)
     anchors = np.arange(0, len(cols) - CADENCE + 1, CADENCE)
@@ -336,7 +325,7 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
         dv, res = np.zeros(len(rows), np.uint8), np.zeros(len(rows), np.int64)
         _, count = _kernels.chain_run(
             rows, marks, cp.data_bits, width, cp.rank, cp.counter_bits,
-            cp.pipe_latency, _kernels.MODE_ENCODER, dv, res)
+            cp.pipe_latency, dv, res)
         comparisons += count
         g = np.flatnonzero(dv)
         fires.append(CADENCE * (g // width) + chain.first_phase + g % width)

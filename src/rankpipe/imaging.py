@@ -1,4 +1,4 @@
-"""Window geometry, strip feeding, and image-level filter drivers.
+"""Window geometry and the image-level filter driver.
 
 Images are plain 2-D numpy arrays of non-negative ints (row-major, shape
 ``(height, width)``).  A window shape turns into a list of (dx, dy) offsets
@@ -18,7 +18,7 @@ import numpy as np
 from .core import stream_cycles
 from .ensembles import sliding_cycles
 from .multichannel import mc_stream_cycles
-from .params import ConfigError, FilterParams, McParams, padded_bits
+from .params import ConfigError, FilterParams, McParams, as_samples, padded_bits
 
 
 @dataclass(frozen=True)
@@ -152,48 +152,6 @@ def frame_rate(freq_hz: float, img_w: int, img_h: int, n: int) -> float:
     return freq_hz / (img_w * img_h * n)
 
 
-class StripBuffer:
-    """Row buffers over a horizontal image strip, read one column per clock."""
-
-    def __init__(self, image, top: int, rows: int, border: Border = Border.CLAMP):
-        image = np.asarray(image)
-        if image.ndim != 2:
-            raise ConfigError("images must be 2-D arrays")
-        height, width = image.shape
-        if rows < 1:
-            raise ConfigError("strips need at least one row")
-        if border is Border.VALID and not (0 <= top and top + rows <= height):
-            raise ConfigError(
-                f"strip rows [{top}, {top + rows}) fall outside the image"
-            )
-        row_idx = np.clip(np.arange(top, top + rows), 0, height - 1)
-        self._rows = image[row_idx, :]
-        self._border = border
-        self.width = width
-        self.rows = rows
-
-    def column(self, x: int) -> np.ndarray:
-        """One strip column; the clamp policy replicates edge columns."""
-        if self._border is Border.VALID and not 0 <= x < self.width:
-            raise ConfigError(f"column {x} outside the strip")
-        return self._rows[:, min(max(x, 0), self.width - 1)]
-
-
-def strip_feed(image, top: int, rows: int, border: Border = Border.CLAMP,
-               pad_left: int = 0, pad_right: int = 0):
-    """Yield strip columns left-to-right, one per clock.
-
-    ``pad_left``/``pad_right`` extend the sweep past the image edges, where
-    the clamp policy replicates the first/last columns (disallowed under
-    the valid-only policy).
-    """
-    if border is Border.VALID and (pad_left or pad_right):
-        raise ConfigError("valid-only strips cannot be padded")
-    buf = StripBuffer(image, top, rows, border)
-    for x in range(-pad_left, buf.width + pad_right):
-        yield buf.column(x)
-
-
 @dataclass(frozen=True)
 class FilterReport:
     """Filtered image plus the simulation accounting behind it."""
@@ -245,106 +203,42 @@ def _run_bands(worker, bands, threads: int):
         return list(pool.map(worker, bands))
 
 
-def _filter_single(image, offsets, rank, border, bits, counter_bits,
-                   pipe_latency, threads):
+def _clipped(image, ys, xs):
+    """``image[ys, xs]`` (broadcast) with coordinates clamped to the image."""
     height, width = image.shape
-    n = len(offsets)
-    x_lo, x_hi = _anchor_bounds(width, offsets, 0, border)
-    y_lo, y_hi = _anchor_bounds(height, offsets, 1, border)
-    params = FilterParams(data_bits=bits, set_size=n, rank=rank,
-                          counter_bits=counter_bits, pipe_latency=pipe_latency)
-    xs = np.arange(x_lo, x_hi + 1)
-
-    def worker(band):
-        y0, y1 = band
-        ys = np.arange(y0, y1 + 1)
-        gathered = np.empty((len(ys), len(xs), n), dtype=np.int64)
-        for i, (dx, dy) in enumerate(offsets):
-            yy = np.clip(ys + dy, 0, height - 1)
-            xx = np.clip(xs + dx, 0, width - 1)
-            gathered[:, :, i] = image[yy[:, None], xx[None, :]]
-        trace = stream_cycles(params, gathered.reshape(-1))
-        return trace.results.reshape(len(ys), len(xs)), trace.cycles, \
-            trace.comparisons
-
-    outs = _run_bands(worker, _bands(y_lo, y_hi, threads), threads)
-    out = np.concatenate([o[0] for o in outs], axis=0)
-    return out, sum(o[1] for o in outs), sum(o[2] for o in outs)
+    return image[np.clip(ys, 0, height - 1), np.clip(xs, 0, width - 1)]
 
 
-def _filter_multichannel(image, shape, rank, border, bits, counter_bits,
-                         pipe_latency, threads):
-    if not isinstance(shape, Rect):
-        raise ConfigError("the multi-channel engine needs a rectangular window")
-    offsets = window_offsets(shape)
-    height, width = image.shape
-    x_lo, x_hi = _anchor_bounds(width, offsets, 0, border)
-    y_lo, y_hi = _anchor_bounds(height, offsets, 1, border)
-    params = McParams(channels=shape.height, columns=shape.width, rank=rank,
-                      data_bits=bits, counter_bits=counter_bits,
-                      pipe_latency=pipe_latency)
-    dys = np.fromiter(_axis_offsets(shape.height), dtype=np.int64)
-    dxs = np.fromiter(_axis_offsets(shape.width), dtype=np.int64)
-    xs = np.arange(x_lo, x_hi + 1)
-    col_idx = np.clip(xs[:, None] + dxs[None, :], 0, width - 1).reshape(-1)
-
-    def worker(band):
-        y0, y1 = band
-        streams = []
-        for y in range(y0, y1 + 1):
-            strip = image[np.clip(y + dys, 0, height - 1), :]
-            streams.append(strip[:, col_idx].T)  # (n_x * Cw, K)
-        trace = mc_stream_cycles(params, np.concatenate(streams, axis=0))
-        rows_out = trace.results.reshape(y1 - y0 + 1, len(xs))
-        return rows_out, trace.cycles, trace.comparisons
-
-    outs = _run_bands(worker, _bands(y_lo, y_hi, threads), threads)
-    out = np.concatenate([o[0] for o in outs], axis=0)
-    return out, sum(o[1] for o in outs), sum(o[2] for o in outs)
+def _single_streams(image, params, offsets, xs, ys):
+    """One sample stream per band: each anchor's window in offset order."""
+    dxs, dys = np.array(offsets).T
+    samples = _clipped(image, ys[:, None, None] + dys, xs[None, :, None] + dxs)
+    trace = stream_cycles(params, samples.reshape(-1))
+    yield trace, trace.results.reshape(len(ys), len(xs))
 
 
-def _filter_sliding(image, shape, rank, border, bits, counter_bits,
-                    pipe_latency, threads):
-    if not (isinstance(shape, Rect) and shape.width == shape.height):
-        raise ConfigError("the sliding ensemble needs a square window")
-    side = shape.width
-    if side % 2 == 0:
-        raise ConfigError("sliding ensembles support odd window sides only")
-    offsets = window_offsets(shape)
-    height, width = image.shape
-    x_lo, x_hi = _anchor_bounds(width, offsets, 0, border)
-    y_lo, y_hi = _anchor_bounds(height, offsets, 1, border)
-    dys = np.fromiter(_axis_offsets(side), dtype=np.int64)
-    pad = side // 2 if border is Border.CLAMP else 0
-    n_starts = x_hi - x_lo + 1
-
-    def worker(band):
-        y0, y1 = band
-        rows_out = []
-        cycles = 0
-        comparisons = 0
-        for y in range(y0, y1 + 1):
-            strip = image[np.clip(y + dys, 0, height - 1), :]
-            col_idx = np.clip(np.arange(-pad, width + pad), 0, width - 1)
-            cols = strip[:, col_idx].T  # (width + 2*pad, side)
-            trace = sliding_cycles(side, rank, cols, data_bits=bits,
-                                   counter_bits=counter_bits,
-                                   pipe_latency=pipe_latency)
-            rows_out.append(trace.window_results(n_starts))
-            cycles += len(trace.din)
-            comparisons += trace.comparisons
-        return np.stack(rows_out), cycles, comparisons
-
-    outs = _run_bands(worker, _bands(y_lo, y_hi, threads), threads)
-    out = np.concatenate([o[0] for o in outs], axis=0)
-    return out, sum(o[1] for o in outs), sum(o[2] for o in outs)
+def _multichannel_streams(image, params, offsets, xs, ys):
+    """One column stream per band: each anchor's window columns in turn."""
+    dys = np.array(_axis_offsets(params.channels))
+    dxs = np.array(_axis_offsets(params.columns))
+    cols = _clipped(image, ys[:, None, None] + dys,
+                    (xs[:, None] + dxs).reshape(1, -1, 1))
+    trace = mc_stream_cycles(params, cols.reshape(-1, params.channels))
+    yield trace, trace.results.reshape(len(ys), len(xs))
 
 
-_ENGINES = {
-    "single": _filter_single,
-    "multichannel": _filter_multichannel,
-    "sliding": _filter_sliding,
-}
+def _sliding_streams(image, params, offsets, xs, ys):
+    """One column stream per row: every column its windows span."""
+    dys = np.array(_axis_offsets(params.channels))
+    dxs = _axis_offsets(params.columns)
+    span = np.arange(xs[0] + dxs[0], xs[-1] + dxs[-1] + 1)
+    for y in ys:
+        trace = sliding_cycles(params.columns, params.rank,
+                               _clipped(image, y + dys, span[:, None]),
+                               data_bits=params.data_bits,
+                               counter_bits=params.counter_bits,
+                               pipe_latency=params.pipe_latency)
+        yield trace, trace.window_results(len(xs))[None]
 
 
 def engines_for(shape: WindowShape) -> list[str]:
@@ -357,6 +251,16 @@ def engines_for(shape: WindowShape) -> list[str]:
     return names
 
 
+def require_engine(shape: WindowShape, engine: str) -> None:
+    """Raise ``ConfigError`` unless ``engine`` can filter ``shape``."""
+    names = engines_for(shape)
+    if engine not in names:
+        raise ConfigError(
+            f"the {engine!r} engine cannot run a {format_window(shape)} "
+            f"window (engines for it: {', '.join(names)})"
+        )
+
+
 def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
                border: Border = Border.CLAMP, *, data_bits: int | None = None,
                counter_bits: int = 8, pipe_latency: int = 5,
@@ -366,35 +270,46 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     Output pixel (x, y) is the rank-th largest of the window anchored
     there; under the clamp policy coordinates are clipped to the image, so
     the output matches the input size.  The engine choice changes only the
-    simulated datapath, never the pixels.
+    simulated datapath, never the pixels.  Row bands of anchors run on
+    ``threads`` threads.
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise ConfigError("images must be non-empty 2-D arrays")
-    image = image.astype(np.int64)
-    if image.min() < 0:
-        raise ConfigError("images must be non-negative")
-    bits = data_bits if data_bits is not None else infer_data_bits(image)
     offsets = window_offsets(shape)
     n = len(offsets)
     if not 1 <= rank <= n:
         raise ConfigError(f"rank must satisfy 1 <= M <= {n}, got {rank}")
-    if engine not in _ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; image filtering supports "
-            f"{sorted(_ENGINES)}"
-        )
+    require_engine(shape, engine)
+    bits = data_bits if data_bits is not None else infer_data_bits(image)
     if engine == "single":
-        out, cycles, comparisons = _filter_single(
-            image, offsets, rank, border, bits, counter_bits, pipe_latency,
-            threads)
+        params = FilterParams(data_bits=bits, set_size=n, rank=rank,
+                              counter_bits=counter_bits,
+                              pipe_latency=pipe_latency)
     else:
-        out, cycles, comparisons = _ENGINES[engine](
-            image, shape, rank, border, bits, counter_bits, pipe_latency,
-            threads)
-    return FilterReport(image=out, set_size=n, rank=rank, engine=engine,
-                        border=border, data_bits=bits, cycles=cycles,
-                        comparisons=comparisons)
+        params = McParams(channels=shape.height, columns=shape.width,
+                          rank=rank, data_bits=bits, counter_bits=counter_bits,
+                          pipe_latency=pipe_latency)
+    image = as_samples(image, params.data_bits)
+    height, width = image.shape
+    x_lo, x_hi = _anchor_bounds(width, offsets, 0, border)
+    y_lo, y_hi = _anchor_bounds(height, offsets, 1, border)
+    xs = np.arange(x_lo, x_hi + 1)
+    streams = {"single": _single_streams,
+               "multichannel": _multichannel_streams,
+               "sliding": _sliding_streams}[engine]
+
+    def worker(band):
+        ys = np.arange(band[0], band[1] + 1)
+        return [(pixels, trace.cycles, trace.comparisons)
+                for trace, pixels in streams(image, params, offsets, xs, ys)]
+
+    runs = [run for band in _run_bands(worker, _bands(y_lo, y_hi, threads),
+                                       threads) for run in band]
+    pixels, cycles, comparisons = zip(*runs)
+    return FilterReport(image=np.concatenate(pixels), set_size=n, rank=rank,
+                        engine=engine, border=border, data_bits=bits,
+                        cycles=sum(cycles), comparisons=sum(comparisons))
 
 
 def filter_image(image, shape: WindowShape, rank: int, engine: str = "single",

@@ -1,66 +1,22 @@
 """K-channel column-parallel engine.
 
-One column of K samples enters per clock; per boundary, the K comparison
-bits pass through 3-in-2-out encoders and a small adder tree whose sum
-feeds accumulators accepting multi-unit increments.  Everything downstream
-of the increment generation is identical to the single-channel engine.
+One column of K samples enters per clock, and each stage counts the samples
+of the column at or above its three boundaries: the accumulators take
+multi-unit increments.  (The paper's hardware sums the K comparison bits
+through 3-in-2-out encoders; the simulation counts them directly.)  Every
+other part of the chain is the single-channel engine's, which is the K = 1
+case of this one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
-from .core import (
-    Stage,
-    StreamTrace,
-    _DelayRing,
-    _FinderChain,
-    boundaries,
-    frame_markers,
-)
-from .params import ConfigError, CycleOutput, FramingError, McParams, PartialMedian
+from .core import Engine, StreamTrace, _chain_trace
+from .params import ConfigError, McParams, as_samples
 
 
-def encode3(b2, b1, b0) -> int:
-    """One 3-in-2-out encoder: how many of the three comparison bits are set."""
-    return int(bool(b2)) + int(bool(b1)) + int(bool(b0))
-
-
-def _tree_count(bits) -> int:
-    """Per-boundary count through encoder triples and an adder tree.
-
-    Comparison bits are grouped into triples (zero-padded when K is not a
-    multiple of 3), each triple encoded, and the group counts summed.  Must
-    always equal the plain popcount of ``bits``.
-    """
-    total = 0
-    for g in range(0, len(bits), 3):
-        trip = list(bits[g:g + 3])
-        trip += [0] * (3 - len(trip))
-        total += encode3(trip[0], trip[1], trip[2])
-    return total
-
-
-def mc_incgen(col, pm: PartialMedian, data_bits: int) -> tuple[int, int, int]:
-    """Column increments ``(inc3, inc2, inc1)``: samples at or above each boundary."""
-    b1, b2, b3 = boundaries(pm, data_bits)
-    inc1 = _tree_count([x >= b1 for x in col])
-    inc2 = _tree_count([x >= b2 for x in col])
-    inc3 = _tree_count([x >= b3 for x in col])
-    return inc3, inc2, inc1
-
-
-class McStage(Stage):
-    """Refinement stage whose per-cycle input is a whole column."""
-
-    def _increments(self, col):
-        inc3, inc2, inc1 = mc_incgen(col, self.pm, self.data_bits)
-        self.comparisons += 3 * len(col)
-        return inc1, inc2, inc3
-
-
-class McEngine:
+class McEngine(Engine):
     """Clock-by-clock K-channel engine; one column per ``clock`` call.
 
     ``dv`` pulses once per window of ``columns`` columns; ``dout`` is the
@@ -68,82 +24,27 @@ class McEngine:
     appears alongside its result.
     """
 
-    def __init__(self, params: McParams):
-        self.params = params
-        p = params
-        self._ring = _DelayRing(p.stages * p.pipe_delay, channels=p.channels)
-        self._chain = _FinderChain(
-            lambda: McStage(p.data_bits, p.columns, p.rank, p.counter_bits,
-                            p.pipe_latency),
-            p.stages, p.pipe_delay, self._ring)
-        self._t = 0
-
-    def clock(self, col, d1st: bool = False) -> CycleOutput:
-        p = self.params
-        col = np.asarray(col, dtype=np.int64)
-        if col.shape != (p.channels,):
+    def _column(self, col) -> np.ndarray:
+        col = as_samples(col, self.params.data_bits)
+        if col.shape != (self.params.channels,):
             raise ConfigError(
-                f"column must carry exactly {p.channels} samples, got {col.shape}"
+                f"column must carry exactly {self.params.channels} samples, "
+                f"got {col.shape}"
             )
-        if col.min() < 0 or col.max() > p.max_value:
-            raise ConfigError(f"samples must fit in {p.data_bits} bits")
-        t = self._t
-        self._ring.push(t, col, d1st)
-        result = self._chain.clock(t)
-        dout, _ = self._ring.read(t, p.alignment)
-        self._t += 1
-        if result is None:
-            return CycleOutput(dv=False, dout=np.array(dout), result=0)
-        return CycleOutput(dv=True, dout=np.array(dout), result=result)
-
-    @property
-    def stages(self) -> list[McStage]:
-        return self._chain.stages
-
-    @property
-    def comparisons(self) -> int:
-        return self._chain.comparisons
-
-    @property
-    def cycle(self) -> int:
-        return self._t
+        return col
 
 
 def mc_stream_cycles(params: McParams, cols) -> StreamTrace:
     """Batch-run back-to-back windows of ``columns`` columns plus drain."""
-    p = params
-    cols = np.ascontiguousarray(np.asarray(cols, dtype=np.int64))
-    if cols.ndim != 2 or cols.shape[1] != p.channels:
-        raise ConfigError(f"column stream must have shape (n, {p.channels})")
-    if cols.shape[0] % p.columns:
-        raise FramingError(
-            f"{cols.shape[0]} columns is not a multiple of the window width "
-            f"{p.columns}"
-        )
-    if cols.size and (cols.min() < 0 or cols.max() > p.max_value):
-        raise ConfigError(f"samples must fit in {p.data_bits} bits")
-    n_cols = cols.shape[0]
-    total = n_cols + p.drain_cycles
-    din = np.zeros((total, p.channels), dtype=np.int64)
-    din[:n_cols] = cols
-    d1st = frame_markers(n_cols, p.columns, p.drain_cycles)
-    dv = np.zeros(total, dtype=np.uint8)
-    res = np.zeros(total, dtype=np.int64)
-    err, comparisons = _kernels.chain_run(
-        din, d1st, p.data_bits, p.columns, p.rank, p.counter_bits,
-        p.pipe_latency, _kernels.MODE_ENCODER, dv, res)
-    if err >= 0:
-        raise FramingError(f"column framing broke at cycle {err}")
-    dout = np.zeros_like(din)
-    if total > p.alignment:
-        dout[p.alignment:] = din[:total - p.alignment]
-    return StreamTrace(din=din, d1st=d1st.astype(bool), dv=dv.astype(bool),
-                       dout=dout, result=res, comparisons=comparisons)
+    cols = np.asarray(cols)
+    if cols.ndim != 2 or cols.shape[1] != params.channels:
+        raise ConfigError(
+            f"column stream must have shape (n, {params.channels})")
+    return _chain_trace(params, cols, "column stream")
 
 
 def run_windows(params: McParams, cols) -> np.ndarray:
     """One result per window of ``columns`` back-to-back columns."""
-    cols = np.asarray(cols, dtype=np.int64)
-    if cols.size == 0:
+    if np.size(cols) == 0:
         return np.zeros(0, dtype=np.int64)
     return mc_stream_cycles(params, cols).results

@@ -1,13 +1,16 @@
 """Configuration and domain types shared by all engine variants.
 
 Samples are plain non-negative ints that must fit the configured data width;
-there is no wrapper type.  All engines treat rank M = 1 as "find the maximum"
+there is no wrapper type, and :func:`as_samples` is the one check every
+entry point applies.  All engines treat rank M = 1 as "find the maximum"
 and M = N as "find the minimum".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_DATA_BITS = 16
 
@@ -25,8 +28,54 @@ def padded_bits(bits: int) -> int:
     return bits + 1 if bits % 2 else bits
 
 
+def as_samples(data, data_bits: int) -> np.ndarray:
+    """``data`` as an int64 array, once every sample is checked to be an
+    integer in ``[0, 2**data_bits)``; floats are rejected, never truncated.
+    Empty input passes whatever its dtype."""
+    data = np.asarray(data)
+    if data.size == 0:
+        return data.astype(np.int64)
+    if data.dtype.kind not in "iu":
+        raise ConfigError(f"samples must be integers that fit in {data_bits} "
+                          f"bits, got {data.dtype} data")
+    if data.min() < 0:
+        raise ConfigError("samples must be non-negative")
+    if int(data.max()) >= 1 << data_bits:
+        raise ConfigError(f"samples must fit in {data_bits} bits")
+    return data.astype(np.int64, copy=False)
+
+
+class _ChainTiming:
+    """Chain timing shared by every engine, from ``set_cycles``: the clocks
+    one set spends in a stage (N samples, or Cw columns)."""
+
+    @property
+    def stages(self) -> int:
+        """Number of 2-bit refinement stages (B/2)."""
+        return self.data_bits // 2
+
+    @property
+    def pipe_delay(self) -> int:
+        """Per-stage data delay: set cycles plus the latency L."""
+        return self.set_cycles + self.pipe_latency
+
+    @property
+    def alignment(self) -> int:
+        """Cycles from a set's first sample to its result (and dv) pulse."""
+        return self.stages * self.pipe_delay - 1
+
+    @property
+    def drain_cycles(self) -> int:
+        """Idle clocks after the last sample that flush the final result."""
+        return (self.stages - 1) * self.pipe_delay + self.pipe_latency
+
+    @property
+    def max_value(self) -> int:
+        return (1 << self.data_bits) - 1
+
+
 @dataclass(frozen=True)
-class FilterParams:
+class FilterParams(_ChainTiming):
     """Static configuration of a single-channel engine.
 
     ``data_bits`` is the sample width; odd widths are zero-padded up to the
@@ -72,32 +121,13 @@ class FilterParams:
             )
 
     @property
-    def stages(self) -> int:
-        """Number of 2-bit refinement stages (B/2)."""
-        return self.data_bits // 2
-
-    @property
-    def pipe_delay(self) -> int:
-        """Per-stage data delay N + L."""
-        return self.set_size + self.pipe_latency
-
-    @property
-    def alignment(self) -> int:
-        """Cycles from a set's first sample to its result (and dv) pulse."""
-        return self.stages * self.pipe_delay - 1
-
-    @property
-    def drain_cycles(self) -> int:
-        """Idle clocks after the last sample that flush the final result."""
-        return (self.stages - 1) * self.pipe_delay + self.pipe_latency
-
-    @property
-    def max_value(self) -> int:
-        return (1 << self.data_bits) - 1
+    def set_cycles(self) -> int:
+        """Cycles one set occupies a stage: one sample per clock."""
+        return self.set_size
 
 
 @dataclass(frozen=True)
-class McParams:
+class McParams(_ChainTiming):
     """Configuration of a K-channel engine consuming one column per clock.
 
     A window spans ``columns`` (Cw) clock cycles of ``channels`` (K) samples
@@ -133,25 +163,9 @@ class McParams:
         return self.channels * self.columns
 
     @property
-    def stages(self) -> int:
-        return self.data_bits // 2
-
-    @property
-    def pipe_delay(self) -> int:
-        """Per-stage column delay Cw + L."""
-        return self.columns + self.pipe_latency
-
-    @property
-    def alignment(self) -> int:
-        return self.stages * self.pipe_delay - 1
-
-    @property
-    def drain_cycles(self) -> int:
-        return (self.stages - 1) * self.pipe_delay + self.pipe_latency
-
-    @property
-    def max_value(self) -> int:
-        return (1 << self.data_bits) - 1
+    def set_cycles(self) -> int:
+        """Cycles one window occupies a stage: one column per clock."""
+        return self.columns
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,24 @@ class TestRank:
         assert code == 1
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("token", ["18446744073709551616",
+                                       "9223372036854775808", "1.5"])
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--set-size", "2", "--rank", "1"],
+        ["trace", "-o", "unused.csv", "--set-size", "2", "--rank", "1"],
+        ["trace", "-o", "unused.csv", "--engine", "multichannel",
+         "--window", "1x2", "--rank", "1"],
+        ["trace", "-o", "unused.csv", "--engine", "sliding", "--window",
+         "1x1", "--rank", "1"],
+        ["trace", "-o", "unused.csv", "--engine", "9753"]])
+    def test_tokens_outside_int64_are_errors(self, capsys, monkeypatch, argv,
+                                             token):
+        stdin = " ".join([token] + ["5"] * 17)
+        code, _, err = run_cli(capsys, argv, stdin=stdin,
+                               monkeypatch=monkeypatch)
+        assert code == 1
+        assert err.startswith("error:") and "input stream" in err
+
     def test_rank_xor_percentile(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["rank", "--set-size", "3"],
                                stdin="1 2 3", monkeypatch=monkeypatch)
@@ -186,6 +204,31 @@ class TestFilter:
                                         str(tmp_path / "out.pgm"),
                                         "--window", "3x3", "--rank", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("engine,window,params", [
+        ("single", "diamond5", FilterParams(data_bits=8, set_size=13, rank=2)),
+        ("multichannel", "5x3", McParams(channels=3, columns=5, rank=2)),
+        ("sliding", "3x3", None)])
+    def test_threads_keep_pixels_and_drain_once_per_band(self, capsys, tmp_path,
+                                                        image_file, engine,
+                                                        window, params):
+        # each of the three row bands of the 10-row image is its own stream
+        # with its own drain; sliding streams one row at a time either way
+        in_path, _ = image_file
+        runs = []
+        for threads in ("1", "3"):
+            out_path = tmp_path / f"out{threads}.pgm"
+            code, out, _ = run_cli(capsys, ["filter", str(in_path),
+                                            str(out_path), "--window", window,
+                                            "--engine", engine, "--rank", "2",
+                                            "--threads", threads])
+            assert code == 0
+            runs.append((out_path.read_bytes(),
+                         int(out.split("cycles: ")[1].split()[0])))
+        (pixels1, cycles1), (pixels3, cycles3) = runs
+        assert pixels3 == pixels1
+        extra_drains = 0 if params is None else 2 * params.drain_cycles
+        assert cycles3 == cycles1 + extra_drains
 
     def test_ascii_output_round_trip(self, capsys, tmp_path, image_file):
         in_path, img = image_file
@@ -501,3 +544,14 @@ class TestBench:
     def test_zero_area_image_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--image-dims", "0x768"])
         assert code == 1
+
+    @pytest.mark.parametrize("window", ["4x4", "3x5"])
+    @pytest.mark.parametrize("simulate", [[], ["--simulate"]])
+    def test_sliding_rejects_windows_it_cannot_filter(self, capsys, window,
+                                                      simulate):
+        code, out, err = run_cli(capsys, ["bench", "--engine", "sliding",
+                                          "--window", window, "--sim-dims",
+                                          "8x6"] + simulate)
+        assert code == 1
+        assert "fps" in out and window not in out
+        assert err.startswith("error:") and "sliding" in err

@@ -233,6 +233,5 @@ def test_kernel_reports_framing_breaks():
     dv = np.zeros(10, dtype=np.uint8)
     res = np.zeros(10, dtype=np.int64)
     err, _ = _kernels.chain_run(din, d1st, p.data_bits, p.set_size, p.rank,
-                                p.counter_bits, p.pipe_latency,
-                                _kernels.MODE_SCALAR, dv, res)
+                                p.counter_bits, p.pipe_latency, dv, res)
     assert err == 2

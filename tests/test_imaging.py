@@ -1,5 +1,5 @@
-"""Window geometry, strip feeding, border policies, the image drivers, and
-the frame-rate calculator."""
+"""Window geometry, border policies, the image driver, and the frame-rate
+calculator."""
 
 import numpy as np
 import pytest
@@ -10,17 +10,16 @@ from rankpipe import (
     Custom,
     Diamond,
     Rect,
-    StripBuffer,
     filter_image,
     frame_rate,
     infer_data_bits,
     parse_window,
     percentile_to_rank,
     run_filter,
-    strip_feed,
     window_offsets,
     window_size,
 )
+from rankpipe import imaging
 from rankpipe.imaging import engines_for
 from rankpipe.oracle import filter_image_oracle
 
@@ -110,40 +109,6 @@ class TestFrameRate:
             frame_rate(275e6, 0, 768, 9)
 
 
-class TestStripFeed:
-    def test_full_height_strip_is_the_image(self):
-        img = np.arange(9 * 4).reshape(9, 4)
-        cols = list(strip_feed(img, 0, 9))
-        assert len(cols) == 4
-        assert (np.stack(cols, axis=1) == img).all()
-
-    def test_clamp_replicates_at_the_left_edge(self):
-        img = np.arange(12).reshape(3, 4)
-        cols = list(strip_feed(img, 0, 3, Border.CLAMP, pad_left=2))
-        assert (cols[0] == cols[1]).all()
-        assert (cols[0] == cols[2]).all()
-        assert (cols[0] == img[:, 0]).all()
-
-    def test_clamp_replicates_rows_outside_the_image(self):
-        img = np.arange(12).reshape(3, 4)
-        buf = StripBuffer(img, -1, 3, Border.CLAMP)
-        assert (buf.column(0) == img[[0, 0, 1], 0]).all()
-
-    def test_valid_strip_positions_cover_all_anchors(self):
-        img = np.zeros((11, 4), dtype=int)
-        tops = [t for t in range(11) if t + 9 <= 11]
-        assert tops == [0, 1, 2]
-        for top in tops:
-            StripBuffer(img, top, 9, Border.VALID)
-        with pytest.raises(ConfigError):
-            StripBuffer(img, 3, 9, Border.VALID)
-
-    def test_valid_strips_cannot_pad(self):
-        img = np.zeros((3, 4), dtype=int)
-        with pytest.raises(ConfigError):
-            list(strip_feed(img, 0, 3, Border.VALID, pad_left=1))
-
-
 class TestFilterImage:
     def test_constant_image_is_unchanged(self):
         img = np.full((8, 10), 5, dtype=np.int64)
@@ -224,6 +189,45 @@ class TestFilterImage:
         img = np.zeros((5, 5), dtype=np.int64)
         with pytest.raises(ConfigError):
             filter_image(img, Rect(3, 3), 10, data_bits=8)
+
+
+class TestBandDriver:
+    @pytest.mark.parametrize("engine,name,per_row", [
+        ("single", "stream_cycles", False),
+        ("multichannel", "mc_stream_cycles", False),
+        ("sliding", "sliding_cycles", True)])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_engines_are_looked_up_at_call_time(self, monkeypatch, engine,
+                                                name, per_row, threads):
+        # run_filter reaches each engine through the imaging module's own
+        # globals, once per band (once per row for sliding)
+        calls = []
+        real = getattr(imaging, name)
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[-1]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, name, counted)
+        img = np.random.default_rng(44).integers(0, 256, size=(7, 6))
+        report = run_filter(img, Rect(3, 3), 5, engine=engine,
+                            threads=threads, data_bits=8)
+        bands = 1 if threads == 1 else 3
+        assert len(calls) == (img.shape[0] if per_row else bands)
+        assert (report.image == filter_image_oracle(img, Rect(3, 3), 5)).all()
+
+    @pytest.mark.parametrize("shape", [
+        Rect(3, 3), Rect(4, 4), Rect(5, 3), Rect(1, 1), Rect(2, 3),
+        Diamond(3), Diamond(5), Custom(((0, 0), (1, 0), (0, 2)))])
+    def test_engines_outside_engines_for_are_rejected(self, shape):
+        img = np.zeros((6, 6), dtype=np.int64)
+        capable = engines_for(shape)
+        for engine in ("single", "multichannel", "sliding", "9753", "warp"):
+            if engine in capable:
+                filter_image(img, shape, 1, engine=engine, data_bits=8)
+            else:
+                with pytest.raises(ConfigError, match=engine):
+                    filter_image(img, shape, 1, engine=engine, data_bits=8)
 
 
 def test_infer_data_bits():

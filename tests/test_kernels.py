@@ -16,7 +16,6 @@ from rankpipe import (
     McParams,
     SlidingEnsemble,
     _kernels,
-    comparison_count,
     refine,
 )
 
@@ -37,27 +36,27 @@ def _stream(rng, n, bits, channels, gap_hi, sets, tail):
     return cols, d1st
 
 
-def _clock(engine, cols, d1st, scalar=False):
+def _clock(engine, cols, d1st):
     """Per-cycle dv/result of an object engine, and the cycle at which it
     raised ``FramingError`` (-1 if it never did)."""
     dv = np.zeros(len(d1st), dtype=bool)
     res = np.zeros(len(d1st), dtype=np.int64)
     for t, (col, f) in enumerate(zip(cols, d1st)):
         try:
-            out = engine.clock(int(col[0]) if scalar else col, bool(f))
+            out = engine.clock(col if isinstance(engine, McEngine) else col[0],
+                               bool(f))
         except FramingError:
             return t, dv, res
         dv[t], res[t] = out.dv, out.result
     return -1, dv, res
 
 
-def _chain_kernel(p, cols, d1st, mode):
+def _chain_kernel(p, cols, d1st):
     dv = np.zeros(len(d1st), dtype=np.uint8)
     res = np.zeros(len(d1st), dtype=np.int64)
-    set_cycles = p.columns if isinstance(p, McParams) else p.set_size
     err, comparisons = _kernels.chain_run(
-        cols, d1st, p.data_bits, set_cycles, p.rank, p.counter_bits,
-        p.pipe_latency, mode, dv, res)
+        cols, d1st, p.data_bits, p.set_cycles, p.rank, p.counter_bits,
+        p.pipe_latency, dv, res)
     return err, comparisons, dv.astype(bool), res
 
 
@@ -69,11 +68,11 @@ def _random_chain(rng, latency):
         p = FilterParams(data_bits=bits, set_size=n,
                          rank=int(rng.integers(1, n + 1)),
                          pipe_latency=latency)
-        return p, Engine(p), 1, _kernels.MODE_SCALAR, n
+        return p, Engine(p), 1, n
     k = int(rng.integers(1, 4))
     p = McParams(channels=k, columns=n, rank=int(rng.integers(1, n * k + 1)),
                  data_bits=bits, pipe_latency=latency)
-    return p, McEngine(p), k, _kernels.MODE_ENCODER, n
+    return p, McEngine(p), k, n
 
 
 def test_chain_run_matches_the_object_engines_on_irregular_framing():
@@ -82,15 +81,14 @@ def test_chain_run_matches_the_object_engines_on_irregular_framing():
     rng = np.random.default_rng(70)
     cut = {"mid-set": 0, "mid-drain": 0, "drained": 0}
     for case in range(60):
-        p, engine, k, mode, n = _random_chain(rng, latency=(0, 1, 5)[case % 3])
+        p, engine, k, n = _random_chain(rng, latency=(0, 1, 5)[case % 3])
         tail = int(rng.integers(1, p.alignment + 4))
         sets = int(rng.integers(1, 5))
         cols, d1st = _stream(rng, n, p.data_bits, k, 2 * n, sets, tail)
         cut["mid-set" if tail < n else
             "drained" if tail > p.alignment else "mid-drain"] += 1
-        err, comparisons, dv, res = _chain_kernel(p, cols, d1st, mode)
-        want_err, want_dv, want_res = _clock(
-            engine, cols, d1st, scalar=mode == _kernels.MODE_SCALAR)
+        err, comparisons, dv, res = _chain_kernel(p, cols, d1st)
+        want_err, want_dv, want_res = _clock(engine, cols, d1st)
         assert err == want_err == -1
         assert (dv == want_dv).all()
         assert (res[dv] == want_res[want_dv]).all()
@@ -101,31 +99,17 @@ def test_chain_run_matches_the_object_engines_on_irregular_framing():
 def test_chain_run_breaks_where_the_engine_raises():
     rng = np.random.default_rng(71)
     for case in range(30):
-        p, engine, k, mode, n = _random_chain(rng, latency=(0, 5)[case % 2])
+        p, engine, k, n = _random_chain(rng, latency=(0, 5)[case % 2])
         if n == 1:
             continue  # a one-cycle set has no middle
         cols, d1st = _stream(rng, n, p.data_bits, k, n, 3, p.alignment + 1)
         late = np.flatnonzero(d1st)[-1] + int(rng.integers(1, n))
         d1st[late] = 1  # mid-set marker in the last set
-        err, _, dv, res = _chain_kernel(p, cols, d1st, mode)
-        want_err, want_dv, want_res = _clock(
-            engine, cols, d1st, scalar=mode == _kernels.MODE_SCALAR)
+        err, _, dv, res = _chain_kernel(p, cols, d1st)
+        want_err, want_dv, want_res = _clock(engine, cols, d1st)
         assert err == want_err == late
         assert (dv == want_dv).all()
         assert (res[dv] == want_res[want_dv]).all()
-
-
-def test_scalar_mode_reads_only_the_first_column():
-    p = FilterParams(data_bits=8, set_size=3, rank=1)
-    cols = np.zeros((p.alignment + 1, 2), dtype=np.int64)
-    cols[:3, 0] = [5, 9, 1]
-    cols[:, 1] = 255
-    d1st = np.zeros(len(cols), dtype=np.uint8)
-    d1st[0] = 1
-    err, comparisons, dv, res = _chain_kernel(p, cols, d1st,
-                                              _kernels.MODE_SCALAR)
-    assert err == -1 and res[dv].tolist() == [9]
-    assert comparisons == comparison_count(p, 1)
 
 
 def test_wrapping_counters_resolve_by_priority_like_refine():
@@ -136,8 +120,7 @@ def test_wrapping_counters_resolve_by_priority_like_refine():
     res = np.zeros(3, dtype=np.int64)
     cols = np.array([[1], [1], [2]], dtype=np.int64)
     d1st = np.array([1, 0, 0], dtype=np.uint8)
-    err, _ = _kernels.chain_run(cols, d1st, 2, 3, 1, 2, 0,
-                                _kernels.MODE_SCALAR, dv, res)
+    err, _ = _kernels.chain_run(cols, d1st, 2, 3, 1, 2, 0, dv, res)
     assert err == -1 and dv.tolist() == [0, 0, 1]
     assert res[2] == refine(0, 1, 0) == 2
 

@@ -1,5 +1,5 @@
-"""Column-parallel engine: encoder structure, increment generation, and
-equivalence with both the oracle and the single-channel engine."""
+"""Column-parallel engine: per-column increments, and equivalence with both
+the oracle and the single-channel engine."""
 
 import itertools
 
@@ -10,39 +10,54 @@ from hypothesis import strategies as st
 
 from rankpipe import (
     ConfigError,
+    Engine,
     FilterParams,
     FramingError,
     McEngine,
     McParams,
     PartialMedian,
-    encode3,
-    mc_incgen,
+    Stage,
     mc_stream_cycles,
     run_windows,
     stream_cycles,
 )
-from rankpipe.multichannel import _tree_count
 from rankpipe.oracle import select_desc
 
 ROOT = PartialMedian()
 
 
+def mc_incgen(col, pm, data_bits):
+    """Column increments ``(inc3, inc2, inc1)`` of a stage latched on ``pm``."""
+    stage = Stage(data_bits, 1, 1)
+    stage.pm = pm
+    inc1, inc2, inc3 = stage._increments(np.asarray(col))
+    return inc3, inc2, inc1
+
+
 class TestEncode3:
+    """The paper's 3-in-2-out encoder outputs how many of its three
+    comparison bits are set; a stage's count over a three-sample column
+    must be that number at every boundary."""
+
     @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
     def test_counts_asserted_inputs(self, bits):
-        assert encode3(*bits) == sum(bits)
+        col = [255 if b else 0 for b in bits]
+        assert mc_incgen(col, ROOT, 8) == (sum(bits),) * 3
 
     def test_known_counts(self):
-        assert encode3(0, 0, 0) == 0
-        assert encode3(1, 0, 1) == 2
-        assert encode3(1, 1, 1) == 3
+        assert mc_incgen([0, 0, 0], ROOT, 8) == (0, 0, 0)
+        assert mc_incgen([200, 0, 200], ROOT, 8) == (2, 2, 2)
+        assert mc_incgen([255, 255, 255], ROOT, 8) == (3, 3, 3)
 
 
 def test_encoder_tree_equals_popcount_exhaustively():
+    # encoder triples and an adder tree sum a column's K comparison bits:
+    # the stage's column count must equal that sum for every bit pattern
     for k in range(1, 10):
         for pattern in range(1 << k):
             bits = [(pattern >> i) & 1 for i in range(k)]
-            assert _tree_count(bits) == sum(bits), (k, bits)
+            col = [255 if b else 0 for b in bits]
+            assert mc_incgen(col, ROOT, 8) == (sum(bits),) * 3, (k, bits)
 
 
 class TestMcIncgen:
@@ -117,6 +132,23 @@ class TestMcEngine:
         assert (mt.dv == st_.dv).all()
         assert (mt.result[mt.dv] == st_.result[st_.dv]).all()
         assert (mt.dout.reshape(-1) == st_.dout).all()
+
+    def test_one_channel_object_engine_is_cycle_identical_to_engine(self):
+        rng = np.random.default_rng(17)
+        n = 5
+        mc = McEngine(McParams(channels=1, columns=n, rank=2, data_bits=6))
+        sc = Engine(FilterParams(data_bits=6, set_size=n, rank=2))
+        assert mc.params.alignment == sc.params.alignment
+        data = rng.integers(0, 64, size=n * 3 + sc.params.drain_cycles)
+        fired = 0
+        for t, x in enumerate(data):
+            d1st = t < n * 3 and t % n == 0
+            a, b = mc.clock([x], d1st), sc.clock(x, d1st)
+            assert (a.dv, a.result, a.dout.tolist()) == \
+                (b.dv, b.result, [b.dout])
+            assert mc.comparisons == sc.comparisons
+            fired += a.dv
+        assert fired == 3 and mc.cycle == sc.cycle == len(data)
 
     def test_object_engine_matches_batch_kernel(self):
         rng = np.random.default_rng(15)
