@@ -13,10 +13,17 @@ So each kernel
 
 1. reads the set starts from the first-data markers and finds the first
    marker that arrives mid-set (the framing break);
-2. runs the B/2 radix-4 passes over every set at once: per set, count the
-   samples at or above the three quarter boundaries of the surviving range,
-   keep bit C-1 of the accumulator ``preset + count`` (the ``count >= M``
-   comparator) and priority-encode the two result bits;
+2. runs the B/2 radix-4 passes over every set at once, the way the stages
+   do it in hardware.  The sets are copied once into sample-major planes:
+   a contiguous ``(K*N, sets)`` array of the narrowest unsigned dtype for
+   B bits (uint8 up to 8 bits, uint16 up to 16), whose row i holds sample
+   i of every set.  Per pass, each of the three quarter boundaries of the
+   surviving range is counted by adding rows into an accumulator of the
+   narrowest unsigned dtype with at least C bits.  That sum wraps, as the
+   C-bit counters do, without changing bit C-1 of ``preset + count`` (the
+   ``count >= M`` comparator).  The two result bits are the priority
+   encoding ``max(k * msb_k)`` over k = 1, 2, 3, as ``refine`` resolves
+   them;
 3. writes each result at its dv cycle when that cycle falls inside the
    stream and before the framing break;
 4. counts boundary comparisons in closed form: 3 per sample for every
@@ -38,7 +45,7 @@ def _framing(d1st, set_cycles):
     ``set_cycles`` cycles after the previous one, while the first stage is
     still counting that set.
     """
-    starts = np.flatnonzero(d1st)
+    starts = np.flatnonzero(d1st != 0)  # a bool scan, not a uint8 one
     bad = np.flatnonzero(np.diff(starts) < set_cycles)
     if bad.size:
         return starts[:bad[0] + 1], int(starts[bad[0] + 1])
@@ -52,25 +59,65 @@ def _busy_cycles(starts, stages, delay, set_cycles, end):
     return int(np.clip(end - begin, 0, set_cycles).sum())
 
 
-def _search(cols, starts, set_cycles, data_bits, rank, counter_bits):
-    """The rank-th largest of each set ``cols[start:start + set_cycles]``."""
+_BLOCK = 1 << 17  # plane samples per block of sets: bounds the 3x bool buffer
+
+
+def _uint(bits):
+    """The narrowest unsigned dtype holding ``bits`` bits."""
+    return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}")
+
+
+def _planes(cols, starts, set_cycles, dtype):
+    """Sample-major planes of the sets ``cols[start:start + set_cycles]``: a
+    contiguous ``(K * set_cycles, sets)`` array whose row i holds sample i
+    of every set."""
     windows = sliding_window_view(cols, set_cycles, axis=0)
-    # evenly spaced sets (every driver's framing) stay a view of the stream;
-    # only irregular framing pays for a gathered copy
+    # evenly spaced sets (every driver's framing) are read through a view
+    # of the stream; only irregular framing gathers them first
     if len(starts) > 1 and (np.diff(starts) == starts[1] - starts[0]).all():
         sets = windows[starts[0]::starts[1] - starts[0]][:len(starts)]
     else:
         sets = windows[starts]
-    preset = (1 << (counter_bits - 1)) - rank
-    msb = 1 << (counter_bits - 1)
-    pre = np.zeros(len(starts), np.int64)
+    planes = sets.transpose(1, 2, 0).astype(dtype, order="C")
+    return planes.reshape(-1, len(starts))
+
+
+def _search(cols, starts, set_cycles, data_bits, rank, counter_bits):
+    """The rank-th largest of each set ``cols[start:start + set_cycles]``.
+
+    Samples must lie in ``[0, 2**data_bits)``, as ``params.as_samples``
+    ensures for every caller: they are narrowed to the plane dtype, which
+    also holds every boundary ``pre + k*q``.  Sets run in blocks of about
+    ``_BLOCK`` samples, which bounds the working memory.
+    """
+    dtype = _uint(data_bits)
+    out = np.empty(len(starts), dtype)
+    step = max(1, _BLOCK // (set_cycles * cols.shape[1]))
+    for lo in range(0, len(starts), step):
+        planes = _planes(cols, starts[lo:lo + step], set_cycles, dtype)
+        out[lo:lo + step] = _resolve(planes, data_bits, rank, counter_bits)
+    return out
+
+
+def _resolve(planes, data_bits, rank, counter_bits):
+    """The B/2 radix-4 passes over sample-major planes, one column per set."""
+    acc = _uint(counter_bits)
+    preset = acc.type((1 << (counter_bits - 1)) - rank)
+    msb = acc.type(1 << (counter_bits - 1))
+    ks = np.arange(1, 4, dtype=planes.dtype)[:, None]
+    pre = np.zeros(planes.shape[1], planes.dtype)
+    ge = np.empty((3,) + planes.shape, bool)
     for s in range(data_bits // 2):
-        q = 1 << (data_bits - 2 * s - 2)
-        counts = ((sets >= (pre + k * q)[:, None, None]).sum(axis=(1, 2))
-                  for k in (1, 2, 3))
-        # bit C-1 of the wrapped C-bit accumulator is bit C-1 of the sum
-        m1, m2, m3 = (((preset + count) & msb) != 0 for count in counts)
-        pre += q * np.select([m3, m2, m1], [3, 2, 1], 0)
+        kq = ks << (data_bits - 2 * s - 2)
+        # the three boundaries pre + k*q at once: (3, samples, sets)
+        np.greater_equal(planes, (pre + kq)[:, None, :], out=ge)
+        counts = np.add.reduce(ge.view(np.uint8), axis=1, dtype=acc)
+        # the sum wraps at the acc width, at least C bits, which leaves
+        # bit C-1 of preset + count as the C-bit accumulator has it
+        counts += preset
+        counts &= msb
+        # priority encode like ``refine``: the highest boundary whose MSB is set
+        pre += ((counts != 0) * kq).max(axis=0)
     return pre
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 on success, 1 for validation or I/O problems, 2 when a
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -108,8 +109,8 @@ def cmd_rank(args) -> int:
             else args.data_bits)
     params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
     results = run_stream(params, values)
-    for value in results:
-        print(int(value))
+    if len(results):
+        print("\n".join(map(str, results.tolist())))
     if args.check:
         for i, value in enumerate(results):
             group = values[i * args.set_size:(i + 1) * args.set_size]
@@ -240,7 +241,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rankpipe`` parser, built once; every parse makes a fresh
+    namespace, and each ``cmd_*`` resolves its helpers when it runs."""
     parser = argparse.ArgumentParser(
         prog="rankpipe",
         description="Streaming rank/percentile filtering with cycle-accurate "
@@ -306,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckFailure as exc:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_DATA_BITS = 16
+MAX_COUNTER_BITS = 64  # the widest accumulator the batch kernels hold
 
 
 class ConfigError(ValueError):
@@ -98,8 +99,11 @@ class FilterParams(_ChainTiming):
                 f"data_bits must be in [2, {MAX_DATA_BITS}], got {self.data_bits}"
             )
         object.__setattr__(self, "data_bits", padded_bits(self.data_bits))
-        if self.counter_bits < 2:
-            raise ConfigError("counter_bits must be at least 2")
+        if not 2 <= self.counter_bits <= MAX_COUNTER_BITS:
+            raise ConfigError(
+                f"counter_bits must be in [2, {MAX_COUNTER_BITS}], "
+                f"got {self.counter_bits}"
+            )
         if self.pipe_latency < 0:
             raise ConfigError("pipe_latency must be non-negative")
         if self.set_size < 1:

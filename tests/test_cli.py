@@ -209,12 +209,12 @@ class TestFilter:
         ("single", "diamond5", FilterParams(data_bits=8, set_size=13, rank=2)),
         ("multichannel", "5x3", McParams(channels=3, columns=5, rank=2)),
         ("sliding", "3x3", None)])
-    def test_threads_keep_pixels_and_drain_once_per_band(self, capsys, tmp_path,
-                                                        image_file, engine,
-                                                        window, params):
-        # each of the three row bands of the 10-row image is its own stream
-        # with its own drain; sliding streams one row at a time either way
-        in_path, _ = image_file
+    def test_threads_keep_pixels_and_cycles(self, capsys, tmp_path,
+                                            image_file, engine, window,
+                                            params):
+        # the three row bands of the 10-row image are one stream cut up for
+        # the threads: it drains once, as with one thread
+        in_path, img = image_file
         runs = []
         for threads in ("1", "3"):
             out_path = tmp_path / f"out{threads}.pgm"
@@ -223,12 +223,11 @@ class TestFilter:
                                             "--engine", engine, "--rank", "2",
                                             "--threads", threads])
             assert code == 0
-            runs.append((out_path.read_bytes(),
-                         int(out.split("cycles: ")[1].split()[0])))
-        (pixels1, cycles1), (pixels3, cycles3) = runs
-        assert pixels3 == pixels1
-        extra_drains = 0 if params is None else 2 * params.drain_cycles
-        assert cycles3 == cycles1 + extra_drains
+            runs.append((out_path.read_bytes(), out.split("cycles: ")[1]))
+        assert runs[1] == runs[0]
+        if params is not None:
+            cycles = int(runs[0][1].split()[0])
+            assert cycles == img.size * params.set_cycles + params.drain_cycles
 
     def test_ascii_output_round_trip(self, capsys, tmp_path, image_file):
         in_path, img = image_file
@@ -555,3 +554,47 @@ class TestBench:
         assert code == 1
         assert "fps" in out and window not in out
         assert err.startswith("error:") and "sliding" in err
+
+
+class TestParser:
+    """``main`` parses with one cached parser; no call may see another's
+    arguments."""
+
+    def test_consecutive_subcommands_share_no_state(self, capsys, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "d.txt"
+        path.write_text("3 1 4 1 5 9 2 6 5\n")
+        rank = ["rank", str(path), "--set-size", "9", "--rank", "5"]
+        assert run_cli(capsys, rank)[:2] == (0, "4\n")
+        out_csv = tmp_path / "t.csv"
+        code, out, _ = run_cli(capsys, ["trace", "-o", str(out_csv),
+                                        "--set-size", "3", "--rank", "1"],
+                               stdin="1 2 3", monkeypatch=monkeypatch)
+        assert code == 0 and out.startswith("wrote ")
+        # the percentile of another call does not linger as a second rank
+        code, out, _ = run_cli(capsys, ["rank", str(path), "--set-size", "9",
+                                        "--percentile", "1"])
+        assert (code, out) == (0, "1\n")
+        assert run_cli(capsys, rank)[:2] == (0, "4\n")
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_window_options_do_not_accumulate(self, capsys):
+        outs = [run_cli(capsys, ["bench", "--window", "3x3"])[1]
+                for _ in range(2)]
+        assert outs[0] == outs[1]
+        rows = [line for line in outs[1].splitlines()
+                if line.split()[0] in ("3x3", "5x5")]
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("argv", [[], ["rank"], ["filter", "in.pgm"],
+                                      ["bench", "--engine", "9753"]])
+    def test_usage_errors_exit_2_with_the_same_message(self, capsys, argv):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: rankpipe")
+        assert "error:" in errors[0]

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rankpipe import (
     Engine,
@@ -169,6 +171,154 @@ def test_sliding_run_matches_the_ensemble_on_irregular_markers():
             shared_first = 3 * window * len(d1st)
             assert comparisons == (sum(c.comparisons for c in ens.chains)
                                    - own_first + shared_first)
+
+
+def _int64_search(cols, starts, set_cycles, data_bits, rank, counter_bits):
+    """The set search written plainly in int64: every comparison summed over
+    each set's (K, N) samples, MSB tests on exact sums, ``np.select`` as the
+    priority encoder.  The reference the narrow sample-major kernel must
+    match exactly."""
+    windows = sliding_window_view(cols, set_cycles, axis=0)
+    sets = windows[starts].astype(np.int64)
+    preset = (1 << (counter_bits - 1)) - rank
+    msb = 1 << (counter_bits - 1)
+    pre = np.zeros(len(starts), np.int64)
+    for s in range(data_bits // 2):
+        q = 1 << (data_bits - 2 * s - 2)
+        m1, m2, m3 = (
+            ((preset + (sets >= (pre + k * q)[:, None, None]).sum(axis=(1, 2)))
+             & msb) != 0 for k in (1, 2, 3))
+        pre += q * np.select([m3, m2, m1], [3, 2, 1], 0)
+    return pre
+
+
+def _samples(rng, bits, shape):
+    """Random samples with the extremes 0 and 2**bits - 1 well represented."""
+    top = (1 << bits) - 1
+    drawn = rng.integers(0, top + 1, size=shape)
+    extreme = np.where(rng.random(shape) < 0.5, 0, top)
+    return np.where(rng.random(shape) < 0.6, drawn, extreme).astype(np.int64)
+
+
+def _framed(rng, framing, n, channels, bits, sets):
+    """Columns and markers of ``sets`` sets of ``n`` cycles, back to back
+    ("regular"), with idle gaps ("gapped"), or with a mid-set marker in the
+    last set ("broken").  The stream ends a random tail after the last set
+    starts, anywhere from mid-set to past its result at latency 5 or less."""
+    gaps = (rng.integers(0, 2 * n + 1, size=sets) if framing == "gapped"
+            else np.zeros(sets, dtype=np.int64))
+    starts = np.cumsum(n + gaps) - n - gaps[0]
+    shortest = n if framing == "broken" else 1
+    total = int(starts[-1]) + int(rng.integers(shortest,
+                                               bits // 2 * (n + 5) + 2))
+    d1st = np.zeros(total, dtype=np.uint8)
+    d1st[starts] = 1
+    if framing == "broken" and n > 1:
+        d1st[starts[-1] + int(rng.integers(1, n))] = 1
+    return _samples(rng, bits, (total, channels)), d1st
+
+
+def _kernel_pair(monkeypatch, run):
+    """``run()`` with the narrow kernel, then with the int64 reference."""
+    got = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(_kernels, "_search", _int64_search)
+        want = run()
+    return got, want
+
+
+def _run_chain(cols, d1st, bits, n, rank, counter_bits, latency):
+    dv = np.zeros(len(d1st), dtype=np.uint8)
+    res = np.zeros(len(d1st), dtype=np.int64)
+    out = _kernels.chain_run(cols, d1st, bits, n, rank, counter_bits, latency,
+                             dv, res)
+    return out, dv.tolist(), res.tolist()
+
+
+@pytest.mark.parametrize("bits", [2, 8, 10, 16])
+def test_narrow_planes_match_the_int64_search_across_widths(monkeypatch, bits):
+    # B = 8 and 10 sit on both sides of the uint8/uint16 plane switch
+    rng = np.random.default_rng(80 + bits)
+    seen = set()
+    for case in range(36):
+        framing = ("regular", "gapped", "broken")[case % 3]
+        k = case % 9 + 1
+        n = int(rng.integers(1, 8))
+        rank = int(rng.integers(1, n * k + 1))
+        cols, d1st = _framed(rng, framing, n, k, bits, int(rng.integers(1, 9)))
+        seen.update(np.unique(cols).tolist())
+        got, want = _kernel_pair(monkeypatch, lambda: _run_chain(
+            cols, d1st, bits, n, rank, 8, case % 6))
+        assert got == want
+    assert {0, (1 << bits) - 1} <= seen
+
+
+@pytest.mark.parametrize("counter_bits", range(2, 13))
+def test_wrapping_accumulators_match_the_int64_search(monkeypatch,
+                                                      counter_bits):
+    # N*K >= 256 wraps a uint8 accumulator; C > 8 takes a wider one
+    rng = np.random.default_rng(90 + counter_bits)
+    fired = 0
+    for case in range(6):
+        framing = ("regular", "gapped", "broken")[case % 3]
+        k = int(rng.integers(1, 10))
+        n = -(-int(rng.integers(256, 352)) // k)
+        rank = int(rng.integers(1, min(n * k, 1 << (counter_bits - 1)) + 1))
+        bits = int(rng.choice([2, 8, 10]))
+        cols, d1st = _framed(rng, framing, n, k, bits, int(rng.integers(1, 4)))
+        got, want = _kernel_pair(monkeypatch, lambda: _run_chain(
+            cols, d1st, bits, n, rank, counter_bits, case % 3))
+        assert got == want
+        fired += sum(got[1])
+    assert fired
+
+
+@pytest.mark.parametrize("counter_bits", [16, 17, 32, 33, 63])
+def test_wide_accumulators_match_the_int64_search(monkeypatch, counter_bits):
+    # up to 63 bits, the widest the int64 reference can hold
+    rng = np.random.default_rng(counter_bits)
+    for case in range(4):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+        rank = int(rng.integers(1, n * k + 1))
+        cols, d1st = _framed(rng, "gapped", n, k, 16, 5)
+        got, want = _kernel_pair(monkeypatch, lambda: _run_chain(
+            cols, d1st, 16, n, rank, counter_bits, 2))
+        assert got == want
+
+
+def test_blocks_of_sets_join_seamlessly(monkeypatch):
+    # a few sets per block: every block edge falls between two sets
+    rng = np.random.default_rng(96)
+    for framing in ("regular", "gapped", "broken"):
+        cols, d1st = _framed(rng, framing, 7, 3, 8, 40)
+        whole = _run_chain(cols, d1st, 8, 7, 11, 8, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "_BLOCK", 3 * 7 * 3)
+            assert _run_chain(cols, d1st, 8, 7, 11, 8, 1) == whole
+        assert sum(whole[1]) > 3
+
+
+def test_sliding_windows_match_the_int64_search(monkeypatch):
+    # the W chains' windows overlap, one column apart
+    rng = np.random.default_rng(95)
+    for case in range(18):
+        window = (1, 3, 5, 7, 9)[case % 5]
+        bits = (2, 8, 10, 16)[case % 4]
+        framing = ("regular", "gapped", "broken")[case % 3]
+        rank = int(rng.integers(1, window * window + 1))
+        cols, d1st = _framed(rng, framing, window, window, bits,
+                             int(rng.integers(1, 7)))
+
+        def run():
+            dv = np.zeros(len(d1st), dtype=np.uint8)
+            res = np.zeros(len(d1st), dtype=np.int64)
+            chain = np.full(len(d1st), -1, dtype=np.int64)
+            out = _kernels.sliding_run(cols, d1st, bits, rank, 8, case % 3,
+                                       dv, res, chain)
+            return out, dv.tolist(), res.tolist(), chain.tolist()
+
+        got, want = _kernel_pair(monkeypatch, run)
+        assert got == want
 
 
 def test_env_flag_selects_the_interpreted_path():

@@ -1,6 +1,7 @@
 import pytest
 
-from rankpipe import ConfigError, FilterParams, McParams, PartialMedian
+from rankpipe import (ConfigError, FilterParams, McParams, PartialMedian,
+                      run_stream)
 
 
 def test_defaults_match_reference_build():
@@ -48,6 +49,19 @@ def test_counter_width_rejects_wrapping_configs():
     FilterParams(data_bits=8, set_size=250, rank=128)
     # a wider counter admits the same shape
     FilterParams(data_bits=8, set_size=250, rank=1, counter_bits=10)
+
+
+@pytest.mark.parametrize("counter_bits", [1, 65, 128])
+def test_counter_width_bounds(counter_bits):
+    # the batch kernels hold accumulators up to 64 bits
+    with pytest.raises(ConfigError, match="counter_bits"):
+        FilterParams(data_bits=8, set_size=3, rank=2,
+                     counter_bits=counter_bits)
+
+
+def test_the_widest_counters_still_rank():
+    params = FilterParams(data_bits=16, set_size=3, rank=2, counter_bits=64)
+    assert run_stream(params, [7, 65535, 0]).tolist() == [7]
 
 
 def test_mc_params_inherit_every_invariant():
