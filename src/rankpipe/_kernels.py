@@ -17,7 +17,9 @@ So each kernel
    do it in hardware.  The sets are copied once into sample-major planes:
    a contiguous ``(K*N, sets)`` array of the narrowest unsigned dtype for
    B bits (uint8 up to 8 bits, uint16 up to 16), whose row i holds sample
-   i of every set.  Per pass, each of the three quarter boundaries of the
+   i of every set.  The batch drivers already carry their streams at that
+   dtype (:func:`rankpipe.params.narrowest_uint`), so the copy only
+   transposes.  Per pass, each of the three quarter boundaries of the
    surviving range is counted by adding rows into an accumulator of the
    narrowest unsigned dtype with at least C bits.  That sum wraps, as the
    C-bit counters do, without changing bit C-1 of ``preset + count`` (the
@@ -37,6 +39,8 @@ tested against cycle for cycle.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .params import narrowest_uint
+
 
 def _framing(d1st, set_cycles):
     """Set starts up to the framing break, and the break cycle (-1 if none).
@@ -45,7 +49,7 @@ def _framing(d1st, set_cycles):
     ``set_cycles`` cycles after the previous one, while the first stage is
     still counting that set.
     """
-    starts = np.flatnonzero(d1st != 0)  # a bool scan, not a uint8 one
+    starts = np.flatnonzero(d1st.astype(bool, copy=False))  # a bool scan
     bad = np.flatnonzero(np.diff(starts) < set_cycles)
     if bad.size:
         return starts[:bad[0] + 1], int(starts[bad[0] + 1])
@@ -60,11 +64,6 @@ def _busy_cycles(starts, stages, delay, set_cycles, end):
 
 
 _BLOCK = 1 << 17  # plane samples per block of sets: bounds the 3x bool buffer
-
-
-def _uint(bits):
-    """The narrowest unsigned dtype holding ``bits`` bits."""
-    return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}")
 
 
 def _planes(cols, starts, set_cycles, dtype):
@@ -85,12 +84,12 @@ def _planes(cols, starts, set_cycles, dtype):
 def _search(cols, starts, set_cycles, data_bits, rank, counter_bits):
     """The rank-th largest of each set ``cols[start:start + set_cycles]``.
 
-    Samples must lie in ``[0, 2**data_bits)``, as ``params.as_samples``
-    ensures for every caller: they are narrowed to the plane dtype, which
-    also holds every boundary ``pre + k*q``.  Sets run in blocks of about
+    Samples must lie in ``[0, 2**data_bits)``, as ``params.check_samples``
+    ensures for every caller: they are copied into planes of the sample
+    dtype, which also holds every boundary ``pre + k*q``.  Sets run in blocks of about
     ``_BLOCK`` samples, which bounds the working memory.
     """
-    dtype = _uint(data_bits)
+    dtype = narrowest_uint(data_bits)
     out = np.empty(len(starts), dtype)
     step = max(1, _BLOCK // (set_cycles * cols.shape[1]))
     for lo in range(0, len(starts), step):
@@ -101,7 +100,7 @@ def _search(cols, starts, set_cycles, data_bits, rank, counter_bits):
 
 def _resolve(planes, data_bits, rank, counter_bits):
     """The B/2 radix-4 passes over sample-major planes, one column per set."""
-    acc = _uint(counter_bits)
+    acc = narrowest_uint(counter_bits)
     preset = acc.type((1 << (counter_bits - 1)) - rank)
     msb = acc.type(1 << (counter_bits - 1))
     ks = np.arange(1, 4, dtype=planes.dtype)[:, None]

@@ -18,7 +18,13 @@ from .core import run_stream, stream_cycles
 from .ensembles import CADENCE, ensemble9753_cycles, sliding_cycles
 from .imaging import Border, frame_rate, percentile_to_rank
 from .multichannel import mc_stream_cycles
-from .params import ConfigError, FilterParams, FramingError, McParams
+from .params import (
+    ConfigError,
+    FilterParams,
+    FramingError,
+    McParams,
+    chain_widths,
+)
 
 DEFAULT_CLOCK_HZ = 275e6
 BLANK = -1  # trace cell left empty; samples are never negative
@@ -107,7 +113,8 @@ def cmd_rank(args) -> int:
     rank = _resolve_rank(args, args.set_size)
     bits = (imaging.infer_data_bits(values) if args.data_bits is None
             else args.data_bits)
-    params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
+    params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank,
+                          **chain_widths(args.set_size, rank))
     results = run_stream(params, values)
     if len(results):
         print("\n".join(map(str, results.tolist())))
@@ -149,7 +156,8 @@ def _trace_table(trace, channels: int, tail_header, *tail):
               + ["dv"] + [f"dout{k}" for k in range(channels)]
               + list(tail_header))
     total = len(trace.dv)
-    result = np.where(trace.dv[:, None], trace.result.reshape(total, -1), BLANK)
+    result = np.where(trace.dv[:, None],
+                      trace.result.reshape(total, -1).astype(np.int64), BLANK)
     return header, np.column_stack([np.arange(total), trace.d1st, trace.din,
                                     trace.dv, trace.dout, result, *tail])
 
@@ -172,7 +180,8 @@ def cmd_trace(args) -> int:
         if args.set_size is None:
             raise ConfigError("--set-size is required for single-engine traces")
         rank = _resolve_rank(args, args.set_size)
-        params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
+        params = FilterParams(data_bits=bits, set_size=args.set_size,
+                              rank=rank, **chain_widths(args.set_size, rank))
         trace = stream_cycles(params, values)
         header, rows = _trace_stream(trace, 1)
     elif args.engine in ("multichannel", "sliding"):
@@ -180,14 +189,18 @@ def cmd_trace(args) -> int:
             raise ConfigError(f"--window is required for {args.engine} traces")
         shape = imaging.parse_window(args.window)
         imaging.require_engine(shape, args.engine)
-        rank = _resolve_rank(args, shape.width * shape.height)
+        n = shape.width * shape.height
+        rank = _resolve_rank(args, n)
         cols = _reshape_columns(values, shape.height)
         if args.engine == "multichannel":
             params = McParams(channels=shape.height, columns=shape.width,
-                              rank=rank, data_bits=bits)
+                              rank=rank, data_bits=bits,
+                              **chain_widths(n, rank))
             trace = mc_stream_cycles(params, cols)
         else:
-            trace = sliding_cycles(shape.width, rank, cols, data_bits=bits)
+            trace = sliding_cycles(
+                shape.width, rank, cols, data_bits=bits,
+                counter_bits=chain_widths(n, rank)["counter_bits"])
         header, rows = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = tuple(int(r) for r in args.ranks.split(","))

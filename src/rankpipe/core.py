@@ -11,9 +11,16 @@ stage's partial median for it is ready.
 The ``Stage``/``Engine`` classes here step the chain clock by clock and
 are the reference for the cycle semantics; a stage takes one sample or one
 column per clock, so the K-channel engine is this one with K samples per
-clock.  ``run_stream`` and the image driver use :mod:`rankpipe._kernels` instead, which computes every set's
-result at once and writes it at its fixed dv cycle.  The test suite checks
-the two against each other cycle-for-cycle.
+clock.  ``run_stream`` and the image driver use :mod:`rankpipe._kernels`
+instead, which computes every set's result at once and writes it at its
+fixed dv cycle.  The test suite checks the two against each other
+cycle-for-cycle.
+
+A batch trace carries each sample once, at its own width: ``din`` and
+``result`` use the sample dtype (uint8 up to 8 bits, uint16 up to 16),
+the markers and ``dv`` are bool, and ``dout`` is computed from ``din`` on
+demand, as the data pipe's output is only a delayed tap on its input.
+The results a caller receives are int64.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from .params import (
     FramingError,
     PartialMedian,
     as_samples,
+    check_samples,
+    narrowest_uint,
 )
 
 _ROOT = PartialMedian()
@@ -283,18 +292,33 @@ class Engine:
 
 @dataclass(frozen=True)
 class StreamTrace:
-    """Per-clock record of a batch run, drain cycles included."""
+    """Per-clock record of a batch run, drain cycles included.
+
+    ``din`` and ``result`` hold samples at the sample dtype
+    (:func:`rankpipe.params.narrowest_uint`), ``d1st`` and ``dv`` are bool,
+    and ``delay`` is how many cycles ``dout`` lags ``din``: the alignment,
+    or None when no set was anchored.  ``results`` is int64.
+    """
 
     din: np.ndarray
     d1st: np.ndarray
     dv: np.ndarray
-    dout: np.ndarray
     result: np.ndarray
     comparisons: int
+    delay: int | None
+
+    @property
+    def dout(self) -> np.ndarray:
+        """``din`` delayed by ``delay`` cycles, zeros before: the data pipe's
+        output tap, so a dv cycle carries its set's first sample or column."""
+        dout = np.zeros_like(self.din)
+        if self.delay is not None and self.delay < len(self.din):
+            dout[self.delay:] = self.din[:len(self.din) - self.delay]
+        return dout
 
     @property
     def results(self) -> np.ndarray:
-        return self.result[self.dv]
+        return self.result[self.dv].astype(np.int64)
 
     @property
     def cycles(self) -> int:
@@ -313,24 +337,21 @@ def _chain_trace(params, cols, what: str) -> StreamTrace:
             f"{what} length {n} is not a multiple of the set length "
             f"{p.set_cycles}"
         )
-    cols = as_samples(cols, p.data_bits)
+    cols = check_samples(cols, p.data_bits)
     total = n + p.drain_cycles
-    din = np.zeros((total,) + cols.shape[1:], dtype=np.int64)
+    din = np.zeros((total,) + cols.shape[1:], narrowest_uint(p.data_bits))
     din[:n] = cols
-    d1st = np.zeros(total, dtype=np.uint8)
-    d1st[0:n:p.set_cycles] = 1
-    dv = np.zeros(total, dtype=np.uint8)
-    res = np.zeros(total, dtype=np.int64)
+    d1st = np.zeros(total, dtype=bool)
+    d1st[0:n:p.set_cycles] = True
+    dv = np.zeros(total, dtype=bool)
+    res = np.zeros(total, dtype=din.dtype)
     err, comparisons = _kernels.chain_run(
         din.reshape(total, -1), d1st, p.data_bits, p.set_cycles, p.rank,
         p.counter_bits, p.pipe_latency, dv, res)
     if err >= 0:
         raise FramingError(f"{what} framing broke at cycle {err}")
-    dout = np.zeros_like(din)
-    if total > p.alignment:
-        dout[p.alignment:] = din[:total - p.alignment]
-    return StreamTrace(din=din, d1st=d1st.astype(bool), dv=dv.astype(bool),
-                       dout=dout, result=res, comparisons=comparisons)
+    return StreamTrace(din=din, d1st=d1st, dv=dv, result=res,
+                       comparisons=comparisons, delay=p.alignment)
 
 
 def stream_cycles(params: FilterParams, data) -> StreamTrace:

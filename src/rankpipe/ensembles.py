@@ -24,7 +24,15 @@ import numpy as np
 
 from . import _kernels
 from .core import Stage, StreamTrace, _DelayRing, _FinderChain
-from .params import ConfigError, FramingError, McParams, as_samples
+from .params import (
+    ConfigError,
+    FramingError,
+    McParams,
+    as_samples,
+    chain_widths,
+    check_samples,
+    narrowest_uint,
+)
 
 CADENCE = 9  # fixed column cadence of the 9753 variant
 
@@ -107,14 +115,18 @@ class SlidingTrace(StreamTrace):
     """Per-clock record of a batch sliding run, drain included."""
 
     chain: np.ndarray
-    alignment: int
+
+    @property
+    def alignment(self) -> int:
+        """Cycles from a window's first column to its result."""
+        return self.delay
 
     def window_results(self, n_starts: int) -> np.ndarray:
         """Results for window starts 0..n_starts-1 (one per consecutive cycle)."""
         idx = self.alignment + np.arange(n_starts)
         if n_starts and not self.dv[idx].all():
             raise RuntimeError("missing window results in the sliding trace")
-        return self.result[idx]
+        return self.result[idx].astype(np.int64)
 
 
 def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
@@ -124,10 +136,13 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
     Markers are asserted every W columns; enough zero drain columns are
     appended to flush every window that was started, including the garbage
     tails past the strip edge (callers keep the first ``n - W + 1`` results).
+    The pipe capacity is the one the window needs.
     """
+    capacity = chain_widths(window * window, rank,
+                            pipe_latency)["pipe_capacity"]
     p = McParams(channels=window, columns=window, rank=rank,
                  data_bits=data_bits, counter_bits=counter_bits,
-                 pipe_latency=pipe_latency)
+                 pipe_latency=pipe_latency, pipe_capacity=capacity)
     if window % 2 == 0:
         raise ConfigError("sliding ensembles support odd window sides only")
     cols = np.asarray(cols)
@@ -135,29 +150,26 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
         raise ConfigError(f"column stream must have shape (n, {window})")
     if cols.size == 0:
         raise ConfigError("sliding runs need at least one column")
-    cols = as_samples(cols, p.data_bits)
+    cols = check_samples(cols, p.data_bits)
     n = cols.shape[0]
     last_anchor = ((n - 1) // window) * window
     last_start = last_anchor + window - 1
     total = last_start + p.alignment + 1
-    din = np.zeros((total, window), dtype=np.int64)
+    din = np.zeros((total, window), narrowest_uint(p.data_bits))
     din[:n] = cols
-    d1st = np.zeros(total, dtype=np.uint8)
-    d1st[0:n:window] = 1
-    dv = np.zeros(total, dtype=np.uint8)
-    res = np.zeros(total, dtype=np.int64)
+    d1st = np.zeros(total, dtype=bool)
+    d1st[0:n:window] = True
+    dv = np.zeros(total, dtype=bool)
+    res = np.zeros(total, dtype=din.dtype)
     chain_id = np.full(total, -1, dtype=np.int64)
     err, comparisons = _kernels.sliding_run(
         din, d1st, p.data_bits, p.rank, p.counter_bits, p.pipe_latency, dv,
         res, chain_id)
     if err >= 0:
         raise FramingError(f"sliding framing broke at cycle {err}")
-    dout = np.zeros_like(din)
-    if total > p.alignment:
-        dout[p.alignment:] = din[:total - p.alignment]
-    return SlidingTrace(din=din, d1st=d1st.astype(bool), dv=dv.astype(bool),
-                        dout=dout, result=res, chain=chain_id,
-                        alignment=p.alignment, comparisons=comparisons)
+    return SlidingTrace(din=din, d1st=d1st, dv=dv, result=res,
+                        comparisons=comparisons, delay=p.alignment,
+                        chain=chain_id)
 
 
 def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray:
@@ -288,8 +300,9 @@ class Ensemble9753:
 @dataclass(frozen=True)
 class Trace9753(StreamTrace):
     """Per-clock record of a batch 9753 run, drain included: ``result`` has
-    one column per chain, ``dout`` replays the strip delayed to the first
-    quadruple, and ``enables`` flags every chain past the first."""
+    one column per chain, ``delay`` is the first quadruple's cycle (None
+    without an anchor), so ``dout`` replays the strip delayed to it, and
+    ``enables`` flags every chain past the first."""
 
     enables: np.ndarray
 
@@ -310,9 +323,11 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
         raise ConfigError(f"column strip must have shape (n, {CADENCE})")
     ens = Ensemble9753(ranks, data_bits=data_bits, counter_bits=counter_bits,
                        pipe_latency=pipe_latency, chains=chains)
-    cols = as_samples(cols, ens.chains[0].params.data_bits)
-    din = np.pad(cols, ((0, ens.drain_columns), (0, 0)))
-    total = len(din)
+    bits = ens.chains[0].params.data_bits
+    cols = check_samples(cols, bits)
+    total = len(cols) + ens.drain_columns
+    din = np.zeros((total, CADENCE), narrowest_uint(bits))
+    din[:len(cols)] = cols
     anchors = np.arange(0, len(cols) - CADENCE + 1, CADENCE)
     # phases count from the first anchor, cycle 0; without one no chain runs
     phase = np.arange(total) % CADENCE if anchors.size else np.full(total, -1)
@@ -322,7 +337,7 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
         cp, width = chain.params, len(chain.phases)
         rows = din[on, chain.row_offset:chain.row_offset + cp.channels]
         marks = np.isin(np.arange(len(rows)), anchors // CADENCE * width)
-        dv, res = np.zeros(len(rows), np.uint8), np.zeros(len(rows), np.int64)
+        dv, res = np.zeros(len(rows), bool), np.zeros(len(rows), din.dtype)
         _, count = _kernels.chain_run(
             rows, marks, cp.data_bits, width, cp.rank, cp.counter_bits,
             cp.pipe_latency, dv, res)
@@ -333,14 +348,12 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     # the drain lets every chain fire once per anchor
     cycles = np.max(fires, axis=0)
     dv = np.isin(np.arange(total), cycles)
-    result = np.zeros((total, len(ens.chains)), dtype=np.int64)
+    result = np.zeros((total, len(ens.chains)), dtype=din.dtype)
     result[cycles] = np.transpose(results)
-    dout = np.zeros_like(din)
-    if anchors.size:
-        dout[cycles[0]:] = din[:total - cycles[0]]
     return Trace9753(din=din, d1st=np.isin(np.arange(total), anchors), dv=dv,
-                     dout=dout, result=result,
-                     enables=np.array(enabled)[1:].T, comparisons=comparisons)
+                     result=result, comparisons=comparisons,
+                     delay=int(cycles[0]) if anchors.size else None,
+                     enables=np.array(enabled)[1:].T)
 
 
 def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,

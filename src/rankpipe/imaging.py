@@ -4,6 +4,14 @@ Images are plain 2-D numpy arrays of non-negative ints (row-major, shape
 ``(height, width)``).  A window shape turns into a list of (dx, dy) offsets
 around each anchor pixel; the engines never see geometry, only sample
 streams, so every engine choice must produce bit-identical output.
+
+``run_filter`` checks the image once, casts it once to the sample dtype
+(uint8 up to 8 bits, uint16 up to 16) and edge-pads it once by the
+window's extents, so clamp borders need no clipping and valid borders are
+anchors inside the same frame.  Every engine's stream is slices of that
+one frame: a single-channel band copies one slice per offset into its
+``(rows, cols, N)`` stream, a multichannel band the same slices in column
+order, and a sliding row is a transposed slice.
 """
 
 from __future__ import annotations
@@ -18,7 +26,15 @@ import numpy as np
 from .core import stream_cycles
 from .ensembles import sliding_cycles
 from .multichannel import mc_stream_cycles
-from .params import ConfigError, FilterParams, McParams, as_samples, padded_bits
+from .params import (
+    ConfigError,
+    FilterParams,
+    McParams,
+    chain_widths,
+    check_samples,
+    narrowest_uint,
+    padded_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -203,42 +219,64 @@ def _run_bands(worker, bands, threads: int):
         return list(pool.map(worker, bands))
 
 
-def _clipped(image, ys, xs):
-    """``image[ys, xs]`` (broadcast) with coordinates clamped to the image."""
-    height, width = image.shape
-    return image[np.clip(ys, 0, height - 1), np.clip(xs, 0, width - 1)]
+def _padded(samples, offsets):
+    """Edge-pad ``samples`` once by the window's extents.
+
+    Returns the frame and each offset shifted into it, in order: anchor
+    (x, y) reads ``frame[y + sy, x + sx]`` for shift (sx, sy), which is the
+    clamped pixel (x + dx, y + dy).  An offset reaching past the image from
+    every anchor reads the edge pixel, so offsets are first clipped to
+    +-max(size - 1, N): that changes no pixel and no rectangle or diamond,
+    whose offsets stay below N, and bounds the pad of a far custom offset.
+    """
+    height, width = samples.shape
+    rx, ry = max(width - 1, len(offsets)), max(height - 1, len(offsets))
+    offsets = [(min(max(dx, -rx), rx), min(max(dy, -ry), ry))
+               for dx, dy in offsets]
+    dxs, dys = zip(*offsets)
+    left, top = max(0, -min(dxs)), max(0, -min(dys))
+    right, bottom = max(0, max(dxs)), max(0, max(dys))
+    frame = np.pad(samples, ((top, bottom), (left, right)), mode="edge")
+    return frame, [(dx + left, dy + top) for dx, dy in offsets]
 
 
-def _single_streams(image, params, offsets, xs, ys):
+def _windows(frame, shifts, x0, cols, y0, rows):
+    """The windows of ``rows`` x ``cols`` anchors from (x0, y0) as a
+    ``(rows, cols, len(shifts))`` array in shift order: one slice copy of
+    the frame per shift."""
+    out = np.empty((rows, cols, len(shifts)), frame.dtype)
+    for i, (sx, sy) in enumerate(shifts):
+        out[:, :, i] = frame[y0 + sy:y0 + sy + rows, x0 + sx:x0 + sx + cols]
+    return out
+
+
+def _single_streams(frame, shifts, params, x0, cols, y0, rows):
     """One sample stream per band: each anchor's window in offset order."""
-    dxs, dys = np.array(offsets).T
-    samples = _clipped(image, ys[:, None, None] + dys, xs[None, :, None] + dxs)
+    samples = _windows(frame, shifts, x0, cols, y0, rows)
     trace = stream_cycles(params, samples.reshape(-1))
-    yield trace, trace.results.reshape(len(ys), len(xs))
+    yield trace, trace.results.reshape(rows, cols)
 
 
-def _multichannel_streams(image, params, offsets, xs, ys):
-    """One column stream per band: each anchor's window columns in turn."""
-    dys = np.array(_axis_offsets(params.channels))
-    dxs = np.array(_axis_offsets(params.columns))
-    cols = _clipped(image, ys[:, None, None] + dys,
-                    (xs[:, None] + dxs).reshape(1, -1, 1))
-    trace = mc_stream_cycles(params, cols.reshape(-1, params.channels))
-    yield trace, trace.results.reshape(len(ys), len(xs))
+def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
+    """One column stream per band: each anchor's window columns in turn,
+    every column K samples from the top row."""
+    samples = _windows(frame, sorted(shifts), x0, cols, y0, rows)
+    trace = mc_stream_cycles(params, samples.reshape(-1, params.channels))
+    yield trace, trace.results.reshape(rows, cols)
 
 
-def _sliding_streams(image, params, offsets, xs, ys):
-    """One column stream per row: every column its windows span."""
-    dys = np.array(_axis_offsets(params.channels))
-    dxs = _axis_offsets(params.columns)
-    span = np.arange(xs[0] + dxs[0], xs[-1] + dxs[-1] + 1)
-    for y in ys:
-        trace = sliding_cycles(params.columns, params.rank,
-                               _clipped(image, y + dys, span[:, None]),
+def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
+    """One column stream per row: every column its windows span, a
+    transposed slice of the frame."""
+    sx, sy = min(shifts)  # the top-left corner of the square window
+    side = params.columns
+    for y in range(y0, y0 + rows):
+        strip = frame[y + sy:y + sy + side, x0 + sx:x0 + sx + cols + side - 1]
+        trace = sliding_cycles(side, params.rank, strip.T,
                                data_bits=params.data_bits,
                                counter_bits=params.counter_bits,
                                pipe_latency=params.pipe_latency)
-        yield trace, trace.window_results(len(xs))[None]
+        yield trace, trace.window_results(cols)[None]
 
 
 def engines_for(shape: WindowShape) -> list[str]:
@@ -263,14 +301,16 @@ def require_engine(shape: WindowShape, engine: str) -> None:
 
 def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
                border: Border = Border.CLAMP, *, data_bits: int | None = None,
-               counter_bits: int = 8, pipe_latency: int = 5,
+               counter_bits: int | None = None, pipe_latency: int = 5,
                threads: int = 1) -> FilterReport:
     """Rank-filter an image and report the simulated cycle accounting.
 
     Output pixel (x, y) is the rank-th largest of the window anchored
     there; under the clamp policy coordinates are clipped to the image, so
     the output matches the input size.  The engine choice changes only the
-    simulated datapath, never the pixels.  Row bands of anchors run on
+    simulated datapath, never the pixels.  The counter width (unless
+    given) and the pipe capacity are derived from N and M by
+    :func:`rankpipe.params.chain_widths`.  Row bands of anchors run on
     ``threads`` threads; the cycles and comparisons reported do not depend
     on ``threads``: single and multichannel report one back-to-back stream
     of every anchor's window plus one drain, sliding one stream per row.
@@ -284,27 +324,31 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
         raise ConfigError(f"rank must satisfy 1 <= M <= {n}, got {rank}")
     require_engine(shape, engine)
     bits = data_bits if data_bits is not None else infer_data_bits(image)
+    widths = chain_widths(n, rank, pipe_latency)
+    if counter_bits is not None:
+        widths["counter_bits"] = counter_bits
     if engine == "single":
         params = FilterParams(data_bits=bits, set_size=n, rank=rank,
-                              counter_bits=counter_bits,
-                              pipe_latency=pipe_latency)
+                              pipe_latency=pipe_latency, **widths)
     else:
         params = McParams(channels=shape.height, columns=shape.width,
-                          rank=rank, data_bits=bits, counter_bits=counter_bits,
-                          pipe_latency=pipe_latency)
-    image = as_samples(image, params.data_bits)
-    height, width = image.shape
+                          rank=rank, data_bits=bits,
+                          pipe_latency=pipe_latency, **widths)
+    samples = check_samples(image, params.data_bits).astype(
+        narrowest_uint(params.data_bits), copy=False)
+    frame, shifts = _padded(samples, offsets)
+    height, width = samples.shape
     x_lo, x_hi = _anchor_bounds(width, offsets, 0, border)
     y_lo, y_hi = _anchor_bounds(height, offsets, 1, border)
-    xs = np.arange(x_lo, x_hi + 1)
     streams = {"single": _single_streams,
                "multichannel": _multichannel_streams,
                "sliding": _sliding_streams}[engine]
 
     def worker(band):
-        ys = np.arange(band[0], band[1] + 1)
+        y0, y1 = band
         return [(pixels, trace.cycles, trace.comparisons)
-                for trace, pixels in streams(image, params, offsets, xs, ys)]
+                for trace, pixels in streams(frame, shifts, params, x_lo,
+                                             x_hi - x_lo + 1, y0, y1 - y0 + 1)]
 
     runs = [run for band in _run_bands(worker, _bands(y_lo, y_hi, threads),
                                        threads) for run in band]

@@ -1,9 +1,11 @@
 """Configuration and domain types shared by all engine variants.
 
 Samples are plain non-negative ints that must fit the configured data width;
-there is no wrapper type, and :func:`as_samples` is the one check every
-entry point applies.  All engines treat rank M = 1 as "find the maximum"
-and M = N as "find the minimum".
+there is no wrapper type, and :func:`check_samples` is the one check every
+entry point applies.  The clocked engines carry samples as int64
+(:func:`as_samples`), the batch paths at the sample dtype
+(:func:`narrowest_uint`).  All engines treat rank M = 1 as "find the
+maximum" and M = N as "find the minimum".
 """
 
 from __future__ import annotations
@@ -29,21 +31,53 @@ def padded_bits(bits: int) -> int:
     return bits + 1 if bits % 2 else bits
 
 
-def as_samples(data, data_bits: int) -> np.ndarray:
-    """``data`` as an int64 array, once every sample is checked to be an
-    integer in ``[0, 2**data_bits)``; floats are rejected, never truncated.
-    Empty input passes whatever its dtype."""
+def narrowest_uint(bits: int) -> np.dtype:
+    """The narrowest unsigned dtype holding ``bits`` bits: uint8 up to 8,
+    uint16 up to 16, and so on to uint64.  It is the sample dtype of B-bit
+    data and the accumulator dtype of C-bit counters."""
+    return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}")
+
+
+def check_samples(data, data_bits: int) -> np.ndarray:
+    """``data`` as an array of its own dtype, once every sample is checked
+    to be an integer in ``[0, 2**data_bits)``; floats are rejected, never
+    truncated.  Empty input passes whatever its dtype.  A bound the dtype
+    already keeps is not scanned for.  Callers cast the checked samples
+    where they store them: to int64 (:func:`as_samples`), or to the sample
+    dtype (:func:`narrowest_uint`) on the batch paths."""
     data = np.asarray(data)
     if data.size == 0:
-        return data.astype(np.int64)
+        return data
     if data.dtype.kind not in "iu":
         raise ConfigError(f"samples must be integers that fit in {data_bits} "
                           f"bits, got {data.dtype} data")
-    if data.min() < 0:
+    limits = np.iinfo(data.dtype)
+    if limits.min < 0 and data.min() < 0:
         raise ConfigError("samples must be non-negative")
-    if int(data.max()) >= 1 << data_bits:
+    if limits.max >= 1 << data_bits and int(data.max()) >= 1 << data_bits:
         raise ConfigError(f"samples must fit in {data_bits} bits")
-    return data.astype(np.int64, copy=False)
+    return data
+
+
+def as_samples(data, data_bits: int) -> np.ndarray:
+    """``data`` as a checked int64 array: what the clocked engines carry."""
+    return check_samples(data, data_bits).astype(np.int64, copy=False)
+
+
+def chain_widths(set_size: int, rank: int,
+                 pipe_latency: int = 5) -> dict[str, int]:
+    """The ``counter_bits`` and ``pipe_capacity`` an N-sample, rank-M chain
+    needs, as keyword arguments.
+
+    C is the smallest width of at least 8 bits whose preset counters
+    neither start below zero (M <= 2**(C-1)) nor wrap past the comparator
+    bit (N - M <= 2**(C-1) - 1); the capacity is at least 255 and holds
+    the N + L cycles of a set in a stage.  Every set the reference build
+    of 8-bit counters and a 255-deep pipe accepts keeps those values.
+    """
+    half = max(rank, set_size - rank + 1)  # 2**(C-1) must reach both
+    return {"counter_bits": max(8, (half - 1).bit_length() + 1),
+            "pipe_capacity": max(255, set_size + pipe_latency)}
 
 
 class _ChainTiming:
@@ -69,10 +103,6 @@ class _ChainTiming:
     def drain_cycles(self) -> int:
         """Idle clocks after the last sample that flush the final result."""
         return (self.stages - 1) * self.pipe_delay + self.pipe_latency
-
-    @property
-    def max_value(self) -> int:
-        return (1 << self.data_bits) - 1
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,10 @@ def read_pgm_bytes(data: bytes) -> tuple[np.ndarray, int]:
             flat = np.array([int(f) for f in fields], dtype=np.int64)
         except ValueError as exc:
             raise PgmError("non-integer ASCII sample") from exc
+        except OverflowError as exc:
+            raise PgmError(f"ASCII sample outside [0, {maxval}]") from exc
+        if flat.min(initial=0) < 0:
+            raise PgmError("negative ASCII sample")
     else:
         raster = data[offset:]
         if maxval > 255:

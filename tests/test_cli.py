@@ -60,6 +60,20 @@ class TestRank:
         assert code == 0
         assert out == ""
 
+    @pytest.mark.parametrize("size,rank", [(256, 128), (250, 1), (300, 7)])
+    def test_sets_past_the_reference_widths(self, capsys, monkeypatch, size,
+                                            rank):
+        # the counter width and pipe capacity are derived from N and M
+        values = np.random.default_rng(size).integers(0, 256, size=3 * size)
+        code, out, err = run_cli(
+            capsys, ["rank", "--set-size", str(size), "--rank", str(rank),
+                     "--check"],
+            stdin=" ".join(map(str, values.tolist())), monkeypatch=monkeypatch)
+        assert code == 0, err
+        assert [int(v) for v in out.split()] == [
+            select_desc(values[i:i + size], rank)
+            for i in range(0, len(values), size)]
+
     def test_count_must_divide(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["rank", "--set-size", "4", "--rank", "1"],
                                stdin="1 2 3", monkeypatch=monkeypatch)
@@ -296,6 +310,28 @@ class TestTrace:
         header = out_csv.read_text().splitlines()[0]
         assert header == ("cycle,d1st,din0,din1,din2,dv,dout0,dout1,dout2,"
                           "result")
+
+    @pytest.mark.parametrize("args,size,step", [
+        (["--set-size", "256"], 256, 256),
+        (["--engine", "multichannel", "--window", "16x16"], 256, 256),
+        (["--engine", "sliding", "--window", "17x17"], 289, 17)])
+    def test_windows_past_the_reference_widths(self, capsys, tmp_path,
+                                               monkeypatch, args, size, step):
+        values = np.random.default_rng(size).integers(0, 256, size=2 * size)
+        out_csv = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, ["trace", "-o", str(out_csv), *args,
+                                        "--rank", "1"],
+                               stdin=" ".join(map(str, values.tolist())),
+                               monkeypatch=monkeypatch)
+        assert code == 0, err
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        got = [int(row["result"]) for row in rows if row["dv"] == "1"]
+        # window k starts at sample k * step; the strip tail reads zeros
+        padded = np.concatenate([values, np.zeros(size, values.dtype)])
+        assert got == [max(padded[k * step:k * step + size])
+                       for k in range(len(got))]
+        assert len(got) == len(values) // step
 
     def test_9753_trace_enables_follow_the_schedule(self, capsys, tmp_path,
                                                     monkeypatch):
@@ -539,6 +575,13 @@ class TestBench:
         measured = float(row.split()[4])
         assert measured >= 9.0
         assert measured - 9.0 <= 1.0  # drain amortized over 192 anchors
+
+    def test_windows_past_the_reference_widths_simulate(self, capsys):
+        code, out, err = run_cli(capsys, ["bench", "--window", "17x17",
+                                          "--engine", "sliding", "--simulate",
+                                          "--sim-dims", "20x18"])
+        assert code == 0, err
+        assert out.splitlines()[-1].split()[:3] == ["17x17", "289", "1"]
 
     def test_zero_area_image_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--image-dims", "0x768"])

@@ -191,6 +191,31 @@ class TestFilterImage:
             filter_image(img, Rect(3, 3), 10, data_bits=8)
 
 
+class TestDerivedWidths:
+    """run_filter derives the counter width and pipe capacity from N and M,
+    so windows past 8-bit counters or a 255-deep pipe filter too."""
+
+    @pytest.mark.parametrize("shape,rank", [
+        (Rect(15, 15), 1),  # N - M = 224 wraps 8-bit counters
+        (Rect(16, 16), 128),  # N = 256 overflows a 255-deep pipe
+        (Rect(17, 17), 145)])
+    def test_large_windows_match_the_oracle(self, shape, rank):
+        img = np.random.default_rng(45).integers(0, 256, size=(18, 19))
+        for border in Border:
+            want = filter_image_oracle(img, shape, rank, border)
+            for engine in engines_for(shape):
+                got = filter_image(img, shape, rank, engine=engine,
+                                   border=border)
+                assert (got == want).all(), (engine, border)
+
+    def test_an_explicit_counter_width_is_validated(self):
+        img = np.zeros((4, 4), dtype=np.int64)
+        with pytest.raises(ConfigError, match="8-bit accumulators would wrap"):
+            filter_image(img, Rect(15, 15), 1, counter_bits=8, data_bits=8)
+        out = filter_image(img, Rect(15, 15), 1, counter_bits=9, data_bits=8)
+        assert (out == 0).all()
+
+
 class TestBandDriver:
     @pytest.mark.parametrize("engine,name,per_row", [
         ("single", "stream_cycles", False),
@@ -215,6 +240,46 @@ class TestBandDriver:
         bands = 1 if threads == 1 else 3
         assert len(calls) == (img.shape[0] if per_row else bands)
         assert (report.image == filter_image_oracle(img, Rect(3, 3), 5)).all()
+
+    @pytest.mark.parametrize("engine,name,shape", [
+        ("single", "stream_cycles", Custom(((2, 0), (0, 0), (-1, -3)))),
+        ("single", "stream_cycles", Rect(4, 3)),
+        ("multichannel", "mc_stream_cycles", Rect(4, 3)),
+        ("sliding", "sliding_cycles", Rect(3, 3))])
+    def test_streams_carry_each_window_in_scan_order(self, monkeypatch,
+                                                     engine, name, shape):
+        # the padded-frame gather feeds each engine what clamping every
+        # coordinate gives: single a window per anchor in offset order,
+        # multichannel its columns left to right, sliding every column a
+        # row's windows span; each column lists its rows top down
+        streams = []
+        real = getattr(imaging, name)
+
+        def spy(*args, **kwargs):
+            streams.append(np.asarray(args[-1]).tolist())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, name, spy)
+        img = np.random.default_rng(46).integers(0, 256, size=(4, 5))
+        run_filter(img, shape, 2, engine=engine)
+
+        def pixel(x, y):
+            return int(img[min(max(y, 0), 3), min(max(x, 0), 4)])
+
+        anchors = [(x, y) for y in range(4) for x in range(5)]
+        offsets = window_offsets(shape)
+        if engine == "single":
+            want = [[pixel(x + dx, y + dy) for x, y in anchors
+                     for dx, dy in offsets]]
+        elif engine == "multichannel":
+            dxs = sorted({dx for dx, _ in offsets})
+            dys = sorted({dy for _, dy in offsets})
+            want = [[[pixel(x + dx, y + dy) for dy in dys] for x, y in anchors
+                     for dx in dxs]]
+        else:
+            want = [[[pixel(x, y + dy) for dy in (-1, 0, 1)]
+                     for x in range(-1, 6)] for y in range(4)]
+        assert streams == want
 
     @pytest.mark.parametrize("shape", [
         Rect(3, 3), Rect(4, 4), Rect(5, 3), Rect(1, 1), Rect(2, 3),

@@ -2,6 +2,7 @@ import pytest
 
 from rankpipe import (ConfigError, FilterParams, McParams, PartialMedian,
                       run_stream)
+from rankpipe.params import chain_widths
 
 
 def test_defaults_match_reference_build():
@@ -57,6 +58,32 @@ def test_counter_width_bounds(counter_bits):
     with pytest.raises(ConfigError, match="counter_bits"):
         FilterParams(data_bits=8, set_size=3, rank=2,
                      counter_bits=counter_bits)
+
+
+@pytest.mark.parametrize("n,m,bits,capacity", [
+    (25, 13, 8, 255),
+    (250, 1, 9, 255),  # N - M = 249 > 127
+    (250, 123, 8, 255),
+    (250, 125, 8, 255),  # the largest set the reference pipe holds
+    (251, 126, 8, 256),
+    (256, 128, 9, 261),  # N - M = 128 > 127
+    (255, 128, 8, 260),
+    (289, 145, 9, 294),
+    (1, 1, 8, 255),
+    (1 << 20, 1, 21, (1 << 20) + 5)])
+def test_widths_derived_from_n_and_m(n, m, bits, capacity):
+    widths = chain_widths(n, m)
+    assert widths == {"counter_bits": bits, "pipe_capacity": capacity}
+    # the derived widths are the smallest the params accept
+    FilterParams(data_bits=8, set_size=n, rank=m, **widths)
+    if bits > 8:
+        with pytest.raises(ConfigError, match="would wrap"):
+            FilterParams(data_bits=8, set_size=n, rank=m,
+                         **{**widths, "counter_bits": bits - 1})
+    if capacity > 255:
+        with pytest.raises(ConfigError, match="pipe capacity"):
+            FilterParams(data_bits=8, set_size=n, rank=m,
+                         **{**widths, "pipe_capacity": capacity - 1})
 
 
 def test_the_widest_counters_still_rank():

@@ -68,6 +68,8 @@ def test_file_round_trip(tmp_path, image):
     b"P2\n2 1\n255\n1 x",                  # non-integer sample
     b"P2\n1 1\n9\n12",                     # sample above maxval
     b"P5",                                 # truncated header
+    b"P2\n2 1\n255\n-1 3\n",               # negative sample
+    b"P2\n1 1\n255\n99999999999999999999",  # sample past int64
 ])
 def test_malformed_inputs_raise(blob):
     with pytest.raises(PgmError):

@@ -15,6 +15,7 @@ from rankpipe import (
     Rect,
     SlidingEnsemble,
     ensemble9753_cycles,
+    ensemble9753_results,
     filter_image,
     mc_stream_cycles,
     run_filter,
@@ -124,3 +125,68 @@ def test_empty_float_input_still_runs():
     assert mc_stream_cycles(MC, empty.reshape(0, 3)).cycles == MC.drain_cycles
     assert sliding_window_results(3, 5, empty.reshape(0, 3)).tolist() == []
     assert not ensemble9753_cycles(empty.reshape(0, 9)).dv.any()
+
+
+def shifted_int64(din, delay):
+    """``dout`` as batch traces stored it before it was computed on demand:
+    an int64 copy of ``din`` shifted by ``delay`` cycles, zeros without an
+    anchor."""
+    din = np.asarray(din, dtype=np.int64)
+    dout = np.zeros_like(din)
+    if delay is not None and len(din) > delay:
+        dout[delay:] = din[:len(din) - delay]
+    return dout
+
+
+def traces(bits):
+    """A trace of every batch engine on ``bits``-bit samples, with the delay
+    its dout had: the alignment, or the first quadruple's cycle for 9753."""
+    rng = np.random.default_rng(bits)
+    p = FilterParams(data_bits=bits, set_size=5, rank=2)
+    mc = McParams(channels=3, columns=4, rank=6, data_bits=bits)
+    single = stream_cycles(p, rng.integers(0, 1 << bits, size=20))
+    multi = mc_stream_cycles(mc, rng.integers(0, 1 << bits, size=(12, 3)))
+    sliding = sliding_cycles(3, 4, rng.integers(0, 1 << bits, size=(8, 3)),
+                             data_bits=bits)
+    e9753 = ensemble9753_cycles(rng.integers(0, 1 << bits, size=(20, 9)),
+                                data_bits=bits)
+    short = ensemble9753_cycles(rng.integers(0, 1 << bits, size=(5, 9)),
+                                data_bits=bits)
+    return [(single, p.alignment), (multi, mc.alignment),
+            (sliding, McParams(channels=3, columns=3, rank=4,
+                               data_bits=bits).alignment),
+            (e9753, int(np.flatnonzero(e9753.dv)[0])), (short, None)]
+
+
+@pytest.mark.parametrize("bits", [2, 8, 10, 16])
+def test_traces_carry_samples_at_their_width(bits):
+    width = np.uint8 if bits <= 8 else np.uint16
+    for trace, delay in traces(bits):
+        assert trace.din.dtype == trace.result.dtype == width
+        assert trace.d1st.dtype == trace.dv.dtype == bool
+        assert trace.delay == delay
+        assert np.array_equal(trace.dout, shifted_int64(trace.din, delay))
+        assert trace.results.dtype == np.int64
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_public_results_are_int64(bits):
+    rng = np.random.default_rng(bits)
+    top = 1 << bits
+    p = FilterParams(data_bits=bits, set_size=3, rank=2)
+    mc = McParams(channels=3, columns=2, rank=2, data_bits=bits)
+    assert run_stream(p, rng.integers(0, top, size=9)).dtype == np.int64
+    assert run_windows(mc, rng.integers(0, top, size=(4, 3))).dtype \
+        == np.int64
+    assert sliding_window_results(
+        3, 5, rng.integers(0, top, size=(6, 3)),
+        data_bits=bits).dtype == np.int64
+    image = rng.integers(0, top, size=(5, 6)).astype(np.uint16)
+    for engine in ("single", "multichannel", "sliding"):
+        report = run_filter(image, Rect(3, 3), 5, engine=engine)
+        assert report.image.dtype == np.int64
+    # arithmetic on a result does not wrap at the sample width
+    assert (run_stream(p, [top - 1] * 3) + 1).tolist() == [top]
+    _, quads = ensemble9753_results(rng.integers(0, top, size=(9, 9)),
+                                    data_bits=bits)
+    assert all(type(v) is int for quad in quads for v in quad)
