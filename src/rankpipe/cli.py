@@ -198,9 +198,7 @@ def cmd_trace(args) -> int:
                               **chain_widths(n, rank))
             trace = mc_stream_cycles(params, cols)
         else:
-            trace = sliding_cycles(
-                shape.width, rank, cols, data_bits=bits,
-                counter_bits=chain_widths(n, rank)["counter_bits"])
+            trace = sliding_cycles(shape.width, rank, cols, data_bits=bits)
         header, rows = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = tuple(int(r) for r in args.ranks.split(","))

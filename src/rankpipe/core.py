@@ -1,5 +1,5 @@
-"""The streaming percentile chain: stages, the single-channel engine, and
-the batch framing that every chain engine shares.
+"""The streaming percentile chain: stages, the one clocked chain class,
+and the batch framing that every chain engine shares.
 
 A chain of B/2 refinement stages narrows the surviving value range by a
 factor of four per stage: each stage counts how many samples of a data set
@@ -8,13 +8,14 @@ two more result bits once the whole set has passed through.  Data pipes
 delay the raw stream so every stage sees a set exactly when the previous
 stage's partial median for it is ready.
 
-The ``Stage``/``Engine`` classes here step the chain clock by clock and
-are the reference for the cycle semantics; a stage takes one sample or one
-column per clock, so the K-channel engine is this one with K samples per
-clock.  ``run_stream`` and the image driver use :mod:`rankpipe._kernels`
-instead, which computes every set's result at once and writes it at its
-fixed dv cycle.  The test suite checks the two against each other
-cycle-for-cycle.
+``_FinderChain`` steps the B/2 ``Stage``s clock by clock and is the one
+reference for the cycle semantics.  Every clocked engine is that chain
+fed samples, columns, staggered markers or gated phases: ``Engine`` gives
+it its own data pipe, under ``FilterParams`` or ``McParams``, and the
+ensembles reuse it.  ``run_stream`` and the image driver use
+:mod:`rankpipe._kernels` instead, which computes every set's result at
+once and writes it at its fixed dv cycle.  The test suite checks the two
+against each other cycle-for-cycle.
 
 A batch trace carries each sample once, at its own width: ``din`` and
 ``result`` use the sample dtype (uint8 up to 8 bits, uint16 up to 16),
@@ -204,27 +205,41 @@ class _DelayRing:
         return self._data[i], bool(self._d1st[i])
 
 
+def _column(params, din) -> np.ndarray:
+    """One clock's input under the sample contract: a single sample for
+    ``FilterParams``, a column of ``channels`` samples for ``McParams``."""
+    din = as_samples(din, params.data_bits)
+    channels = getattr(params, "channels", None)
+    if channels is None and din.shape != ():
+        raise ConfigError(f"one sample per clock, got shape {din.shape}")
+    if channels is not None and din.shape != (channels,):
+        raise ConfigError(f"column must carry exactly {channels} samples, "
+                          f"got {din.shape}")
+    return din
+
+
 class _FinderChain:
-    """A stage chain reading a caller-owned delay ring.
+    """The B/2 stages of one chain, reading a caller-owned delay ring.
 
     ``d1st_offset`` staggers the chain's view of the first-data markers,
     which is how a sliding ensemble makes identical chains interpret the
     shared stream as shifted windows.
     """
 
-    def __init__(self, make_stage, n_stages: int, pipe_delay: int, ring: _DelayRing,
-                 d1st_offset: int = 0):
-        self.stages = [make_stage() for _ in range(n_stages)]
-        self.pipe_delay = pipe_delay
+    def __init__(self, params, ring: _DelayRing, d1st_offset: int = 0):
+        p = self.params = params
+        self.stages = [Stage(p.data_bits, p.set_cycles, p.rank, p.counter_bits,
+                             p.pipe_latency) for _ in range(p.stages)]
         self._ring = ring
         self._offset = d1st_offset
-        self._holds: list[PartialMedian | None] = [None] * n_stages
+        self._holds: list[PartialMedian | None] = [None] * p.stages
 
-    def clock(self, t: int) -> int | None:
-        """Returns the fully resolved result maturing this cycle, if any."""
+    def step(self, t: int) -> int | None:
+        """Advance every stage through cycle ``t`` of the ring; returns the
+        fully resolved result maturing this cycle, if any."""
         result = None
         for s in reversed(range(len(self.stages))):
-            tap = s * self.pipe_delay
+            tap = s * self.params.pipe_delay
             x, f = self._ring.read(t, tap)
             if self._offset:
                 f = self._ring.read(t, tap + self._offset)[1]
@@ -241,49 +256,29 @@ class _FinderChain:
         return sum(stage.comparisons for stage in self.stages)
 
 
-class Engine:
-    """Clock-by-clock single-channel engine.
+class Engine(_FinderChain):
+    """Clock-by-clock chain engine with its own data pipe.
 
-    Consumes one ``(sample, first-marker)`` pair per ``clock`` call and
-    emits ``CycleOutput``; ``dv`` pulses exactly once per completed set, at
+    Consumes one ``(sample, first-marker)`` pair per ``clock`` call under
+    ``FilterParams``, or one K-sample column under ``McParams``, and emits
+    ``CycleOutput``; ``dv`` pulses exactly once per completed set, at
     which cycle ``result`` carries the M-th largest and ``dout`` the set's
-    first raw sample.
+    first raw sample or column.
     """
 
     def __init__(self, params: FilterParams):
-        self.params = params
-        p = params
-        self._ring = _DelayRing(p.stages * p.pipe_delay,
-                                getattr(p, "channels", None))
-        self._chain = _FinderChain(
-            lambda: Stage(p.data_bits, p.set_cycles, p.rank, p.counter_bits,
-                          p.pipe_latency),
-            p.stages, p.pipe_delay, self._ring)
+        super().__init__(params, _DelayRing(params.stages * params.pipe_delay,
+                                            getattr(params, "channels", None)))
         self._t = 0
-
-    def _column(self, din) -> np.ndarray:
-        """One clock's input under the sample contract: a single sample."""
-        din = as_samples(din, self.params.data_bits)
-        if din.shape != ():
-            raise ConfigError(f"one sample per clock, got shape {din.shape}")
-        return din
 
     def clock(self, din, d1st: bool = False) -> CycleOutput:
         t = self._t
-        self._ring.push(t, self._column(din), d1st)
-        result = self._chain.clock(t)
+        self._ring.push(t, _column(self.params, din), d1st)
+        result = self.step(t)
         dout, _ = self._ring.read(t, self.params.alignment)
         self._t += 1
         return CycleOutput(dv=result is not None, dout=dout.copy(),
                            result=result or 0)
-
-    @property
-    def stages(self) -> list[Stage]:
-        return self._chain.stages
-
-    @property
-    def comparisons(self) -> int:
-        return self._chain.comparisons
 
     @property
     def cycle(self) -> int:
@@ -325,6 +320,22 @@ class StreamTrace:
         return len(self.din)
 
 
+def _framed(cols, data_bits: int, total: int, step: int,
+            stop: int | None = None):
+    """The per-cycle buffers of a batch run over ``total`` cycles: ``din``,
+    the checked ``cols`` then zeros, at the sample dtype; bool first-data
+    markers every ``step`` cycles from 0 up to ``stop`` (default: the
+    length of ``cols``); and zeroed bool ``dv`` and sample-dtype ``res``."""
+    cols = check_samples(cols, data_bits)
+    din = np.zeros((total,) + cols.shape[1:], narrowest_uint(data_bits))
+    din[:len(cols)] = cols
+    d1st = np.zeros(total, dtype=bool)
+    d1st[0:len(cols) if stop is None else stop:step] = True
+    dv = np.zeros(total, dtype=bool)
+    res = np.zeros(total, dtype=din.dtype)
+    return din, d1st, dv, res
+
+
 def _chain_trace(params, cols, what: str) -> StreamTrace:
     """Frame ``cols`` (samples, or ``(n, K)`` columns) into back-to-back
     sets of ``params.set_cycles``, run the chain through them plus the
@@ -337,14 +348,8 @@ def _chain_trace(params, cols, what: str) -> StreamTrace:
             f"{what} length {n} is not a multiple of the set length "
             f"{p.set_cycles}"
         )
-    cols = check_samples(cols, p.data_bits)
     total = n + p.drain_cycles
-    din = np.zeros((total,) + cols.shape[1:], narrowest_uint(p.data_bits))
-    din[:n] = cols
-    d1st = np.zeros(total, dtype=bool)
-    d1st[0:n:p.set_cycles] = True
-    dv = np.zeros(total, dtype=bool)
-    res = np.zeros(total, dtype=din.dtype)
+    din, d1st, dv, res = _framed(cols, p.data_bits, total, p.set_cycles)
     err, comparisons = _kernels.chain_run(
         din.reshape(total, -1), d1st, p.data_bits, p.set_cycles, p.rank,
         p.counter_bits, p.pipe_latency, dv, res)

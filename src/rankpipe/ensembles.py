@@ -1,4 +1,4 @@
-"""Ensemble engines built from staggered multi-channel chains.
+"""Ensemble engines built from the one chain of :mod:`rankpipe.core`.
 
 The sliding ensemble runs W identical W-channel chains over one shared data
 pipe; chain j's first-data markers are delayed j columns, so collectively
@@ -7,12 +7,14 @@ warm-up.
 
 The 9753 ensemble runs four chains of 9/7/5/3 channels on a 9-clock column
 cadence.  Enable signals gate the narrower chains onto the middle columns
-of each cadence (and centered rows of each column), yielding the four
-concentric window results every 9 clocks.  Overriding the enabled phase
-windows produces non-square rectangles instead.
+of each cadence (and centered rows of each column): each is a plain
+``Engine`` clocked only on its enabled phases, yielding the four concentric
+window results every 9 clocks.  Overriding the enabled phase windows
+produces non-square rectangles instead.
 
-``sliding_cycles`` and ``ensemble9753_cycles`` run on the batch kernels; the
-clocked ``SlidingEnsemble`` and ``Ensemble9753`` are their reference.
+``sliding_cycles`` and ``ensemble9753_cycles`` run on the batch kernels and
+build no clocked object; the clocked ``SlidingEnsemble`` and
+``Ensemble9753`` are their reference.
 """
 
 from __future__ import annotations
@@ -23,15 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import Stage, StreamTrace, _DelayRing, _FinderChain
+from .core import (
+    Engine,
+    StreamTrace,
+    _column,
+    _DelayRing,
+    _FinderChain,
+    _framed,
+)
 from .params import (
     ConfigError,
     FramingError,
     McParams,
     as_samples,
     chain_widths,
-    check_samples,
-    narrowest_uint,
 )
 
 CADENCE = 9  # fixed column cadence of the 9753 variant
@@ -50,6 +57,18 @@ def enable_schedule(w: int, phase: int) -> bool:
     return abs(phase - CADENCE // 2) <= (w - 1) // 2
 
 
+def _sliding_params(window: int, rank: int, data_bits: int,
+                    counter_bits: int | None, pipe_latency: int) -> McParams:
+    """The chain parameters of a W x W sliding ensemble.  The counter width
+    (unless given) and the pipe capacity are the ones the window needs, by
+    :func:`rankpipe.params.chain_widths`."""
+    widths = chain_widths(window * window, rank, pipe_latency)
+    if counter_bits is not None:
+        widths["counter_bits"] = counter_bits
+    return McParams(channels=window, columns=window, rank=rank,
+                    data_bits=data_bits, pipe_latency=pipe_latency, **widths)
+
+
 class SlidingEnsemble:
     """Single-cycle W x W engine: one result per clock after warm-up.
 
@@ -60,38 +79,24 @@ class SlidingEnsemble:
     """
 
     def __init__(self, window: int, rank: int, *, data_bits: int = 8,
-                 counter_bits: int = 8, pipe_latency: int = 5):
+                 counter_bits: int | None = None, pipe_latency: int = 5):
         if window % 2 == 0:
             raise ConfigError("sliding ensembles support odd window sides only")
-        p = McParams(channels=window, columns=window, rank=rank,
-                     data_bits=data_bits, counter_bits=counter_bits,
-                     pipe_latency=pipe_latency)
-        self.params = p
-        self.window = window
+        p = self.params = _sliding_params(window, rank, data_bits,
+                                          counter_bits, pipe_latency)
         self._ring = _DelayRing(p.stages * p.pipe_delay, channels=window)
-        self.chains = [
-            _FinderChain(
-                lambda: Stage(p.data_bits, p.columns, p.rank, p.counter_bits,
-                              p.pipe_latency),
-                p.stages, p.pipe_delay, self._ring, d1st_offset=j)
-            for j in range(window)
-        ]
+        self.chains = [_FinderChain(p, self._ring, j) for j in range(window)]
         self._t = 0
         self.last_chain = -1
 
     def clock(self, col, d1st: bool = False) -> int | None:
         """Returns the window result maturing this cycle, if any."""
-        col = as_samples(col, self.params.data_bits)
-        if col.shape != (self.window,):
-            raise ConfigError(
-                f"column must carry exactly {self.window} samples, got {col.shape}"
-            )
         t = self._t
-        self._ring.push(t, col, d1st)
+        self._ring.push(t, _column(self.params, col), d1st)
         result = None
         self.last_chain = -1
         for j, chain in enumerate(self.chains):
-            out = chain.clock(t)
+            out = chain.step(t)
             if out is not None:
                 if result is not None:
                     raise RuntimeError("two chains matured in the same cycle")
@@ -130,19 +135,17 @@ class SlidingTrace(StreamTrace):
 
 
 def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
-                   counter_bits: int = 8, pipe_latency: int = 5) -> SlidingTrace:
+                   counter_bits: int | None = None,
+                   pipe_latency: int = 5) -> SlidingTrace:
     """Batch-run a sliding ensemble over ``(n, W)`` columns.
 
     Markers are asserted every W columns; enough zero drain columns are
     appended to flush every window that was started, including the garbage
     tails past the strip edge (callers keep the first ``n - W + 1`` results).
-    The pipe capacity is the one the window needs.
+    The counter width (unless given) and the pipe capacity are the ones the
+    window needs.
     """
-    capacity = chain_widths(window * window, rank,
-                            pipe_latency)["pipe_capacity"]
-    p = McParams(channels=window, columns=window, rank=rank,
-                 data_bits=data_bits, counter_bits=counter_bits,
-                 pipe_latency=pipe_latency, pipe_capacity=capacity)
+    p = _sliding_params(window, rank, data_bits, counter_bits, pipe_latency)
     if window % 2 == 0:
         raise ConfigError("sliding ensembles support odd window sides only")
     cols = np.asarray(cols)
@@ -150,17 +153,9 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
         raise ConfigError(f"column stream must have shape (n, {window})")
     if cols.size == 0:
         raise ConfigError("sliding runs need at least one column")
-    cols = check_samples(cols, p.data_bits)
-    n = cols.shape[0]
-    last_anchor = ((n - 1) // window) * window
-    last_start = last_anchor + window - 1
+    last_start = ((cols.shape[0] - 1) // window) * window + window - 1
     total = last_start + p.alignment + 1
-    din = np.zeros((total, window), narrowest_uint(p.data_bits))
-    din[:n] = cols
-    d1st = np.zeros(total, dtype=bool)
-    d1st[0:n:window] = True
-    dv = np.zeros(total, dtype=bool)
-    res = np.zeros(total, dtype=din.dtype)
+    din, d1st, dv, res = _framed(cols, p.data_bits, total, window)
     chain_id = np.full(total, -1, dtype=np.int64)
     err, comparisons = _kernels.sliding_run(
         din, d1st, p.data_bits, p.rank, p.counter_bits, p.pipe_latency, dv,
@@ -180,16 +175,32 @@ def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray
     return sliding_cycles(window, rank, cols, **kwargs).window_results(n_starts)
 
 
-class _GatedChain:
-    """One chain of the 9753 ensemble, clocked only on its enabled phases.
+@dataclass(frozen=True)
+class _ChainSpec:
+    """One chain of a 9753 ensemble: its parameters (``columns`` is the
+    number of enabled phases), its contiguous enabled phases of the
+    cadence, and the strip rows it reads, centered."""
 
-    The chain lives in its own gated time: its data pipe advances one slot
-    per enabled column, so the standard per-stage delay arithmetic applies
-    within the enabled-column stream.
-    """
+    params: McParams
+    phases: tuple[int, ...]
+    rows: slice
 
-    def __init__(self, channels: int, phases, rank: int, data_bits: int,
-                 counter_bits: int, pipe_latency: int):
+
+def _chain_specs(ranks, chains, data_bits: int, counter_bits: int,
+                 pipe_latency: int) -> list[_ChainSpec]:
+    """Validated specs of a 9753 ensemble's chains: the four concentric
+    chains of ``ranks`` (m9, m7, m5, m3), or the ``chains`` override of
+    (channels, enabled phases, rank) triples."""
+    if chains is None:
+        if len(ranks) != 4:
+            raise ConfigError("ranks must list (m9, m7, m5, m3)")
+        chains = [(CADENCE, tuple(range(CADENCE)), ranks[0])]
+        for w, rank in zip((7, 5, 3), ranks[1:]):
+            phases = tuple(ph for ph in range(CADENCE)
+                           if enable_schedule(w, ph))
+            chains.append((w, phases, rank))
+    specs = []
+    for channels, phases, rank in chains:
         phases = tuple(int(ph) for ph in phases)
         if not phases:
             raise ConfigError("a chain needs at least one enabled phase")
@@ -199,37 +210,29 @@ class _GatedChain:
             raise ConfigError("enabled phases must form one contiguous window")
         if channels > CADENCE or channels % 2 == 0:
             raise ConfigError("chain channel counts must be odd and at most 9")
-        self.params = McParams(channels=channels, columns=len(phases),
-                               rank=rank, data_bits=data_bits,
-                               counter_bits=counter_bits,
-                               pipe_latency=pipe_latency)
-        p = self.params
-        self.phases = phases
-        self.phase_set = frozenset(phases)
-        self.first_phase = phases[0]
-        self.row_offset = (CADENCE - channels) // 2
-        self._ring = _DelayRing(p.stages * p.pipe_delay, channels=channels)
-        self._chain = _FinderChain(
-            lambda: Stage(p.data_bits, p.columns, p.rank, p.counter_bits,
-                          p.pipe_latency),
-            p.stages, p.pipe_delay, self._ring)
-        self._t = 0
-        self.results: deque = deque()
+        params = McParams(channels=channels, columns=len(phases), rank=rank,
+                          data_bits=data_bits, counter_bits=counter_bits,
+                          pipe_latency=pipe_latency)
+        top = (CADENCE - channels) // 2
+        specs.append(_ChainSpec(params, phases, slice(top, top + channels)))
+    if not specs:
+        raise ConfigError("a 9753 ensemble needs at least one chain")
+    return specs
 
-    def clock_enabled(self, col, d1st: bool) -> None:
-        t = self._t
-        self._ring.push(t, col, d1st)
-        out = self._chain.clock(t)
-        self._t += 1
-        if out is not None:
-            self.results.append(out)
+
+def _drain_columns(specs) -> int:
+    """Generous idle-column count flushing every started window."""
+    worst = max(spec.params.pipe_delay for spec in specs)
+    return CADENCE * (specs[0].params.stages * worst + 2)
 
 
 class Ensemble9753:
     """Four concentric-window chains on a 9-clock column cadence.
 
     Feed one 9-sample column per ``clock``; assert ``d1st`` on the first
-    column of each window position (every 9 columns).  Once all four chains
+    column of each window position (every 9 columns).  Each chain is an
+    ``Engine`` that sees only its enabled phases and its own rows, so its
+    data pipe advances one slot per enabled column.  Once all four chains
     have matured a window's result the quadruple is returned, every 9 clocks
     in steady state.  ``chains`` overrides the default
     (channels, enabled phases, rank) configuration, e.g. to produce
@@ -238,26 +241,17 @@ class Ensemble9753:
 
     def __init__(self, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
                  counter_bits: int = 8, pipe_latency: int = 5, chains=None):
-        if chains is None:
-            if len(ranks) != 4:
-                raise ConfigError("ranks must list (m9, m7, m5, m3)")
-            chains = [(CADENCE, tuple(range(CADENCE)), ranks[0])]
-            for w, rank in zip((7, 5, 3), ranks[1:]):
-                phases = tuple(ph for ph in range(CADENCE)
-                               if enable_schedule(w, ph))
-                chains.append((w, phases, rank))
-        self.chains = [
-            _GatedChain(channels, phases, rank, data_bits, counter_bits,
-                        pipe_latency)
-            for channels, phases, rank in chains
-        ]
+        self.specs = _chain_specs(ranks, chains, data_bits, counter_bits,
+                                  pipe_latency)
+        self.chains = [Engine(spec.params) for spec in self.specs]
+        self._queues = [deque() for _ in self.specs]
         self._phase: int | None = None
         self._live = False
         self.last_phase = -1
 
     def clock(self, col, d1st: bool = False):
         """Returns the per-chain result tuple when a window position completes."""
-        col = as_samples(col, self.chains[0].params.data_bits)
+        col = as_samples(col, self.specs[0].params.data_bits)
         if col.shape != (CADENCE,):
             raise ConfigError(f"column must carry exactly {CADENCE} samples")
         if self._phase is None:
@@ -273,28 +267,27 @@ class Ensemble9753:
             self._live = True
         elif ph == 0:
             self._live = False
-        for chain in self.chains:
-            if ph in chain.phase_set:
-                rows = col[chain.row_offset:
-                           chain.row_offset + chain.params.channels]
-                chain.clock_enabled(rows, self._live and ph == chain.first_phase)
+        for spec, chain, queue in zip(self.specs, self.chains, self._queues):
+            if ph in spec.phases:
+                out = chain.clock(col[spec.rows],
+                                  self._live and ph == spec.phases[0])
+                if out.dv:
+                    queue.append(out.result)
         self.last_phase = ph
         self._phase += 1
-        if all(chain.results for chain in self.chains):
-            return tuple(chain.results.popleft() for chain in self.chains)
+        if all(self._queues):
+            return tuple(queue.popleft() for queue in self._queues)
         return None
 
     def enable_flags(self) -> tuple[bool, ...]:
         """Enabled state of every chain past the first at the last phase."""
-        return tuple(self.last_phase in chain.phase_set
-                     for chain in self.chains[1:])
+        return tuple(self.last_phase in spec.phases
+                     for spec in self.specs[1:])
 
     @property
     def drain_columns(self) -> int:
         """Generous idle-column count flushing every started window."""
-        worst = max(chain.params.pipe_delay for chain in self.chains)
-        stages = self.chains[0].params.stages
-        return CADENCE * (stages * worst + 2)
+        return _drain_columns(self.specs)
 
 
 @dataclass(frozen=True)
@@ -315,44 +308,45 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     Gives what clocking :class:`Ensemble9753` gives.  A gated chain lives in
     its own enabled-column time, so it is one ``chain_run`` over the strip's
     enabled columns and its own rows; gated fire index g maps back to cycle
-    ``9 * (g // w) + first_phase + g % w`` for w enabled phases.  The k-th
+    ``9 * (g // w) + phases[0] + g % w`` for w enabled phases.  The k-th
     quadruple emerges with the last of the chains' k-th results.
     """
     cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[1] != CADENCE:
         raise ConfigError(f"column strip must have shape (n, {CADENCE})")
-    ens = Ensemble9753(ranks, data_bits=data_bits, counter_bits=counter_bits,
-                       pipe_latency=pipe_latency, chains=chains)
-    bits = ens.chains[0].params.data_bits
-    cols = check_samples(cols, bits)
-    total = len(cols) + ens.drain_columns
-    din = np.zeros((total, CADENCE), narrowest_uint(bits))
-    din[:len(cols)] = cols
-    anchors = np.arange(0, len(cols) - CADENCE + 1, CADENCE)
+    specs = _chain_specs(ranks, chains, data_bits, counter_bits, pipe_latency)
+    n = len(cols)
+    total = n + _drain_columns(specs)
+    # anchor every full cadence; a negative stop would wrap
+    din, d1st, dv, _ = _framed(cols, specs[0].params.data_bits, total,
+                               CADENCE, max(0, n - CADENCE + 1))
+    anchors = np.count_nonzero(d1st)
     # phases count from the first anchor, cycle 0; without one no chain runs
-    phase = np.arange(total) % CADENCE if anchors.size else np.full(total, -1)
-    enabled = [np.isin(phase, chain.phases) for chain in ens.chains]
+    phase = np.arange(total) % CADENCE if anchors else np.full(total, -1)
+    enabled = [np.isin(phase, spec.phases) for spec in specs]
     fires, results, comparisons = [], [], 0
-    for chain, on in zip(ens.chains, enabled):
-        cp, width = chain.params, len(chain.phases)
-        rows = din[on, chain.row_offset:chain.row_offset + cp.channels]
-        marks = np.isin(np.arange(len(rows)), anchors // CADENCE * width)
-        dv, res = np.zeros(len(rows), bool), np.zeros(len(rows), din.dtype)
+    for spec, on in zip(specs, enabled):
+        cp, width = spec.params, len(spec.phases)
+        rows = din[on, spec.rows]
+        marks = np.zeros(len(rows), bool)
+        marks[:anchors * width:width] = True
+        chain_dv = np.zeros(len(rows), bool)
+        res = np.zeros(len(rows), din.dtype)
         _, count = _kernels.chain_run(
             rows, marks, cp.data_bits, width, cp.rank, cp.counter_bits,
-            cp.pipe_latency, dv, res)
+            cp.pipe_latency, chain_dv, res)
         comparisons += count
-        g = np.flatnonzero(dv)
-        fires.append(CADENCE * (g // width) + chain.first_phase + g % width)
+        g = np.flatnonzero(chain_dv)
+        fires.append(CADENCE * (g // width) + spec.phases[0] + g % width)
         results.append(res[g])
     # the drain lets every chain fire once per anchor
     cycles = np.max(fires, axis=0)
-    dv = np.isin(np.arange(total), cycles)
-    result = np.zeros((total, len(ens.chains)), dtype=din.dtype)
+    dv[cycles] = True
+    result = np.zeros((total, len(specs)), dtype=din.dtype)
     result[cycles] = np.transpose(results)
-    return Trace9753(din=din, d1st=np.isin(np.arange(total), anchors), dv=dv,
-                     result=result, comparisons=comparisons,
-                     delay=int(cycles[0]) if anchors.size else None,
+    return Trace9753(din=din, d1st=d1st, dv=dv, result=result,
+                     comparisons=comparisons,
+                     delay=int(cycles[0]) if anchors else None,
                      enables=np.array(enabled)[1:].T)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -37,6 +38,15 @@ from .params import (
 )
 
 
+def _integral(value, what: str) -> int:
+    """``value`` as an int (numpy integers included); floats are rejected,
+    never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be integers, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Rect:
     """Rectangular window, ``width`` columns by ``height`` rows."""
@@ -45,8 +55,11 @@ class Rect:
     height: int
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ConfigError("rectangle sides must be positive")
+        for name in ("width", "height"):
+            side = _integral(getattr(self, name), "rectangle sides")
+            if side < 1:
+                raise ConfigError("rectangle sides must be positive")
+            object.__setattr__(self, name, side)
 
 
 @dataclass(frozen=True)
@@ -56,8 +69,10 @@ class Diamond:
     diameter: int
 
     def __post_init__(self):
-        if self.diameter < 1 or self.diameter % 2 == 0:
+        diameter = _integral(self.diameter, "diamond diameters")
+        if diameter < 1 or diameter % 2 == 0:
             raise ConfigError("diamond diameter must be odd and positive")
+        object.__setattr__(self, "diameter", diameter)
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,9 @@ class Custom:
     offsets: tuple
 
     def __post_init__(self):
-        offs = tuple((int(dx), int(dy)) for dx, dy in self.offsets)
+        offs = tuple((_integral(dx, "custom offsets"),
+                      _integral(dy, "custom offsets"))
+                     for dx, dy in self.offsets)
         if not offs:
             raise ConfigError("custom windows need at least one offset")
         if len(set(offs)) != len(offs):

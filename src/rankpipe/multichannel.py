@@ -3,9 +3,10 @@
 One column of K samples enters per clock, and each stage counts the samples
 of the column at or above its three boundaries: the accumulators take
 multi-unit increments.  (The paper's hardware sums the K comparison bits
-through 3-in-2-out encoders; the simulation counts them directly.)  Every
-other part of the chain is the single-channel engine's, which is the K = 1
-case of this one.
+through 3-in-2-out encoders; the simulation counts them directly.)  It is
+the one chain of :mod:`rankpipe.core` fed columns instead of samples:
+``McParams`` sets the column width, and the single-channel engine is the
+K = 1 case.
 """
 
 from __future__ import annotations
@@ -13,25 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Engine, StreamTrace, _chain_trace
-from .params import ConfigError, McParams, as_samples
+from .params import ConfigError, McParams
 
 
 class McEngine(Engine):
-    """Clock-by-clock K-channel engine; one column per ``clock`` call.
+    """Clock-by-clock K-channel engine: an ``Engine`` built from
+    ``McParams``, fed one column per ``clock`` call.
 
     ``dv`` pulses once per window of ``columns`` columns; ``dout`` is the
     pipe-delayed K-channel raw data aligned so a window's first column
     appears alongside its result.
     """
-
-    def _column(self, col) -> np.ndarray:
-        col = as_samples(col, self.params.data_bits)
-        if col.shape != (self.params.channels,):
-            raise ConfigError(
-                f"column must carry exactly {self.params.channels} samples, "
-                f"got {col.shape}"
-            )
-        return col
 
 
 def mc_stream_cycles(params: McParams, cols) -> StreamTrace:

@@ -221,15 +221,6 @@ class PartialMedian:
         if self.prefix < 0:
             raise ConfigError("prefix must be non-negative")
 
-    def validate(self, data_bits: int) -> None:
-        """Check the prefix-alignment invariant for a given data width."""
-        if self.bits_resolved > data_bits:
-            raise ConfigError("more bits resolved than the data width holds")
-        if self.prefix % (1 << (data_bits - self.bits_resolved)):
-            raise ConfigError("unresolved low bits of the prefix must be zero")
-        if self.prefix >= 1 << data_bits:
-            raise ConfigError("prefix exceeds the data range")
-
     def range_width(self, data_bits: int) -> int:
         return 1 << (data_bits - self.bits_resolved)
 

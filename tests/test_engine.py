@@ -178,7 +178,7 @@ class TestEngineObject:
             engine.clock(int(trace.din[t]), bool(trace.d1st[t]))
         result = int(trace.results[0])
         widths = []
-        for s, hold in enumerate(engine._chain._holds):
+        for s, hold in enumerate(engine._holds):
             assert hold is not None
             assert hold.bits_resolved == 2 * (s + 1)
             assert hold.contains(result, 8)

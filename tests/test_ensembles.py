@@ -126,6 +126,31 @@ class TestSliding:
         with pytest.raises(ConfigError):
             SlidingEnsemble(4, 2)
 
+    @pytest.mark.parametrize("rank", [1, 145])
+    def test_17x17_derives_its_widths(self, rank):
+        # N = 289 needs 9- or 10-bit counters and a 294-deep pipe
+        rng = np.random.default_rng(25 + rank)
+        strip = rng.integers(0, 256, size=(17, 20))
+        want = oracle_sliding(strip, 17, rank)
+        assert sliding_window_results(17, rank, strip.T).tolist() == want
+        trace = sliding_cycles(17, rank, strip.T)
+        ens = SlidingEnsemble(17, rank)
+        got = [ens.clock(trace.din[t], bool(trace.d1st[t]))
+               for t in range(trace.cycles)]
+        assert got[ens.alignment:ens.alignment + len(want)] == want
+
+    def test_explicit_counter_width_is_validated(self):
+        strip = np.zeros((20, 17), dtype=np.int64)
+        with pytest.raises(ConfigError, match="8-bit accumulators would wrap"):
+            sliding_cycles(17, 1, strip, counter_bits=8)
+        with pytest.raises(ConfigError, match="8-bit accumulators would wrap"):
+            SlidingEnsemble(17, 1, counter_bits=8)
+
+    def test_windows_within_8_bits_keep_the_reference_widths(self):
+        for ens in (SlidingEnsemble(3, 5), SlidingEnsemble(15, 113)):
+            assert ens.params.counter_bits == 8
+            assert ens.params.pipe_capacity == 255
+
 
 def oracle_9753(strip, anchor, ranks=(41, 25, 13, 5)):
     out = []
@@ -212,6 +237,10 @@ class Test9753:
             Ensemble9753(chains=[(4, (0, 1, 2, 3), 5)])  # even channel count
         with pytest.raises(ConfigError):
             Ensemble9753(ranks=(1, 2, 3))
+        with pytest.raises(ConfigError, match="at least one chain"):
+            Ensemble9753(chains=[])
+        with pytest.raises(ConfigError, match="at least one chain"):
+            ensemble9753_cycles(np.zeros((9, 9), dtype=np.int64), chains=[])
 
 
 def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, chains=None):
@@ -228,7 +257,7 @@ def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, chains=None):
         if quad is not None:
             cycles.append(t)
             quads.append(quad)
-    comparisons = sum(chain._chain.comparisons for chain in ens.chains)
+    comparisons = sum(chain.comparisons for chain in ens.chains)
     return cycles, quads, np.array(enables, dtype=bool), comparisons
 
 

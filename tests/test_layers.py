@@ -1,0 +1,80 @@
+"""Layer boundaries: the batch paths build no clocked object, the clocked
+engines are one chain class, and every name the benchmark wraps exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rankpipe
+from rankpipe import (
+    Engine,
+    Ensemble9753,
+    FilterParams,
+    McEngine,
+    McParams,
+    Rect,
+    cli,
+    core,
+    ensemble9753_cycles,
+    mc_stream_cycles,
+    run_filter,
+    sliding_cycles,
+    stream_cycles,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_batch_paths_build_no_clocked_object(monkeypatch, tmp_path):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a batch path built a clocked Stage")
+
+    monkeypatch.setattr(core.Stage, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        Engine(FilterParams(data_bits=8, set_size=5, rank=3))
+    rng = np.random.default_rng(7)
+    stream_cycles(FilterParams(data_bits=8, set_size=5, rank=3),
+                  rng.integers(0, 256, size=20))
+    mc_stream_cycles(McParams(channels=3, columns=3, rank=5),
+                     rng.integers(0, 256, size=(9, 3)))
+    sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))
+    ensemble9753_cycles(rng.integers(0, 256, size=(27, 9)))
+    image = rng.integers(0, 256, size=(6, 7))
+    for engine in ("single", "multichannel", "sliding"):
+        run_filter(image, Rect(3, 3), 5, engine=engine)
+    values = tmp_path / "values.txt"
+    values.write_text(" ".join(map(str, rng.integers(0, 256, size=81))))
+    out = str(tmp_path / "trace.csv")
+    for args in (["--engine", "single", "--set-size", "9", "--rank", "5"],
+                 ["--engine", "multichannel", "--window", "3x3", "--rank", "5"],
+                 ["--engine", "sliding", "--window", "3x3", "--rank", "5"],
+                 ["--engine", "9753"]):
+        assert cli.main(["trace", str(values), "-o", out, *args]) == 0
+
+
+def test_the_clocked_engines_are_one_chain_class():
+    assert all(type(chain) is Engine for chain in Ensemble9753().chains)
+    assert [name for name in vars(McEngine) if not name.startswith("__")] == []
+
+
+def _assigned(path: Path, name: str):
+    """The literal value assigned to ``name`` at the top of ``path``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_benchmark_hook_names_resolve():
+    # the benchmark imports these modules by name and wraps these
+    # attributes; a rename should fail here rather than in a benchmark run
+    for layer in _assigned(PERFBENCH / "run.py", "LAYERS"):
+        module = importlib.import_module(f"rankpipe.{layer}")
+        assert getattr(rankpipe, layer) is module
+    for module, attr, *_ in _assigned(PERFBENCH / "spans.py", "_SPANS"):
+        assert callable(getattr(getattr(rankpipe, module), attr)), (module, attr)
+    assert callable(rankpipe.ensembles.Ensemble9753.clock)

@@ -7,6 +7,8 @@ import pytest
 
 from rankpipe import (
     ConfigError,
+    Custom,
+    Diamond,
     Engine,
     Ensemble9753,
     FilterParams,
@@ -24,6 +26,7 @@ from rankpipe import (
     sliding_cycles,
     sliding_window_results,
     stream_cycles,
+    window_offsets,
 )
 from rankpipe.params import as_samples
 
@@ -110,6 +113,27 @@ def test_run_filter_takes_unsigned_images():
 def test_object_engines_reject_floats(make, sample):
     with pytest.raises(ConfigError, match="integers"):
         make().clock(sample, True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Rect(2.5, 3),
+    lambda: Rect(3, np.float64(3.0)),
+    lambda: Diamond(3.0),
+    lambda: Custom(((0.5, 0), (1, 0))),
+    lambda: Custom(((0, 0), (1, np.float32(2)))),
+])
+def test_window_shapes_reject_non_integers(make):
+    with pytest.raises(ConfigError, match="integers"):
+        make()
+
+
+def test_window_shapes_take_numpy_integers():
+    assert len(window_offsets(Rect(np.int64(3), np.uint8(2)))) == 6
+    assert len(window_offsets(Diamond(np.int32(3)))) == 5
+    assert Custom(((np.int64(1), np.int16(-2)),)).offsets == ((1, -2),)
+    img = np.arange(20).reshape(4, 5)
+    assert (filter_image(img, Rect(np.int64(3), np.int64(3)), 5)
+            == filter_image(img, Rect(3, 3), 5)).all()
 
 
 def test_engine_takes_one_sample_per_clock():
