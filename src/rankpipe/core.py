@@ -350,11 +350,9 @@ def _chain_trace(params, cols, what: str) -> StreamTrace:
         )
     total = n + p.drain_cycles
     din, d1st, dv, res = _framed(cols, p.data_bits, total, p.set_cycles)
-    err, comparisons = _kernels.chain_run(
-        din.reshape(total, -1), d1st, p.data_bits, p.set_cycles, p.rank,
-        p.counter_bits, p.pipe_latency, dv, res)
-    if err >= 0:
-        raise FramingError(f"{what} framing broke at cycle {err}")
+    _, comparisons = _kernels.chain_run(
+        din.reshape(total, -1), n // p.set_cycles, p.data_bits, p.set_cycles,
+        p.rank, p.counter_bits, p.pipe_latency, dv, res)
     return StreamTrace(din=din, d1st=d1st, dv=dv, result=res,
                        comparisons=comparisons, delay=p.alignment)
 

@@ -37,6 +37,7 @@ from .params import (
     ConfigError,
     FramingError,
     McParams,
+    _integral,
     as_samples,
     chain_widths,
 )
@@ -157,11 +158,9 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
     total = last_start + p.alignment + 1
     din, d1st, dv, res = _framed(cols, p.data_bits, total, window)
     chain_id = np.full(total, -1, dtype=np.int64)
-    err, comparisons = _kernels.sliding_run(
-        din, d1st, p.data_bits, p.rank, p.counter_bits, p.pipe_latency, dv,
-        res, chain_id)
-    if err >= 0:
-        raise FramingError(f"sliding framing broke at cycle {err}")
+    _, comparisons = _kernels.sliding_run(
+        din, last_start + 1, p.data_bits, p.rank, p.counter_bits,
+        p.pipe_latency, dv, res, chain_id)
     return SlidingTrace(din=din, d1st=d1st, dv=dv, result=res,
                         comparisons=comparisons, delay=p.alignment,
                         chain=chain_id)
@@ -201,7 +200,8 @@ def _chain_specs(ranks, chains, data_bits: int, counter_bits: int,
             chains.append((w, phases, rank))
     specs = []
     for channels, phases, rank in chains:
-        phases = tuple(int(ph) for ph in phases)
+        channels = _integral(channels, "9753 channel counts")
+        phases = tuple(_integral(ph, "9753 phases") for ph in phases)
         if not phases:
             raise ConfigError("a chain needs at least one enabled phase")
         if any(not 0 <= ph < CADENCE for ph in phases):
@@ -328,15 +328,12 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     for spec, on in zip(specs, enabled):
         cp, width = spec.params, len(spec.phases)
         rows = din[on, spec.rows]
-        marks = np.zeros(len(rows), bool)
-        marks[:anchors * width:width] = True
         chain_dv = np.zeros(len(rows), bool)
         res = np.zeros(len(rows), din.dtype)
-        _, count = _kernels.chain_run(
-            rows, marks, cp.data_bits, width, cp.rank, cp.counter_bits,
+        g, count = _kernels.chain_run(
+            rows, anchors, cp.data_bits, width, cp.rank, cp.counter_bits,
             cp.pipe_latency, chain_dv, res)
         comparisons += count
-        g = np.flatnonzero(chain_dv)
         fires.append(CADENCE * (g // width) + spec.phases[0] + g % width)
         results.append(res[g])
     # the drain lets every chain fire once per anchor

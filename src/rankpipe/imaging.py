@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,20 +30,12 @@ from .params import (
     ConfigError,
     FilterParams,
     McParams,
+    _integral,
     chain_widths,
     check_samples,
     narrowest_uint,
     padded_bits,
 )
-
-
-def _integral(value, what: str) -> int:
-    """``value`` as an int (numpy integers included); floats are rejected,
-    never truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{what} must be integers, got {value!r}") from None
 
 
 @dataclass(frozen=True)

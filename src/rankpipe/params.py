@@ -10,7 +10,8 @@ maximum" and M = N as "find the minimum".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,22 @@ class ConfigError(ValueError):
 
 class FramingError(RuntimeError):
     """A first-data marker arrived where the stream framing forbids one."""
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int (numpy integers included); floats are rejected,
+    never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be integers, got {value!r}") from None
+
+
+def _integer_fields(record) -> None:
+    """Store every field of a frozen params record as an int."""
+    for field in fields(record):
+        object.__setattr__(record, field.name, _integral(
+            getattr(record, field.name), f"{field.name} values"))
 
 
 def padded_bits(bits: int) -> int:
@@ -75,6 +92,9 @@ def chain_widths(set_size: int, rank: int,
     the N + L cycles of a set in a stage.  Every set the reference build
     of 8-bit counters and a 255-deep pipe accepts keeps those values.
     """
+    set_size = _integral(set_size, "set_size values")
+    rank = _integral(rank, "rank values")
+    pipe_latency = _integral(pipe_latency, "pipe_latency values")
     half = max(rank, set_size - rank + 1)  # 2**(C-1) must reach both
     return {"counter_bits": max(8, (half - 1).bit_length() + 1),
             "pipe_capacity": max(255, set_size + pipe_latency)}
@@ -124,6 +144,7 @@ class FilterParams(_ChainTiming):
     pipe_capacity: int = 255
 
     def __post_init__(self):
+        _integer_fields(self)
         if not 2 <= self.data_bits <= MAX_DATA_BITS:
             raise ConfigError(
                 f"data_bits must be in [2, {MAX_DATA_BITS}], got {self.data_bits}"
@@ -178,6 +199,7 @@ class McParams(_ChainTiming):
     pipe_capacity: int = 255
 
     def __post_init__(self):
+        _integer_fields(self)
         if self.channels < 1:
             raise ConfigError("channels must be at least 1")
         if self.columns < 1:
@@ -220,12 +242,6 @@ class PartialMedian:
             raise ConfigError("bits_resolved must be a non-negative even count")
         if self.prefix < 0:
             raise ConfigError("prefix must be non-negative")
-
-    def range_width(self, data_bits: int) -> int:
-        return 1 << (data_bits - self.bits_resolved)
-
-    def contains(self, value: int, data_bits: int) -> bool:
-        return self.prefix <= value < self.prefix + self.range_width(data_bits)
 
     def refined(self, quarter: int, data_bits: int) -> "PartialMedian":
         """Narrow to one of the four quarters (0..3) of this range."""

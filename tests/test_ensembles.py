@@ -78,15 +78,25 @@ class TestSliding:
 
     def test_object_ensemble_matches_batch_kernel(self):
         rng = np.random.default_rng(23)
-        strip = rng.integers(0, 256, size=(3, 11))
-        trace = sliding_cycles(3, 4, strip.T)
-        ens = SlidingEnsemble(3, 4)
-        for t in range(len(trace.dv)):
-            out = ens.clock(trace.din[t], bool(trace.d1st[t]))
-            assert (out is not None) == trace.dv[t]
-            if out is not None:
-                assert out == trace.result[t]
-                assert ens.last_chain == trace.chain[t]
+        for window in (1, 3, 5, 7):
+            for latency, length in ((0, 2 * window + 1), (2, 3 * window - 1)):
+                strip = rng.integers(0, 256, size=(window, length))
+                rank = int(rng.integers(1, window * window + 1))
+                trace = sliding_cycles(window, rank, strip.T,
+                                       pipe_latency=latency)
+                ens = SlidingEnsemble(window, rank, pipe_latency=latency)
+                for t in range(len(trace.dv)):
+                    out = ens.clock(trace.din[t], bool(trace.d1st[t]))
+                    assert (out is not None) == trace.dv[t]
+                    if out is not None:
+                        assert out == trace.result[t]
+                        assert ens.last_chain == trace.chain[t]
+                # the batch run counts the first stage once per column,
+                # for all chains, where each clocked chain counts its own
+                own_first = sum(c.stages[0].comparisons for c in ens.chains)
+                assert trace.comparisons == (
+                    sum(c.comparisons for c in ens.chains) - own_first
+                    + 3 * window * trace.cycles)
 
     def test_chains_share_one_data_pipe(self):
         ens = SlidingEnsemble(5, 12)

@@ -1,5 +1,6 @@
 """Layer boundaries: the batch paths build no clocked object, the clocked
-engines are one chain class, and every name the benchmark wraps exists."""
+engines are one chain class, every name the benchmark wraps exists, and the
+kernels keep the calling convention the benchmark counts by."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from rankpipe import (
     McEngine,
     McParams,
     Rect,
+    _kernels,
     cli,
     core,
     ensemble9753_cycles,
@@ -78,3 +80,40 @@ def test_benchmark_hook_names_resolve():
     for module, attr, *_ in _assigned(PERFBENCH / "spans.py", "_SPANS"):
         assert callable(getattr(getattr(rankpipe, module), attr)), (module, attr)
     assert callable(rankpipe.ensembles.Ensemble9753.clock)
+
+
+def test_kernel_calls_keep_the_benchmark_convention(monkeypatch):
+    # perfbench/spans.py counts a kernel call's cycles as the rows of its
+    # first positional argument and its comparisons as item [1] of its
+    # result, and requires them to equal the simulated ones
+    calls = []
+    for name in ("chain_run", "sliding_run"):
+        def counted(*args, _run=getattr(_kernels, name)):
+            result = _run(*args)
+            calls.append((len(args[0]), int(result[1])))
+            return result
+
+        monkeypatch.setattr(_kernels, name, counted)
+
+    def kernel_calls(trace):
+        made = list(calls)
+        calls.clear()
+        assert sum(count for _, count in made) == trace.comparisons
+        return [rows for rows, _ in made]
+
+    rng = np.random.default_rng(8)
+    for run in (
+            lambda: stream_cycles(FilterParams(data_bits=8, set_size=5,
+                                               rank=3),
+                                  rng.integers(0, 256, size=20)),
+            lambda: mc_stream_cycles(McParams(channels=3, columns=3, rank=5),
+                                     rng.integers(0, 256, size=(9, 3))),
+            lambda: sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))):
+        trace = run()
+        assert kernel_calls(trace) == [trace.cycles]
+    # each gated 9753 chain runs in its own time: its enabled cycles
+    trace = ensemble9753_cycles(rng.integers(0, 256, size=(27, 9)))
+    gated = [trace.cycles] + trace.enables.sum(axis=0).tolist()
+    assert kernel_calls(trace) == gated
+    report = run_filter(rng.integers(0, 256, size=(6, 7)), Rect(3, 3), 5)
+    assert sum(kernel_calls(report)) == report.cycles

@@ -105,9 +105,7 @@ def test_mc_params_inherit_every_invariant():
 
 def test_partial_median_invariants():
     pm = PartialMedian(128, 2)
-    assert pm.range_width(8) == 64
-    assert pm.contains(128, 8) and pm.contains(191, 8)
-    assert not pm.contains(192, 8)
+    assert pm.refined(3, 8) == PartialMedian(176, 4)  # the top of 128..191
     assert pm.refined(2, 8) == PartialMedian(160, 4)
     with pytest.raises(ConfigError):
         PartialMedian(128, 3)  # odd resolution count

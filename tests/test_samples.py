@@ -136,6 +136,42 @@ def test_window_shapes_take_numpy_integers():
             == filter_image(img, Rect(3, 3), 5)).all()
 
 
+STRIP = np.zeros((18, 9), dtype=np.int64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: run_stream(FilterParams(8, 5, 2.5), [1, 2, 3, 4, 5]),
+    lambda: FilterParams(8.0, 5, 3),
+    lambda: FilterParams(8, 5, 3, pipe_latency=1.5),
+    lambda: FilterParams(8, np.float64(5), 3),
+    lambda: McParams(channels=3.0, columns=2, rank=2),
+    lambda: McParams(channels=3, columns=2, rank=2, counter_bits=8.5),
+    lambda: Ensemble9753(chains=[(9, (0, 1.7), 5)]),
+    lambda: Ensemble9753(chains=[(9.0, (0, 1), 5)]),
+    lambda: ensemble9753_cycles(STRIP, chains=[(9, (0.0, 1), 5)]),
+    lambda: ensemble9753_results(STRIP, ranks=(41.5, 25, 13, 5)),
+    lambda: filter_image(np.arange(30).reshape(5, 6), Rect(3, 3), 2.5),
+    lambda: sliding_window_results(3, 2.5, np.zeros((5, 3), np.int64)),
+    lambda: SlidingEnsemble(3, 5, pipe_latency=2.0),
+])
+def test_chain_parameters_reject_non_integers(make):
+    with pytest.raises(ConfigError, match="integers"):
+        make()
+
+
+def test_chain_parameters_store_numpy_integers_as_int():
+    p = FilterParams(np.int64(8), np.uint8(5), np.int32(3),
+                     pipe_latency=np.int16(2))
+    mc = McParams(channels=np.int64(3), columns=np.uint16(2),
+                  rank=np.int8(2), counter_bits=np.int64(9))
+    for record in (p, mc):
+        assert all(type(v) is int for v in vars(record).values())
+    assert p.alignment == 27 and type(p.alignment) is int
+    ens = Ensemble9753(chains=[(np.int64(3), (np.int64(0), np.int8(1)), 2)])
+    assert ens.specs[0].phases == (0, 1)
+    assert all(type(ph) is int for ph in ens.specs[0].phases)
+
+
 def test_engine_takes_one_sample_per_clock():
     with pytest.raises(ConfigError):
         Engine(P).clock([1, 2], True)
