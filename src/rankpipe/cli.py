@@ -41,6 +41,10 @@ def _read_values(path: str | None) -> np.ndarray:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    # any non-ASCII character becomes "?", which sends the text to int()
+    values = pgm._decimal_samples(text.encode("ascii", "replace"))
+    if values is not None:
+        return values
     try:
         return np.array(text.split(), dtype=np.int64)
     except ValueError as exc:

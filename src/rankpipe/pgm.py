@@ -4,6 +4,14 @@ Readers are tolerant of comments and arbitrary header whitespace; writers
 emit a canonical header (``P5\\n<w> <h>\\n<maxval>\\n``).  Binary samples
 are one byte up to maxval 255 and big-endian two bytes above, per the
 Netpbm convention; maxval is capped at 65535.
+
+ASCII samples (the P2 raster here, and the ``rankpipe rank``/``trace``
+input streams in :mod:`rankpipe.cli`) are parsed by ``_decimal_samples``
+in one numpy pass when the text holds only ASCII digits and ASCII
+whitespace and every value is below 10**18.  Any other text (signs,
+underscores, non-ASCII digits or spaces, decimal points, longer values)
+makes it return None, and the caller's exact per-token ``int()`` parser
+then decides, with its own error messages.
 """
 
 from __future__ import annotations
@@ -13,6 +21,9 @@ import numpy as np
 from .params import ConfigError, padded_bits
 
 MAX_MAXVAL = 65535
+# np.fromstring saturates past int64 instead of raising; values at or above
+# this bound go to the exact parser
+_FAST_LIMIT = 10 ** 18
 
 
 class PgmError(ConfigError):
@@ -22,6 +33,22 @@ class PgmError(ConfigError):
 def bits_for_maxval(maxval: int) -> int:
     """Even sample width implied by a PGM maxval (at least 2 bits)."""
     return max(2, padded_bits(maxval.bit_length()))
+
+
+def _decimal_samples(data: bytes) -> np.ndarray | None:
+    """int64 samples of whitespace-separated decimal ``data``, or None when
+    the text holds anything but ASCII digits and the six ASCII whitespace
+    bytes, holds a value of 10**18 or more, or is whitespace only."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digit = (raw - 48) < 10
+    if not (digit | ((raw - 9) < 5) | (raw == 32)).all():
+        return None
+    tokens = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[:1].sum())
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    # whitespace-only text parses as [0], so the token count must agree
+    if len(values) != tokens or values.max(initial=0) >= _FAST_LIMIT:
+        return None
+    return values
 
 
 def _header_tokens(data: bytes, count: int):
@@ -67,22 +94,24 @@ def read_pgm_bytes(data: bytes) -> tuple[np.ndarray, int]:
     if not 1 <= maxval <= MAX_MAXVAL:
         raise PgmError(f"PGM maxval must be in [1, {MAX_MAXVAL}]")
     count = width * height
+    raster = data[offset:]
     if magic == b"P2":
-        fields = data[offset:].split()
+        flat = _decimal_samples(raster)
+        fields = raster.split() if flat is None else flat
         if len(fields) != count:
             raise PgmError(
                 f"expected {count} ASCII samples, found {len(fields)}"
             )
-        try:
-            flat = np.array([int(f) for f in fields], dtype=np.int64)
-        except ValueError as exc:
-            raise PgmError("non-integer ASCII sample") from exc
-        except OverflowError as exc:
-            raise PgmError(f"ASCII sample outside [0, {maxval}]") from exc
-        if flat.min(initial=0) < 0:
-            raise PgmError("negative ASCII sample")
+        if flat is None:
+            try:
+                flat = np.array([int(f) for f in fields], dtype=np.int64)
+            except ValueError as exc:
+                raise PgmError("non-integer ASCII sample") from exc
+            except OverflowError as exc:
+                raise PgmError(f"ASCII sample outside [0, {maxval}]") from exc
+            if flat.min(initial=0) < 0:
+                raise PgmError("negative ASCII sample")
     else:
-        raster = data[offset:]
         if maxval > 255:
             if len(raster) < 2 * count:
                 raise PgmError("truncated binary raster")
@@ -105,6 +134,8 @@ def write_pgm_bytes(image, maxval: int, binary: bool = True) -> bytes:
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise PgmError("images must be non-empty 2-D arrays")
+    if image.dtype.kind not in "iu":
+        raise PgmError(f"PGM samples must be integers, got {image.dtype}")
     if not 1 <= maxval <= MAX_MAXVAL:
         raise PgmError(f"PGM maxval must be in [1, {MAX_MAXVAL}]")
     if image.min() < 0 or image.max() > maxval:
@@ -113,8 +144,9 @@ def write_pgm_bytes(image, maxval: int, binary: bool = True) -> bytes:
     magic = "P5" if binary else "P2"
     header = f"{magic}\n{width} {height}\n{maxval}\n".encode("ascii")
     if not binary:
-        body = "\n".join(" ".join(str(v) for v in row) for row in image)
-        return header + body.encode("ascii") + b"\n"
+        row = " ".join(["%d"] * width) + "\n"
+        body = row * height % tuple(image.ravel().tolist())
+        return header + body.encode("ascii")
     if maxval > 255:
         return header + image.astype(">u2").tobytes()
     return header + image.astype(np.uint8).tobytes()

@@ -60,6 +60,24 @@ class TestRank:
         assert code == 0
         assert out == ""
 
+    def test_whitespace_only_input_is_empty(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["rank", "--set-size", "1",
+                                          "--rank", "1"],
+                                 stdin="   \n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, "", "")
+
+    @pytest.mark.parametrize("token,message", [
+        # 19 digits, below 2**63: parsed exactly, then too wide a sample
+        ("9223372036854775807", "data_bits must be in [2, 16], got 64"),
+        ("9223372036854775808", "samples in the input stream must be below "
+                                "2**63")])
+    def test_tokens_at_the_int64_edge(self, capsys, monkeypatch, token,
+                                      message):
+        code, out, err = run_cli(capsys, ["rank", "--set-size", "2",
+                                          "--rank", "1"],
+                                 stdin=f"{token} 5\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("size,rank", [(256, 128), (250, 1), (300, 7)])
     def test_sets_past_the_reference_widths(self, capsys, monkeypatch, size,
                                             rank):
@@ -251,6 +269,18 @@ class TestFilter:
                                       "--ascii"])
         assert code == 0
         assert out_path.read_bytes().startswith(b"P2\n")
+
+    @pytest.mark.parametrize("raster,found", [(b"1 2 3 4 5", 5),
+                                              (b"1 2 3 4 5 6 7\n", 7)])
+    def test_p2_sample_count_must_match(self, capsys, tmp_path, raster,
+                                        found):
+        in_path = tmp_path / "in.pgm"
+        in_path.write_bytes(b"P2\n3 2\n255\n" + raster)
+        code, out, err = run_cli(capsys, ["filter", str(in_path),
+                                          str(tmp_path / "out.pgm"),
+                                          "--window", "3x3", "--rank", "5"])
+        assert (code, out) == (1, "")
+        assert err == f"error: expected 6 ASCII samples, found {found}\n"
 
 
 class TestTrace:

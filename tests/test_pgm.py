@@ -83,6 +83,16 @@ def test_writer_validation(image):
         write_pgm_bytes(np.zeros((0, 3), dtype=int), 255)
 
 
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("image", [np.array([[1.5, 2.0]]),
+                                   np.array([[1.0, 2.0]]),
+                                   np.array([[True, False]])])
+def test_writer_rejects_non_integer_images(image, binary):
+    # P5 used to truncate 1.5 to 1; P2 wrote "1.5" or "True", unreadable
+    with pytest.raises(PgmError, match="integers"):
+        write_pgm_bytes(image, 255, binary=binary)
+
+
 @pytest.mark.parametrize("maxval,bits", [
     (1, 2), (3, 2), (100, 8), (255, 8), (1023, 10), (4095, 12), (65535, 16),
 ])
