@@ -7,11 +7,11 @@ without stepping clocks.  A chain reads a ``(T, K)`` column stream, and a
 single-channel chain is the K = 1 case.
 
 Every driver frames its stream the paper's way: sets back to back from
-cycle 0, then a full drain.  So a kernel takes the number of sets, not
-marker arrays.  A set's result depends only on its own samples, and it
-appears at a fixed cycle: a set whose first sample enters at cycle
-``start`` pulses ``dv`` at ``start + S(N+L) - 1`` for S = B/2 stages of N
-cycles plus L latency each.  So each kernel
+cycle 0, then a full drain.  So a kernel takes the number of sets and the
+chain's parameter record, whose cycle contract gives each set's dv cycle
+and the comparison count (``params._ChainTiming``, and
+``params.SlidingParams`` for the sliding ensemble).  A set's result
+depends only on its own samples, so each kernel
 
 1. runs the B/2 radix-4 passes over every set at once, the way the stages
    do it in hardware.  The sets are copied once into sample-major planes:
@@ -26,9 +26,8 @@ cycles plus L latency each.  So each kernel
    ``count >= M`` comparator).  The two result bits are the priority
    encoding ``max(k * msb_k)`` over k = 1, 2, 3, as ``refine`` resolves
    them;
-2. writes each result at its dv cycle;
-3. counts boundary comparisons in closed form: 3 per sample for every
-   stage-cycle a stage spends inside a set.
+2. writes each result at its dv cycle, and returns those cycles with the
+   record's comparison count.
 
 The clock-stepped object engines (``Engine``, ``McEngine``,
 ``SlidingEnsemble``, ``Ensemble9753``) are the reference these kernels are
@@ -89,42 +88,28 @@ def _resolve(planes, data_bits, rank, counter_bits):
     return pre
 
 
-def chain_run(cols, sets, data_bits, set_cycles, rank, counter_bits, latency,
-              dv, res):
+def _run(cols, sets, params, dv, res):
+    """The body of both kernels: ``sets`` sets, one per ``params.cadence``."""
+    fire = params.fire(sets)
+    dv[fire] = 1
+    res[fire] = _search(cols, params.cadence, sets, params.set_cycles,
+                        params.data_bits, params.rank, params.counter_bits)
+    return fire, params.comparisons(sets)
+
+
+def chain_run(cols, sets, params, dv, res):
     """One chain over a ``(T, K)`` column stream; K = 1 is the
-    single-channel engine.
-
-    Runs ``sets`` sets of ``set_cycles`` cycles back to back from cycle 0;
-    every stage counts the samples of each column at or above its
-    boundaries.  Fills ``dv``/``res`` at each set's dv cycle and returns
-    ``(fire, comparisons)``: those cycles and the boundary comparisons.
-    """
-    stages = data_bits // 2
-    first = stages * (set_cycles + latency) - 1
-    fire = np.arange(first, first + sets * set_cycles, set_cycles)
-    dv[fire] = 1
-    res[fire] = _search(cols, set_cycles, sets, set_cycles, data_bits, rank,
-                        counter_bits)
-    return fire, 3 * cols.shape[1] * set_cycles * stages * sets
+    single-channel engine.  Runs ``sets`` sets back to back from cycle 0,
+    fills ``dv``/``res`` at their dv cycles and returns ``(fire,
+    comparisons)``: those cycles and the boundary comparisons."""
+    return _run(cols, sets, params, dv, res)
 
 
-def sliding_run(cols, starts, data_bits, rank, counter_bits, latency, dv, res,
-                chain_id):
-    """W staggered W-channel chains over one shared ``(T, W)`` column stream.
-
-    Runs one window per start: window i begins at cycle i, on chain
-    ``i % W``, and ``starts`` windows run.  All chains read the same data.
-    The first-stage comparisons are counted once per column, shared by all
-    chains, as the stage-1 boundaries are the same fixed root-range values
-    for every chain.  Fills ``dv``/``res``/``chain_id`` and returns
-    ``(fire, comparisons)`` like :func:`chain_run`.
-    """
-    total, width = cols.shape
-    stages = data_bits // 2
-    first = stages * (width + latency) - 1
-    fire = np.arange(first, first + starts)
-    dv[fire] = 1
-    res[fire] = _search(cols, 1, starts, width, data_bits, rank,
-                        counter_bits)
-    chain_id[fire] = np.arange(starts) % width
-    return fire, 3 * width * (total + (stages - 1) * width * starts)
+def sliding_run(cols, starts, params, dv, res, chain_id):
+    """W staggered W-channel chains over one shared ``(T, W)`` column
+    stream: window i begins at cycle i, on chain ``i % W``, and ``starts``
+    windows run.  Fills ``dv``/``res``/``chain_id`` and returns ``(fire,
+    comparisons)`` like :func:`chain_run`."""
+    fire, comparisons = _run(cols, starts, params, dv, res)
+    chain_id[fire] = np.arange(starts) % params.columns
+    return fire, comparisons

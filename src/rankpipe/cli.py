@@ -48,7 +48,8 @@ def _read_values(path: str | None) -> np.ndarray:
     try:
         return np.array(text.split(), dtype=np.int64)
     except ValueError as exc:
-        raise ConfigError(f"bad sample in the input stream: {exc}") from exc
+        raise ConfigError("bad sample in the input stream: "
+                          f"{pgm._bad_token(text.split())}") from exc
     except OverflowError as exc:
         raise ConfigError("samples in the input stream must be below 2**63"
                           ) from exc
@@ -91,13 +92,13 @@ def cmd_filter(args) -> int:
             "the 9753 ensemble is a trace/bench engine, not an image filter; "
             "use --engine single, multichannel, or sliding"
         )
+    height, width = image.shape
+    fps = frame_rate(args.clock, width, height, n)  # checks the clock first
     report = imaging.run_filter(
         image, shape, rank, engine=args.engine, border=border,
         data_bits=pgm.bits_for_maxval(maxval), threads=args.threads)
     binary = not args.ascii
     pgm.write_pgm(args.output, report.image, maxval, binary=binary)
-    height, width = image.shape
-    fps = frame_rate(args.clock, width, height, n)
     measured = frame_rate(args.clock, width, height, report.cycles_per_result)
     print(f"window: {imaging.format_window(shape)}  N={n}  M={rank}")
     print(f"engine: {report.engine}  border: {border.value}  "
@@ -218,13 +219,6 @@ def cmd_trace(args) -> int:
 _STANDARD_WINDOWS = ("3x3", "5x5", "3x5", "3x7", "diamond5", "diamond7")
 
 
-def _formula_cycles_per_result(shape, engine: str) -> int:
-    imaging.require_engine(shape, engine)
-    if engine == "single":
-        return imaging.window_size(shape)
-    return shape.width if engine == "multichannel" else 1
-
-
 def cmd_bench(args) -> int:
     width, height = _parse_dims(args.image_dims)
     specs = args.window or list(_STANDARD_WINDOWS)
@@ -239,19 +233,19 @@ def cmd_bench(args) -> int:
     for spec in specs:
         shape = imaging.parse_window(spec)
         n = imaging.window_size(shape)
-        cpr = _formula_cycles_per_result(shape, args.engine)
-        fps = args.clock / (width * height * cpr)
+        rank = percentile_to_rank(0.5, n)
+        cpr = imaging.engine_params(shape, n, rank, args.engine, 8).cadence
+        fps = frame_rate(args.clock, width, height, cpr)
         line = (f"{imaging.format_window(shape):<10} {n:>4} {cpr:>8} "
                 f"{fps:>9.2f}")
         if args.simulate:
             rng = np.random.default_rng(0)
             image = rng.integers(0, 256, size=(sim_h, sim_w), dtype=np.int64)
-            rank = percentile_to_rank(0.5, n)
             report = imaging.run_filter(image, shape, rank,
                                         engine=args.engine, data_bits=8)
             measured = report.cycles_per_result
-            line += (f" {measured:>10.3f} "
-                     f"{args.clock / (width * height * measured):>10.2f}")
+            fps = frame_rate(args.clock, width, height, measured)
+            line += f" {measured:>10.3f} {fps:>10.2f}"
         print(line)
     return 0
 

@@ -103,7 +103,7 @@ def refine(msb3: int, msb2: int, msb1: int, check: bool = False) -> int:
 
 def comparison_count(params: FilterParams, num_sets: int) -> int:
     """Exact boundary comparisons for ``num_sets`` sets: 3 * N * (B/2) each."""
-    return 3 * params.set_size * params.stages * num_sets
+    return params.comparisons(num_sets)
 
 
 class Stage:
@@ -342,17 +342,16 @@ def _chain_trace(params, cols, what: str) -> StreamTrace:
     drain, and return the full per-cycle trace.  ``what`` names the stream
     in error messages."""
     p = params
-    n = len(cols)
-    if n % p.set_cycles:
+    sets, rest = divmod(len(cols), p.set_cycles)
+    if rest:
         raise FramingError(
-            f"{what} length {n} is not a multiple of the set length "
+            f"{what} length {len(cols)} is not a multiple of the set length "
             f"{p.set_cycles}"
         )
-    total = n + p.drain_cycles
+    total = p.cycles(sets)
     din, d1st, dv, res = _framed(cols, p.data_bits, total, p.set_cycles)
-    _, comparisons = _kernels.chain_run(
-        din.reshape(total, -1), n // p.set_cycles, p.data_bits, p.set_cycles,
-        p.rank, p.counter_bits, p.pipe_latency, dv, res)
+    _, comparisons = _kernels.chain_run(din.reshape(total, -1), sets, p, dv,
+                                        res)
     return StreamTrace(din=din, d1st=d1st, dv=dv, result=res,
                        comparisons=comparisons, delay=p.alignment)
 

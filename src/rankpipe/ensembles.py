@@ -37,6 +37,7 @@ from .params import (
     ConfigError,
     FramingError,
     McParams,
+    SlidingParams,
     _integral,
     as_samples,
     chain_widths,
@@ -59,15 +60,17 @@ def enable_schedule(w: int, phase: int) -> bool:
 
 
 def _sliding_params(window: int, rank: int, data_bits: int,
-                    counter_bits: int | None, pipe_latency: int) -> McParams:
+                    counter_bits: int | None,
+                    pipe_latency: int) -> SlidingParams:
     """The chain parameters of a W x W sliding ensemble.  The counter width
     (unless given) and the pipe capacity are the ones the window needs, by
     :func:`rankpipe.params.chain_widths`."""
     widths = chain_widths(window * window, rank, pipe_latency)
     if counter_bits is not None:
         widths["counter_bits"] = counter_bits
-    return McParams(channels=window, columns=window, rank=rank,
-                    data_bits=data_bits, pipe_latency=pipe_latency, **widths)
+    return SlidingParams(channels=window, columns=window, rank=rank,
+                         data_bits=data_bits, pipe_latency=pipe_latency,
+                         **widths)
 
 
 class SlidingEnsemble:
@@ -81,8 +84,6 @@ class SlidingEnsemble:
 
     def __init__(self, window: int, rank: int, *, data_bits: int = 8,
                  counter_bits: int | None = None, pipe_latency: int = 5):
-        if window % 2 == 0:
-            raise ConfigError("sliding ensembles support odd window sides only")
         p = self.params = _sliding_params(window, rank, data_bits,
                                           counter_bits, pipe_latency)
         self._ring = _DelayRing(p.stages * p.pipe_delay, channels=window)
@@ -129,10 +130,10 @@ class SlidingTrace(StreamTrace):
 
     def window_results(self, n_starts: int) -> np.ndarray:
         """Results for window starts 0..n_starts-1 (one per consecutive cycle)."""
-        idx = self.alignment + np.arange(n_starts)
-        if n_starts and not self.dv[idx].all():
+        results = self.results[:max(0, n_starts)]
+        if len(results) < n_starts:
             raise RuntimeError("missing window results in the sliding trace")
-        return self.result[idx].astype(np.int64)
+        return results
 
 
 def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
@@ -147,20 +148,16 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
     window needs.
     """
     p = _sliding_params(window, rank, data_bits, counter_bits, pipe_latency)
-    if window % 2 == 0:
-        raise ConfigError("sliding ensembles support odd window sides only")
     cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[1] != window:
         raise ConfigError(f"column stream must have shape (n, {window})")
     if cols.size == 0:
         raise ConfigError("sliding runs need at least one column")
-    last_start = ((cols.shape[0] - 1) // window) * window + window - 1
-    total = last_start + p.alignment + 1
+    starts = p.starts(len(cols))
+    total = p.cycles(starts)
     din, d1st, dv, res = _framed(cols, p.data_bits, total, window)
     chain_id = np.full(total, -1, dtype=np.int64)
-    _, comparisons = _kernels.sliding_run(
-        din, last_start + 1, p.data_bits, p.rank, p.counter_bits,
-        p.pipe_latency, dv, res, chain_id)
+    _, comparisons = _kernels.sliding_run(din, starts, p, dv, res, chain_id)
     return SlidingTrace(din=din, d1st=d1st, dv=dv, result=res,
                         comparisons=comparisons, delay=p.alignment,
                         chain=chain_id)
@@ -326,13 +323,12 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     enabled = [np.isin(phase, spec.phases) for spec in specs]
     fires, results, comparisons = [], [], 0
     for spec, on in zip(specs, enabled):
-        cp, width = spec.params, len(spec.phases)
+        width = len(spec.phases)
         rows = din[on, spec.rows]
         chain_dv = np.zeros(len(rows), bool)
         res = np.zeros(len(rows), din.dtype)
-        g, count = _kernels.chain_run(
-            rows, anchors, cp.data_bits, width, cp.rank, cp.counter_bits,
-            cp.pipe_latency, chain_dv, res)
+        g, count = _kernels.chain_run(rows, anchors, spec.params, chain_dv,
+                                      res)
         comparisons += count
         fires.append(CADENCE * (g // width) + spec.phases[0] + g % width)
         results.append(res[g])

@@ -30,6 +30,7 @@ from .params import (
     ConfigError,
     FilterParams,
     McParams,
+    SlidingParams,
     _integral,
     chain_widths,
     check_samples,
@@ -171,8 +172,8 @@ def percentile_to_rank(p: float, n: int) -> int:
 
 def frame_rate(freq_hz: float, img_w: int, img_h: int, n: int) -> float:
     """Single-core frames per second: one sample per clock, N clocks per pixel."""
-    if freq_hz <= 0 or img_w <= 0 or img_h <= 0 or n <= 0:
-        raise ConfigError("frame-rate arguments must be positive")
+    if not 0 < freq_hz < math.inf or img_w <= 0 or img_h <= 0 or n <= 0:
+        raise ConfigError("frame-rate arguments must be positive and finite")
     return freq_hz / (img_w * img_h * n)
 
 
@@ -213,11 +214,11 @@ def _anchor_bounds(n: int, offsets, axis: int, border: Border) -> tuple[int, int
 
 
 def _bands(lo: int, hi: int, parts: int):
-    """Split the inclusive anchor-row range into contiguous bands."""
+    """Split the inclusive anchor-row range into (first row, rows) bands."""
     count = hi - lo + 1
     parts = max(1, min(parts, count))
     step = -(-count // parts)
-    return [(lo + i, min(lo + i + step - 1, hi)) for i in range(0, count, step)]
+    return [(lo + i, min(step, count - i)) for i in range(0, count, step)]
 
 
 def _run_bands(worker, bands, threads: int):
@@ -261,8 +262,7 @@ def _windows(frame, shifts, x0, cols, y0, rows):
 def _single_streams(frame, shifts, params, x0, cols, y0, rows):
     """One sample stream per band: each anchor's window in offset order."""
     samples = _windows(frame, shifts, x0, cols, y0, rows)
-    trace = stream_cycles(params, samples.reshape(-1))
-    yield trace, trace.results.reshape(rows, cols)
+    yield stream_cycles(params, samples.reshape(-1)).results
 
 
 def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
@@ -270,7 +270,7 @@ def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
     every column K samples from the top row."""
     samples = _windows(frame, sorted(shifts), x0, cols, y0, rows)
     trace = mc_stream_cycles(params, samples.reshape(-1, params.channels))
-    yield trace, trace.results.reshape(rows, cols)
+    yield trace.results
 
 
 def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
@@ -284,7 +284,7 @@ def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
                                data_bits=params.data_bits,
                                counter_bits=params.counter_bits,
                                pipe_latency=params.pipe_latency)
-        yield trace, trace.window_results(cols)[None]
+        yield trace.window_results(cols)
 
 
 def engines_for(shape: WindowShape) -> list[str]:
@@ -307,6 +307,23 @@ def require_engine(shape: WindowShape, engine: str) -> None:
         )
 
 
+def engine_params(shape: WindowShape, n: int, rank: int, engine: str,
+                  bits: int, counter_bits: int | None = None,
+                  pipe_latency: int = 5):
+    """The parameter record ``engine`` filters ``shape`` of ``n`` offsets
+    with, its widths (unless given) by :func:`rankpipe.params.chain_widths`."""
+    require_engine(shape, engine)
+    widths = chain_widths(n, rank, pipe_latency)
+    if counter_bits is not None:
+        widths["counter_bits"] = counter_bits
+    if engine == "single":
+        return FilterParams(data_bits=bits, set_size=n, rank=rank,
+                            pipe_latency=pipe_latency, **widths)
+    record = SlidingParams if engine == "sliding" else McParams
+    return record(channels=shape.height, columns=shape.width, rank=rank,
+                  data_bits=bits, pipe_latency=pipe_latency, **widths)
+
+
 def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
                border: Border = Border.CLAMP, *, data_bits: int | None = None,
                counter_bits: int | None = None, pipe_latency: int = 5,
@@ -316,58 +333,49 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     Output pixel (x, y) is the rank-th largest of the window anchored
     there; under the clamp policy coordinates are clipped to the image, so
     the output matches the input size.  The engine choice changes only the
-    simulated datapath, never the pixels.  The counter width (unless
-    given) and the pipe capacity are derived from N and M by
-    :func:`rankpipe.params.chain_widths`.  Row bands of anchors run on
-    ``threads`` threads; the cycles and comparisons reported do not depend
-    on ``threads``: single and multichannel report one back-to-back stream
+    simulated datapath, never the pixels.  The chain runs under
+    :func:`engine_params`.  Row bands of anchors run on ``threads``
+    threads; the cycles and comparisons reported do not depend on
+    ``threads``: single and multichannel report one back-to-back stream
     of every anchor's window plus one drain, sliding one stream per row.
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise ConfigError("images must be non-empty 2-D arrays")
+    threads = _integral(threads, "thread counts")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     offsets = window_offsets(shape)
     n = len(offsets)
     if not 1 <= rank <= n:
         raise ConfigError(f"rank must satisfy 1 <= M <= {n}, got {rank}")
-    require_engine(shape, engine)
     bits = data_bits if data_bits is not None else infer_data_bits(image)
-    widths = chain_widths(n, rank, pipe_latency)
-    if counter_bits is not None:
-        widths["counter_bits"] = counter_bits
-    if engine == "single":
-        params = FilterParams(data_bits=bits, set_size=n, rank=rank,
-                              pipe_latency=pipe_latency, **widths)
-    else:
-        params = McParams(channels=shape.height, columns=shape.width,
-                          rank=rank, data_bits=bits,
-                          pipe_latency=pipe_latency, **widths)
+    params = engine_params(shape, n, rank, engine, bits, counter_bits,
+                           pipe_latency)
     samples = check_samples(image, params.data_bits).astype(
         narrowest_uint(params.data_bits), copy=False)
     frame, shifts = _padded(samples, offsets)
     height, width = samples.shape
     x_lo, x_hi = _anchor_bounds(width, offsets, 0, border)
     y_lo, y_hi = _anchor_bounds(height, offsets, 1, border)
+    cols, rows = x_hi - x_lo + 1, y_hi - y_lo + 1
     streams = {"single": _single_streams,
                "multichannel": _multichannel_streams,
                "sliding": _sliding_streams}[engine]
 
     def worker(band):
-        y0, y1 = band
-        return [(pixels, trace.cycles, trace.comparisons)
-                for trace, pixels in streams(frame, shifts, params, x_lo,
-                                             x_hi - x_lo + 1, y0, y1 - y0 + 1)]
+        return list(streams(frame, shifts, params, x_lo, cols, *band))
 
-    runs = [run for band in _run_bands(worker, _bands(y_lo, y_hi, threads),
-                                       threads) for run in band]
-    pixels, cycles, comparisons = zip(*runs)
+    pixels = [part for band in _run_bands(worker, _bands(y_lo, y_hi, threads),
+                                          threads) for part in band]
     # the bands of a chain engine are one back-to-back stream cut up for the
-    # threads, and that stream drains once; sliding streams row by row
-    seams = 0 if engine == "sliding" else (len(runs) - 1) * params.drain_cycles
-    return FilterReport(image=np.concatenate(pixels), set_size=n, rank=rank,
-                        engine=engine, border=border, data_bits=bits,
-                        cycles=sum(cycles) - seams,
-                        comparisons=sum(comparisons))
+    # threads; a sliding row streams every column its windows span
+    runs, sets = ((rows, params.starts(cols + params.columns - 1))
+                  if engine == "sliding" else (1, cols * rows))
+    return FilterReport(image=np.concatenate(pixels).reshape(rows, cols),
+                        set_size=n, rank=rank, engine=engine, border=border,
+                        data_bits=bits, cycles=runs * params.cycles(sets),
+                        comparisons=runs * params.comparisons(sets))
 
 
 def filter_image(image, shape: WindowShape, rank: int, engine: str = "single",

@@ -101,8 +101,9 @@ def chain_widths(set_size: int, rank: int,
 
 
 class _ChainTiming:
-    """Chain timing shared by every engine, from ``set_cycles``: the clocks
-    one set spends in a stage (N samples, or Cw columns)."""
+    """The cycle contract of every engine, from ``set_cycles``: the clocks
+    one set spends in a stage (N samples, or Cw columns).  A run starts
+    ``sets`` sets every ``cadence`` cycles from cycle 0."""
 
     @property
     def stages(self) -> int:
@@ -123,6 +124,25 @@ class _ChainTiming:
     def drain_cycles(self) -> int:
         """Idle clocks after the last sample that flush the final result."""
         return (self.stages - 1) * self.pipe_delay + self.pipe_latency
+
+    @property
+    def cadence(self) -> int:
+        """Cycles between the starts of back-to-back sets."""
+        return self.set_cycles
+
+    def fire(self, sets: int) -> np.ndarray:
+        """The dv cycles of a run."""
+        first = self.alignment
+        return np.arange(first, first + sets * self.cadence, self.cadence)
+
+    def cycles(self, sets: int) -> int:
+        """Cycles of a run, through its last dv cycle; on a chain that is
+        sets * N + drain_cycles."""
+        return (sets - 1) * self.cadence + self.alignment + 1
+
+    def comparisons(self, sets: int) -> int:
+        """Boundary comparisons of a run: 3 per sample in every stage."""
+        return 3 * self.set_size * self.stages * sets
 
 
 @dataclass(frozen=True)
@@ -222,6 +242,29 @@ class McParams(_ChainTiming):
     def set_cycles(self) -> int:
         """Cycles one window occupies a stage: one column per clock."""
         return self.columns
+
+
+@dataclass(frozen=True)
+class SlidingParams(McParams):
+    """A W x W sliding ensemble: W staggered W-channel chains that start a
+    window every clock and share one first stage."""
+
+    cadence = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.columns % 2 == 0 or self.channels != self.columns:
+            raise ConfigError("sliding ensembles support odd window sides only")
+
+    def starts(self, columns: int) -> int:
+        """Window starts over ``columns`` columns: whole cadences of W."""
+        return -(-columns // self.columns) * self.columns
+
+    def comparisons(self, sets: int) -> int:
+        """Every chain's first stage has the root range's boundaries, so it
+        compares each column once for all; later stages, each window."""
+        return 3 * (self.channels * self.cycles(sets)
+                    + self.set_size * (self.stages - 1) * sets)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,17 @@ def _decimal_samples(data: bytes) -> np.ndarray | None:
     return values
 
 
+def _bad_token(tokens) -> str:
+    """The first token ``int()`` rejects, quoted, and its 0-based index."""
+    for i, token in enumerate(tokens):
+        try:
+            int(token)
+        except ValueError:
+            if isinstance(token, bytes):
+                token = token.decode("utf-8", "backslashreplace")
+            return f"{token!r} at index {i}"
+
+
 def _header_tokens(data: bytes, count: int):
     """First ``count`` whitespace-separated header tokens, skipping comments.
 
@@ -106,7 +117,8 @@ def read_pgm_bytes(data: bytes) -> tuple[np.ndarray, int]:
             try:
                 flat = np.array([int(f) for f in fields], dtype=np.int64)
             except ValueError as exc:
-                raise PgmError("non-integer ASCII sample") from exc
+                raise PgmError("non-integer ASCII sample "
+                               f"{_bad_token(fields)}") from exc
             except OverflowError as exc:
                 raise PgmError(f"ASCII sample outside [0, {maxval}]") from exc
             if flat.min(initial=0) < 0:

@@ -102,7 +102,8 @@ class TestRank:
         code, _, err = run_cli(capsys, ["rank", "--set-size", "1", "--rank", "1"],
                                stdin="1 two 3", monkeypatch=monkeypatch)
         assert code == 1
-        assert "two" in err
+        assert err == ("error: bad sample in the input stream: 'two' at "
+                       "index 1\n")
 
     @pytest.mark.parametrize("argv", [
         ["rank", "--set-size", "3", "--rank", "1"],
@@ -260,6 +261,29 @@ class TestFilter:
         if params is not None:
             cycles = int(runs[0][1].split()[0])
             assert cycles == img.size * params.set_cycles + params.drain_cycles
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_must_be_positive(self, capsys, tmp_path, image_file,
+                                      threads):
+        in_path, _ = image_file
+        code, out, err = run_cli(capsys, ["filter", str(in_path),
+                                          str(tmp_path / "out.pgm"),
+                                          "--window", "3x3", "--rank", "5",
+                                          "--threads", threads])
+        assert code == 1 and out == ""
+        assert err == f"error: threads must be at least 1, got {threads}\n"
+
+    @pytest.mark.parametrize("clock", ["nan", "inf", "0", "-5"])
+    def test_the_clock_must_be_positive_and_finite(self, capsys, tmp_path,
+                                                   image_file, clock):
+        in_path, _ = image_file
+        code, out, err = run_cli(capsys, ["filter", str(in_path),
+                                          str(tmp_path / "out.pgm"),
+                                          "--window", "3x3", "--rank", "5",
+                                          "--clock", clock])
+        assert code == 1 and out == ""
+        assert "positive and finite" in err
+        assert not (tmp_path / "out.pgm").exists()
 
     def test_ascii_output_round_trip(self, capsys, tmp_path, image_file):
         in_path, img = image_file
@@ -612,6 +636,16 @@ class TestBench:
                                           "--sim-dims", "20x18"])
         assert code == 0, err
         assert out.splitlines()[-1].split()[:3] == ["17x17", "289", "1"]
+
+    @pytest.mark.parametrize("clock", ["nan", "inf", "0", "-5"])
+    @pytest.mark.parametrize("simulate", [[], ["--simulate"]])
+    def test_the_clock_must_be_positive_and_finite(self, capsys, clock,
+                                                   simulate):
+        code, out, err = run_cli(capsys, ["bench", "--window", "3x3",
+                                          "--sim-dims", "8x6", "--clock",
+                                          clock] + simulate)
+        assert code == 1 and "3x3" not in out
+        assert "positive and finite" in err
 
     def test_zero_area_image_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--image-dims", "0x768"])

@@ -108,6 +108,11 @@ class TestFrameRate:
         with pytest.raises(ConfigError):
             frame_rate(275e6, 0, 768, 9)
 
+    @pytest.mark.parametrize("clock", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_the_clock_must_be_positive_and_finite(self, clock):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            frame_rate(clock, 1024, 768, 9)
+
 
 class TestFilterImage:
     def test_constant_image_is_unchanged(self):
@@ -184,6 +189,12 @@ class TestFilterImage:
                 out = filter_image(img, Rect(3, 3), 2, engine=engine,
                                    threads=threads, data_bits=8)
                 assert (out == base).all()
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, "2"])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        img = np.zeros((5, 5), dtype=np.int64)
+        with pytest.raises(ConfigError, match="thread"):
+            run_filter(img, Rect(3, 3), 5, threads=threads)
 
     def test_rank_bounds_use_the_window_size(self):
         img = np.zeros((5, 5), dtype=np.int64)

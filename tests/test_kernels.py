@@ -1,7 +1,9 @@
 """The batch kernels on the framing every driver produces (sets back to back
 from cycle 0, then a full drain): against the clock-stepped object engines
 and an int64 reference search, with and without pipe latency, across
-sample and counter widths and block seams; plus the backend flag."""
+sample and counter widths and block seams; plus the backend flag.  The
+kernels run under parameter records; the set search alone also runs on
+counter widths and set sizes no record accepts."""
 
 import os
 import subprocess
@@ -20,6 +22,7 @@ from rankpipe import (
     _kernels,
     refine,
 )
+from rankpipe.params import SlidingParams
 
 
 def _samples(rng, bits, shape):
@@ -81,9 +84,7 @@ def test_chain_run_matches_the_object_engines_on_back_to_back_sets():
         d1st[:sets * n:n] = True
         dv = np.zeros(len(cols), dtype=bool)
         res = np.zeros(len(cols), dtype=np.int64)
-        fire, comparisons = _kernels.chain_run(
-            cols, sets, p.data_bits, n, p.rank, p.counter_bits,
-            p.pipe_latency, dv, res)
+        fire, comparisons = _kernels.chain_run(cols, sets, p, dv, res)
         want_dv, want_res = _clock(engine, cols, d1st)
         assert fire.tolist() == np.flatnonzero(want_dv).tolist()
         assert (dv == want_dv).all()
@@ -91,24 +92,25 @@ def test_chain_run_matches_the_object_engines_on_back_to_back_sets():
         assert comparisons == engine.comparisons
 
 
-def test_wrapping_counters_resolve_by_priority_like_refine():
+def test_wrapping_counters_resolve_by_priority_like_refine(monkeypatch):
     # 2-bit counters, preset 1: counts 3/1/0 for boundaries 1/2/3 wrap the
     # first accumulator to 0, so the MSBs (0, 1, 0) are not thermometer-coded
-    # and the priority encoder picks the middle quarter
-    dv = np.zeros(3, dtype=np.uint8)
-    res = np.zeros(3, dtype=np.int64)
+    # and the priority encoder picks the middle quarter.  No record holds
+    # N - M = 2 in 2-bit counters, so the set search runs alone.
     cols = np.array([[1], [1], [2]], dtype=np.int64)
-    fire, _ = _kernels.chain_run(cols, 1, 2, 3, 1, 2, 0, dv, res)
-    assert fire.tolist() == [2] and dv.tolist() == [0, 0, 1]
-    assert res[2] == refine(0, 1, 0) == 2
+    got, want = _kernel_pair(monkeypatch, lambda: _kernels._search(
+        cols, 3, 1, 3, 2, 1, 2).tolist())
+    assert got == want == [refine(0, 1, 0)] == [2]
 
 
 def _sliding(cols, starts, bits, rank, latency):
+    window = cols.shape[1]
+    p = SlidingParams(channels=window, columns=window, rank=rank,
+                      data_bits=bits, pipe_latency=latency)
     dv = np.zeros(len(cols), dtype=np.uint8)
     res = np.zeros(len(cols), dtype=np.int64)
     chain = np.full(len(cols), -1, dtype=np.int64)
-    fire, comparisons = _kernels.sliding_run(cols, starts, bits, rank, 8,
-                                             latency, dv, res, chain)
+    fire, comparisons = _kernels.sliding_run(cols, starts, p, dv, res, chain)
     return fire, comparisons, dv.astype(bool), res, chain
 
 
@@ -170,10 +172,12 @@ def _kernel_pair(monkeypatch, run):
 
 
 def _run_chain(cols, sets, bits, n, rank, counter_bits, latency):
+    p = McParams(channels=cols.shape[1], columns=n, rank=rank,
+                 data_bits=bits, counter_bits=counter_bits,
+                 pipe_latency=latency)
     dv = np.zeros(len(cols), dtype=np.uint8)
     res = np.zeros(len(cols), dtype=np.int64)
-    fire, comparisons = _kernels.chain_run(cols, sets, bits, n, rank,
-                                           counter_bits, latency, dv, res)
+    fire, comparisons = _kernels.chain_run(cols, sets, p, dv, res)
     return fire.tolist(), comparisons, dv.tolist(), res.tolist()
 
 
@@ -198,7 +202,8 @@ def test_narrow_planes_match_the_int64_search_across_widths(monkeypatch, bits):
 @pytest.mark.parametrize("counter_bits", range(2, 13))
 def test_wrapping_accumulators_match_the_int64_search(monkeypatch,
                                                       counter_bits):
-    # N*K >= 256 wraps a uint8 accumulator; C > 8 takes a wider one
+    # N*K >= 256 wraps a uint8 accumulator; C > 8 takes a wider one.  No
+    # record holds such a set in so few bits, so the set search runs alone
     rng = np.random.default_rng(90 + counter_bits)
     for case in range(6):
         k = int(rng.integers(1, 10))
@@ -207,8 +212,8 @@ def test_wrapping_accumulators_match_the_int64_search(monkeypatch,
         bits = int(rng.choice([2, 8, 10]))
         sets = int(rng.integers(1, 4))
         cols = _chain_case(rng, n, k, bits, sets, case % 3)
-        got, want = _kernel_pair(monkeypatch, lambda: _run_chain(
-            cols, sets, bits, n, rank, counter_bits, case % 3))
+        got, want = _kernel_pair(monkeypatch, lambda: _kernels._search(
+            cols, n, sets, n, bits, rank, counter_bits).tolist())
         assert got == want
 
 

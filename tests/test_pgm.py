@@ -76,6 +76,16 @@ def test_malformed_inputs_raise(blob):
         read_pgm_bytes(blob)
 
 
+@pytest.mark.parametrize("raster,where", [
+    (b"1 x 2", "'x' at index 1"), (b"+1 -2 3.0", "'3.0' at index 2"),
+    ("7 \u0663 7".encode("utf-8"), "'\u0663' at index 1"),
+    (b"7 7 \xff", "'\\\\xff' at index 2")])
+def test_a_non_integer_sample_is_named_with_its_index(raster, where):
+    with pytest.raises(PgmError) as caught:
+        read_pgm_bytes(b"P2\n3 1\n255\n" + raster)
+    assert str(caught.value) == f"non-integer ASCII sample {where}"
+
+
 def test_writer_validation(image):
     with pytest.raises(PgmError):
         write_pgm_bytes(image, 100)  # pixels exceed maxval

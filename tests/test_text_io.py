@@ -21,26 +21,43 @@ from rankpipe.pgm import PgmError, read_pgm_bytes, write_pgm_bytes
 ASCII_SPACE = " \t\n\v\f\r"
 
 
+def first_rejected(tokens):
+    """The first token ``int()`` rejects, quoted, and its 0-based index, as
+    the per-token parsers' errors name it."""
+    for i, token in enumerate(tokens):
+        try:
+            int(token)
+        except ValueError:
+            if isinstance(token, bytes):
+                token = token.decode("utf-8", "backslashreplace")
+            return f"{token!r} at index {i}"
+    raise AssertionError("every token parses")
+
+
 def reference_read_values(text):
-    """The stream parser as it was before the fast path."""
+    """The stream parser as it was before the fast path, its errors naming
+    the bad token's position."""
     try:
         return np.array(text.split(), dtype=np.int64)
     except ValueError as exc:
-        raise ConfigError(f"bad sample in the input stream: {exc}") from exc
+        raise ConfigError("bad sample in the input stream: "
+                          f"{first_rejected(text.split())}") from exc
     except OverflowError as exc:
         raise ConfigError("samples in the input stream must be below 2**63"
                           ) from exc
 
 
 def reference_p2_raster(raster, count, maxval):
-    """The P2 raster reader as it was before the fast path."""
+    """The P2 raster reader as it was before the fast path, its errors
+    naming the bad token's position."""
     fields = raster.split()
     if len(fields) != count:
         raise PgmError(f"expected {count} ASCII samples, found {len(fields)}")
     try:
         flat = np.array([int(f) for f in fields], dtype=np.int64)
     except ValueError as exc:
-        raise PgmError("non-integer ASCII sample") from exc
+        raise PgmError("non-integer ASCII sample "
+                       f"{first_rejected(fields)}") from exc
     except OverflowError as exc:
         raise PgmError(f"ASCII sample outside [0, {maxval}]") from exc
     if flat.min(initial=0) < 0:
