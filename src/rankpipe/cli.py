@@ -142,16 +142,37 @@ def _reshape_columns(values, channels: int) -> np.ndarray:
     return values.reshape(-1, channels)
 
 
+def _cells(top: int) -> np.ndarray:
+    """The text of every cell up to ``top``, one ``V{D + 1}`` item each (D
+    digits): item v + 1 holds v's digits right-aligned, NUL for leading
+    zeros, then a comma; item 0, BLANK, is all NUL and the comma."""
+    width = len(str(top))
+    table = np.zeros((top + 2, width + 1), dtype=np.uint8)
+    table[:, width] = ord(",")
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** k
+        column = np.tile(np.repeat(digits, place), top // (10 * place) + 1)
+        column[:place if k else 0] = 0  # values below place have no digit k
+        table[1:, width - 1 - k] = column[:top + 1]
+    return table.view(f"V{width + 1}").ravel()
+
+
 def _write_trace(path, header, rows) -> None:
-    """Write ``header`` and the int64 ``rows`` table as CSV, BLANK cells empty."""
-    line = ",".join(["%d"] * rows.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    """Write ``header`` and the int64 ``rows`` table as CSV, BLANK cells empty.
+
+    Each block of rows is looked up in one :func:`_cells` table, its last
+    comma turned into a newline and its NUL padding dropped in one
+    ``translate``.  No cell is below BLANK: samples are non-negative.
+    """
+    cells = _cells(max(int(rows.max(initial=0)), 0))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
         for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            text = line * len(chunk) % tuple(chunk.ravel().tolist())
-            # no sample is negative, so "-1" only ever renders BLANK
-            fh.write(text.replace(str(BLANK), ""))
+            block = rows[start:start + _CHUNK_ROWS]
+            text = cells[block - BLANK].view(np.uint8).reshape(len(block), -1)
+            text[:, -1] = ord("\n")
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _trace_table(trace, channels: int, tail_header, *tail):
@@ -223,6 +244,7 @@ def cmd_bench(args) -> int:
     width, height = _parse_dims(args.image_dims)
     specs = args.window or list(_STANDARD_WINDOWS)
     sim_w, sim_h = _parse_dims(args.sim_dims)
+    frame_rate(args.clock, width, height, 1)  # checks the clock before output
     print(f"operating frequency: {args.clock / 1e6:.1f} MHz")
     print(f"image size: {width} x {height}")
     print(f"engine: {args.engine}")

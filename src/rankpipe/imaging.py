@@ -20,6 +20,7 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -93,6 +94,12 @@ class Border(enum.Enum):
     CLAMP = "clamp"
     VALID = "valid"
 
+    @classmethod
+    def _missing_(cls, value):
+        # Border(value) coerces the strings; anything else is a config error
+        raise ConfigError(f"border must be one of "
+                          f"{', '.join(b.value for b in cls)}, got {value!r}")
+
 
 def _axis_offsets(size: int) -> range:
     # floor-centered: even sizes take the extra cell on the low side
@@ -163,8 +170,8 @@ def format_window(shape: WindowShape) -> str:
 
 def percentile_to_rank(p: float, n: int) -> int:
     """Rank M = ceil(p * N) clamped to [1, N]; p = 0.5 selects the median."""
-    if not 0 < p <= 1:
-        raise ConfigError(f"percentile must lie in (0, 1], got {p}")
+    if not isinstance(p, Real) or not 0 < p <= 1:
+        raise ConfigError(f"percentile must lie in (0, 1], got {p!r}")
     if n < 1:
         raise ConfigError("set size must be positive")
     return min(max(math.ceil(p * n - 1e-9), 1), n)
@@ -172,7 +179,9 @@ def percentile_to_rank(p: float, n: int) -> int:
 
 def frame_rate(freq_hz: float, img_w: int, img_h: int, n: int) -> float:
     """Single-core frames per second: one sample per clock, N clocks per pixel."""
-    if not 0 < freq_hz < math.inf or img_w <= 0 or img_h <= 0 or n <= 0:
+    values = (freq_hz, img_w, img_h, n)
+    if (not all(isinstance(v, Real) for v in values)
+            or not 0 < freq_hz < math.inf or min(img_w, img_h, n) <= 0):
         raise ConfigError("frame-rate arguments must be positive and finite")
     return freq_hz / (img_w * img_h * n)
 
@@ -342,6 +351,7 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise ConfigError("images must be non-empty 2-D arrays")
+    border = Border(border)
     threads = _integral(threads, "thread counts")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")

@@ -11,13 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .imaging import Border, Custom, Diamond, Rect
+from .params import ConfigError
 
 
 def select_desc(data, rank: int):
     """The rank-th largest value: position rank-1 of the multiset sorted descending."""
     items = sorted(data, reverse=True)
     if not 1 <= rank <= len(items):
-        raise ValueError(f"rank {rank} outside [1, {len(items)}]")
+        raise ConfigError(f"rank {rank} outside [1, {len(items)}]")
     return items[rank - 1]
 
 
@@ -42,6 +43,7 @@ def filter_image_oracle(image, shape, rank: int,
     image = np.asarray(image)
     height, width = image.shape
     offsets = _own_offsets(shape)
+    border = Border(border)
     if border is Border.CLAMP:
         x_anchors = range(width)
         y_anchors = range(height)

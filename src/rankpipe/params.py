@@ -36,6 +36,14 @@ def _integral(value, what: str) -> int:
         raise ConfigError(f"{what} must be integers, got {value!r}") from None
 
 
+def _count(value, what: str) -> int:
+    """``value`` as a non-negative int: a count of sets or columns."""
+    value = _integral(value, what)
+    if value < 0:
+        raise ConfigError(f"{what} must be non-negative, got {value}")
+    return value
+
+
 def _integer_fields(record) -> None:
     """Store every field of a frozen params record as an int."""
     for field in fields(record):
@@ -132,16 +140,19 @@ class _ChainTiming:
 
     def fire(self, sets: int) -> np.ndarray:
         """The dv cycles of a run."""
+        sets = _count(sets, "set counts")
         first = self.alignment
         return np.arange(first, first + sets * self.cadence, self.cadence)
 
     def cycles(self, sets: int) -> int:
         """Cycles of a run, through its last dv cycle; on a chain that is
         sets * N + drain_cycles."""
+        sets = _count(sets, "set counts")
         return (sets - 1) * self.cadence + self.alignment + 1
 
     def comparisons(self, sets: int) -> int:
         """Boundary comparisons of a run: 3 per sample in every stage."""
+        sets = _count(sets, "set counts")
         return 3 * self.set_size * self.stages * sets
 
 
@@ -258,6 +269,7 @@ class SlidingParams(McParams):
 
     def starts(self, columns: int) -> int:
         """Window starts over ``columns`` columns: whole cadences of W."""
+        columns = _count(columns, "column counts")
         return -(-columns // self.columns) * self.columns
 
     def comparisons(self, sets: int) -> int:

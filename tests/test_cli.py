@@ -6,6 +6,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankpipe import (
     Border,
@@ -18,6 +20,7 @@ from rankpipe import (
     SlidingEnsemble,
     cli,
     pgm,
+    stream_cycles,
 )
 from rankpipe.imaging import infer_data_bits
 from rankpipe.oracle import filter_image_oracle, select_desc
@@ -416,6 +419,14 @@ def render_csv(header, rows) -> bytes:
     return buf.getvalue().encode("ascii")
 
 
+def percent_rendered(header, rows) -> bytes:
+    """The CSV as a ``%d`` line template per row renders it, with every
+    "-1" (BLANK; no sample is negative) cleared."""
+    line = ",".join(["%d"] * rows.shape[1]) + "\n"
+    text = line * len(rows) % tuple(rows.ravel().tolist())
+    return (",".join(header) + "\n" + text.replace("-1", "")).encode("ascii")
+
+
 def trace_header(channels, tail):
     return (["cycle", "d1st"] + [f"din{k}" for k in range(channels)] + ["dv"]
             + [f"dout{k}" for k in range(channels)] + tail)
@@ -585,6 +596,27 @@ class TestTraceBytes:
                          ["--set-size", "5", "--rank", "3"])
         assert got == clocked_stream_csv("single", values, 5, 3)
 
+    def test_16_bit_samples_from_zero_to_the_top(self, capsys, tmp_path):
+        rng = np.random.default_rng(112)
+        values = rng.integers(0, 1 << 16, size=5 * 12)
+        values[[0, 7, 31]] = 0
+        values[[3, 12, 59]] = (1 << 16) - 1
+        got = self.trace(capsys, tmp_path, values,
+                         ["--set-size", "5", "--rank", "2"])
+        assert got == clocked_stream_csv("single", values, 5, 2)
+        assert b",65535," in got and b",0," in got
+
+    def test_a_trace_past_100000_cycles(self, capsys, tmp_path):
+        values = np.random.default_rng(113).integers(0, 4, size=108_000)
+        got = self.trace(capsys, tmp_path, values,
+                         ["--set-size", "9", "--rank", "5"])
+        p = FilterParams(data_bits=2, set_size=9, rank=5)
+        header, rows = cli._trace_stream(stream_cycles(p, values), 1)
+        assert len(rows) == p.cycles(12_000) > 100_000
+        assert got == percent_rendered(header, rows)
+        assert got.endswith(b"\n%d,0,0,1,%d,%d\n" % (
+            len(rows) - 1, values[-9], rows[-1, -1]))
+
     @pytest.mark.parametrize("bits", ["8", "18"])
     def test_9753_rejects_a_data_width_the_samples_exceed(self, capsys,
                                                           tmp_path, bits):
@@ -595,6 +627,30 @@ class TestTraceBytes:
                                         "9753", "--data-bits", bits])
         assert code == 1
         assert "bits" in err
+
+
+@given(rows=st.integers(0, 3000), columns=st.integers(1, 30),
+       digits=st.integers(1, 7), blank=st.sampled_from([0.0, 0.2, 1.0]),
+       chunk=st.sampled_from(["one", "rows", "rows - 1", "rows + 1"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_writer_renders_like_a_percent_template(
+        tmp_path_factory, rows, columns, digits, blank, chunk, seed):
+    """Every cell of 1 to ``digits`` digits, or BLANK in any column, renders
+    as a ``%d`` template does, however the rows are cut into blocks."""
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, digits + 1, size=(rows, columns))
+    table = rng.integers(0, 10 ** widths)
+    table[:, rng.integers(columns)] = 10 ** digits - 1  # a widest cell
+    table[rng.random((rows, columns)) < blank] = cli.BLANK
+    table[::7, 0] = table[::5, -1] = cli.BLANK
+    header = [f"c{k}" for k in range(columns)]
+    path = tmp_path_factory.getbasetemp() / "percent.csv"
+    block = max(1, {"one": 1, "rows": rows, "rows - 1": rows - 1,
+                    "rows + 1": rows + 1}[chunk])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK_ROWS", block)
+        cli._write_trace(path, header, table)
+    assert path.read_bytes() == percent_rendered(header, table)
 
 
 class TestBench:
@@ -644,7 +700,7 @@ class TestBench:
         code, out, err = run_cli(capsys, ["bench", "--window", "3x3",
                                           "--sim-dims", "8x6", "--clock",
                                           clock] + simulate)
-        assert code == 1 and "3x3" not in out
+        assert code == 1 and out == ""
         assert "positive and finite" in err
 
     def test_zero_area_image_rejected(self, capsys):

@@ -96,6 +96,11 @@ class TestPercentileToRank:
         with pytest.raises(ConfigError):
             percentile_to_rank(1.1, 9)
 
+    @pytest.mark.parametrize("p", ["0.5", None, [0.5]])
+    def test_non_numbers_are_config_errors(self, p):
+        with pytest.raises(ConfigError, match="percentile"):
+            percentile_to_rank(p, 9)
+
 
 class TestFrameRate:
     @pytest.mark.parametrize("n,fps", [
@@ -112,6 +117,43 @@ class TestFrameRate:
     def test_the_clock_must_be_positive_and_finite(self, clock):
         with pytest.raises(ConfigError, match="positive and finite"):
             frame_rate(clock, 1024, 768, 9)
+
+    @pytest.mark.parametrize("args", [("1e6", 3, 3, 9), (1e6, "3", 3, 9),
+                                      (1e6, 3, None, 9), (1e6, 3, 3, "9")])
+    def test_non_numbers_are_config_errors(self, args):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            frame_rate(*args)
+
+
+class TestBorderArguments:
+    """Every image entry point reads a border given as its string value the
+    same as the enum member, and rejects any other value."""
+
+    image = np.arange(30).reshape(5, 6)
+
+    @pytest.mark.parametrize("border", list(Border))
+    def test_strings_coerce_to_the_member(self, border):
+        expected = filter_image(self.image, Rect(3, 3), 5, border=border)
+        assert expected.shape == ((5, 6) if border is Border.CLAMP
+                                  else (3, 4))
+        got = filter_image(self.image, Rect(3, 3), 5, border=border.value)
+        assert np.array_equal(got, expected)
+        report = run_filter(self.image, Rect(3, 3), 5, border=border.value)
+        assert report.border is border
+        oracle = filter_image_oracle(self.image, Rect(3, 3), 5,
+                                     border=border.value)
+        assert np.array_equal(oracle, expected)
+
+    @pytest.mark.parametrize("border", ["wrap", "CLAMP", None, 0])
+    def test_unknown_values_are_config_errors(self, border):
+        with pytest.raises(ConfigError, match="border"):
+            filter_image(self.image, Rect(3, 3), 5, border=border)
+        with pytest.raises(ConfigError, match="border"):
+            run_filter(self.image, Rect(3, 3), 5, border=border)
+        with pytest.raises(ConfigError, match="border"):
+            filter_image_oracle(self.image, Rect(3, 3), 5, border=border)
+        with pytest.raises(ConfigError, match="border"):
+            Border(border)
 
 
 class TestFilterImage:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankpipe import Border, Rect, select_desc
+from rankpipe import Border, ConfigError, Rect, select_desc
 from rankpipe.oracle import filter_image_oracle
 
 values = st.lists(st.integers(0, 255), min_size=1, max_size=40)
@@ -22,9 +22,9 @@ class TestSelectDesc:
         assert select_desc([3, 1, 4, 1, 5, 9, 2, 6, 5], 5) == 4
 
     def test_rank_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             select_desc([1, 2], 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             select_desc([1, 2], 3)
 
     @given(values)

@@ -14,6 +14,7 @@ from rankpipe import (
     McParams,
     Rect,
     SlidingEnsemble,
+    comparison_count,
     imaging,
     mc_stream_cycles,
     run_filter,
@@ -95,6 +96,30 @@ def test_a_chain_runs_sets_times_n_plus_the_drain():
               McParams(channels=9, columns=9, rank=41, pipe_latency=0)):
         for sets in range(4):
             assert p.cycles(sets) == sets * p.set_cycles + p.drain_cycles
+
+
+@pytest.mark.parametrize("count", [-1, -25, 1.0, 2.5, "3", None])
+@pytest.mark.parametrize("record", [
+    FilterParams(data_bits=8, set_size=5, rank=3),
+    McParams(channels=3, columns=4, rank=6),
+    SlidingParams(channels=3, columns=3, rank=5)])
+def test_the_contract_rejects_counts_that_are_not_whole(count, record):
+    for method in (record.fire, record.cycles, record.comparisons):
+        with pytest.raises(ConfigError, match="set counts"):
+            method(count)
+    with pytest.raises(ConfigError, match="set counts"):
+        comparison_count(record, count)
+    if isinstance(record, SlidingParams):
+        with pytest.raises(ConfigError, match="column counts"):
+            record.starts(count)
+
+
+def test_zero_sets_still_run_the_drain():
+    p = FilterParams(data_bits=8, set_size=5, rank=3)
+    assert p.cycles(0) == p.drain_cycles
+    assert p.fire(0).size == 0
+    assert p.comparisons(0) == comparison_count(p, np.int64(0)) == 0
+    assert p.cycles(np.int64(2)) == p.cycles(2)
 
 
 @pytest.mark.parametrize("window", [3, 5])
