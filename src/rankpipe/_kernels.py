@@ -55,7 +55,10 @@ def _search(cols, step, sets, set_cycles, data_bits, rank, counter_bits):
     out = np.empty(sets, dtype)
     if not sets:
         return out
-    windows = sliding_window_view(cols, set_cycles, axis=0)[::step][:sets]
+    if step == set_cycles:  # back to back: the stream reshapes into sets
+        windows = cols[:sets * step].reshape(sets, step, -1).transpose(0, 2, 1)
+    else:
+        windows = sliding_window_view(cols, set_cycles, axis=0)[::step][:sets]
     block = max(1, _BLOCK // (set_cycles * cols.shape[1]))
     for lo in range(0, sets, block):
         part = windows[lo:lo + block]
@@ -74,17 +77,21 @@ def _resolve(planes, data_bits, rank, counter_bits):
     ks = np.arange(1, 4, dtype=planes.dtype)[:, None]
     pre = np.zeros(planes.shape[1], planes.dtype)
     ge = np.empty((3,) + planes.shape, bool)
+    bounds = np.empty((3, planes.shape[1]), planes.dtype)
+    counts = np.empty(bounds.shape, acc)
     for s in range(data_bits // 2):
         kq = ks << (data_bits - 2 * s - 2)
-        # the three boundaries pre + k*q at once: (3, samples, sets)
-        np.greater_equal(planes, (pre + kq)[:, None, :], out=ge)
-        counts = np.add.reduce(ge.view(np.uint8), axis=1, dtype=acc)
+        # the three boundaries pre + k*q at once, into buffers every stage
+        # reuses: (3, samples, sets) flags, (3, sets) bounds and counts
+        np.greater_equal(planes, np.add(pre, kq, out=bounds)[:, None, :],
+                         out=ge)
+        np.add.reduce(ge.view(np.uint8), axis=1, dtype=acc, out=counts)
         # the sum wraps at the acc width, at least C bits, which leaves
         # bit C-1 of preset + count as the C-bit accumulator has it
         counts += preset
         counts &= msb
         # priority encode like ``refine``: the highest boundary whose MSB is set
-        pre += ((counts != 0) * kq).max(axis=0)
+        pre += np.multiply(counts != 0, kq, out=bounds).max(axis=0)
     return pre
 
 

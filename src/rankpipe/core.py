@@ -374,4 +374,6 @@ def run_stream(params: FilterParams, data) -> np.ndarray:
     """
     if np.size(data) == 0:
         return np.zeros(0, dtype=np.int64)
-    return stream_cycles(params, data).results
+    trace = stream_cycles(params, data)
+    sets = np.size(data) // params.set_size
+    return trace.result[params.fire(sets)].astype(np.int64)

@@ -19,6 +19,7 @@ build no clocked object; the clocked ``SlidingEnsemble`` and
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -59,18 +60,28 @@ def enable_schedule(w: int, phase: int) -> bool:
     return abs(phase - CADENCE // 2) <= (w - 1) // 2
 
 
-def _sliding_params(window: int, rank: int, data_bits: int,
+@functools.lru_cache(typed=True)
+def _sliding_record(window: int, rank: int, data_bits: int,
                     counter_bits: int | None,
                     pipe_latency: int) -> SlidingParams:
-    """The chain parameters of a W x W sliding ensemble.  The counter width
-    (unless given) and the pipe capacity are the ones the window needs, by
-    :func:`rankpipe.params.chain_widths`."""
     widths = chain_widths(window * window, rank, pipe_latency)
     if counter_bits is not None:
         widths["counter_bits"] = counter_bits
     return SlidingParams(channels=window, columns=window, rank=rank,
                          data_bits=data_bits, pipe_latency=pipe_latency,
                          **widths)
+
+
+def _sliding_params(*args) -> SlidingParams:
+    """The chain parameters of a W x W sliding ensemble from ``(window,
+    rank, data_bits, counter_bits, pipe_latency)``, the widths (unless given)
+    by :func:`rankpipe.params.chain_widths`.  Cached, as an image runs a
+    strip per row; typed, so ``5.0`` is still rejected after ``5``;
+    unhashable arguments skip the cache for the same checks."""
+    try:
+        return _sliding_record(*args)
+    except TypeError:
+        return _sliding_record.__wrapped__(*args)
 
 
 class SlidingEnsemble:

@@ -28,6 +28,7 @@ from .core import stream_cycles
 from .ensembles import sliding_cycles
 from .multichannel import mc_stream_cycles
 from .params import (
+    MAX_DATA_BITS,
     ConfigError,
     FilterParams,
     McParams,
@@ -205,8 +206,12 @@ class FilterReport:
 
 
 def infer_data_bits(image) -> int:
-    """Smallest even sample width holding every pixel (at least 2 bits)."""
-    peak = int(np.asarray(image).max(initial=0))
+    """Smallest even sample width holding every pixel (at least 2 bits).
+    Non-integer images raise :func:`rankpipe.params.check_samples`' error."""
+    image = np.asarray(image)
+    if image.dtype.kind not in "iu":
+        check_samples(image, MAX_DATA_BITS)
+    peak = int(image.max(initial=0))
     return max(2, padded_bits(peak.bit_length()))
 
 
@@ -243,18 +248,28 @@ def _padded(samples, offsets):
     Returns the frame and each offset shifted into it, in order: anchor
     (x, y) reads ``frame[y + sy, x + sx]`` for shift (sx, sy), which is the
     clamped pixel (x + dx, y + dy).  An offset reaching past the image from
-    every anchor reads the edge pixel, so offsets are first clipped to
-    +-max(size - 1, N): that changes no pixel and no rectangle or diamond,
+    every anchor reads the edge pixel, so offsets past +-max(size - 1, N)
+    are clipped to it: that changes no pixel and no rectangle or diamond,
     whose offsets stay below N, and bounds the pad of a far custom offset.
+    The frame is five slice stores: image, edge columns, top and bottom.
     """
     height, width = samples.shape
     rx, ry = max(width - 1, len(offsets)), max(height - 1, len(offsets))
-    offsets = [(min(max(dx, -rx), rx), min(max(dy, -ry), ry))
-               for dx, dy in offsets]
     dxs, dys = zip(*offsets)
+    if max(-min(dxs), max(dxs)) > rx or max(-min(dys), max(dys)) > ry:
+        offsets = [(min(max(dx, -rx), rx), min(max(dy, -ry), ry))
+                   for dx, dy in offsets]
+        dxs, dys = zip(*offsets)
     left, top = max(0, -min(dxs)), max(0, -min(dys))
     right, bottom = max(0, max(dxs)), max(0, max(dys))
-    frame = np.pad(samples, ((top, bottom), (left, right)), mode="edge")
+    frame = np.empty((top + height + bottom, left + width + right),
+                     samples.dtype)
+    body = frame[top:top + height]
+    body[:, left:left + width] = samples
+    body[:, :left] = samples[:, :1]
+    body[:, left + width:] = samples[:, -1:]
+    frame[:top] = body[0]
+    frame[top + height:] = body[-1]
     return frame, [(dx + left, dy + top) for dx, dy in offsets]
 
 
@@ -271,7 +286,8 @@ def _windows(frame, shifts, x0, cols, y0, rows):
 def _single_streams(frame, shifts, params, x0, cols, y0, rows):
     """One sample stream per band: each anchor's window in offset order."""
     samples = _windows(frame, shifts, x0, cols, y0, rows)
-    yield stream_cycles(params, samples.reshape(-1)).results
+    trace = stream_cycles(params, samples.reshape(-1))
+    yield trace.result[params.fire(rows * cols)].astype(np.int64)
 
 
 def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
@@ -279,7 +295,7 @@ def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
     every column K samples from the top row."""
     samples = _windows(frame, sorted(shifts), x0, cols, y0, rows)
     trace = mc_stream_cycles(params, samples.reshape(-1, params.channels))
-    yield trace.results
+    yield trace.result[params.fire(rows * cols)].astype(np.int64)
 
 
 def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):

@@ -41,6 +41,8 @@ def filter_image_oracle(image, shape, rank: int,
                         border: Border = Border.CLAMP) -> np.ndarray:
     """Per-pixel sort-based rank filtering; definitionally correct reference."""
     image = np.asarray(image)
+    if image.dtype.kind not in "iu":
+        raise ConfigError(f"samples must be integers, got {image.dtype} data")
     height, width = image.shape
     offsets = _own_offsets(shape)
     border = Border(border)

@@ -15,6 +15,7 @@ from rankpipe import (
     sliding_cycles,
     sliding_window_results,
 )
+from rankpipe.ensembles import _sliding_params
 from rankpipe.oracle import select_desc
 
 
@@ -317,3 +318,38 @@ class TestBatch9753:
             Ensemble9753().clock(strip[0], d1st=True)
         with pytest.raises(ConfigError):
             Ensemble9753().clock(-strip[0])
+
+
+class TestSlidingRecordCache:
+    COLS = np.arange(24).reshape(8, 3) % 7
+
+    def test_rows_share_one_record(self):
+        assert _sliding_params(3, 5, 8, None, 5) is _sliding_params(
+            3, 5, 8, None, 5)
+        assert _sliding_params(3, 5, 8, None, 5).counter_bits == 8
+
+    @pytest.mark.parametrize("rank", [5.0, np.float64(5.0)])
+    def test_a_float_equal_to_a_cached_rank_is_still_rejected(self, rank):
+        # the cache is typed: 5.0 == 5 and hashes alike, yet must not reach
+        # the record of 5
+        want = sliding_cycles(3, 5, self.COLS).results.tolist()
+        assert SlidingEnsemble(3, 5).params.rank == 5
+        with pytest.raises(ConfigError, match="integers"):
+            sliding_cycles(3, rank, self.COLS)
+        with pytest.raises(ConfigError, match="integers"):
+            SlidingEnsemble(3, rank)
+        with pytest.raises(ConfigError, match="integers"):
+            sliding_cycles(3, 5, self.COLS, pipe_latency=float(5))
+        assert sliding_cycles(3, 5, self.COLS).results.tolist() == want
+
+    def test_integer_types_give_the_same_record(self):
+        # bools are integers to the records (operator.index), as before
+        for rank in (np.int64(1), True, np.array(1)):
+            assert _sliding_params(3, rank, 8, None, 5) == _sliding_params(
+                3, 1, 8, None, 5)
+
+    def test_unhashable_arguments_get_the_records_own_checks(self):
+        with pytest.raises(ConfigError, match="integers"):
+            sliding_cycles(3, [5], self.COLS)
+        assert (sliding_cycles(3, np.array(5), self.COLS).results.tolist()
+                == sliding_cycles(3, 5, self.COLS).results.tolist())

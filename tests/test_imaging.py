@@ -3,6 +3,8 @@ calculator."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rankpipe import (
     Border,
@@ -295,6 +297,40 @@ class TestBandDriver:
         assert (report.image == filter_image_oracle(img, Rect(3, 3), 5)).all()
 
     @pytest.mark.parametrize("engine,name,shape", [
+        ("single", "stream_cycles", Rect(3, 3)),
+        ("single", "stream_cycles", Diamond(5)),
+        ("multichannel", "mc_stream_cycles", Rect(4, 3)),
+        ("sliding", "sliding_cycles", Rect(3, 3))])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_pixels_are_the_results_the_traces_flag(self, monkeypatch, engine,
+                                                    name, shape, threads):
+        # the bands read each result at its fire cycle; the dv mask over
+        # every cycle of the same traces gives the same pixels, band by band
+        # (threads may finish their bands in any order)
+        traces = []
+        real = getattr(imaging, name)
+
+        def keep(*args, **kwargs):
+            traces.append(real(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(imaging, name, keep)
+        img = np.random.default_rng(45).integers(0, 256, size=(7, 6))
+        for border in Border:
+            traces.clear()
+            report = run_filter(img, shape, 4, engine=engine, border=border,
+                                threads=threads)
+            rows, cols = report.image.shape
+            flagged = [trace.window_results(cols) if engine == "sliding"
+                       else trace.results for trace in traces]
+            per_band = ([1] * rows if engine == "sliding" else
+                        [n for _, n in imaging._bands(0, rows - 1, threads)])
+            bands = np.split(report.image, np.cumsum(per_band)[:-1])
+            assert report.image.dtype == np.int64
+            assert sorted(band.ravel().tolist() for band in bands) == sorted(
+                result.tolist() for result in flagged)
+
+    @pytest.mark.parametrize("engine,name,shape", [
         ("single", "stream_cycles", Custom(((2, 0), (0, 0), (-1, -3)))),
         ("single", "stream_cycles", Rect(4, 3)),
         ("multichannel", "mc_stream_cycles", Rect(4, 3)),
@@ -346,6 +382,73 @@ class TestBandDriver:
             else:
                 with pytest.raises(ConfigError, match=engine):
                     filter_image(img, shape, 1, engine=engine, data_bits=8)
+
+
+@pytest.mark.parametrize("image", [
+    np.array([[1, 2, "a"]], dtype=object),
+    np.array([[1, None, 3]], dtype=object),
+    np.array([[1, 2, 3]], dtype=object),
+    np.array([[1.0, np.nan, np.inf]])])
+@pytest.mark.parametrize("run", [run_filter, filter_image,
+                                 filter_image_oracle])
+def test_images_that_are_not_integers_are_config_errors(image, run):
+    with pytest.raises(ConfigError, match="integers"):
+        run(image, Rect(3, 3), 5)
+    with pytest.raises(ConfigError, match="integers"):
+        infer_data_bits(image)
+
+
+def padded_by_np_pad(samples, offsets):
+    """The clamp frame as ``np.pad(mode="edge")`` builds it, every offset
+    clipped to +-max(size - 1, N) first."""
+    height, width = samples.shape
+    rx, ry = max(width - 1, len(offsets)), max(height - 1, len(offsets))
+    offsets = [(min(max(dx, -rx), rx), min(max(dy, -ry), ry))
+               for dx, dy in offsets]
+    dxs, dys = zip(*offsets)
+    left, top = max(0, -min(dxs)), max(0, -min(dys))
+    right, bottom = max(0, max(dxs)), max(0, max(dys))
+    frame = np.pad(samples, ((top, bottom), (left, right)), mode="edge")
+    return frame, [(dx + left, dy + top) for dx, dy in offsets]
+
+
+@st.composite
+def windows(draw):
+    kind = draw(st.sampled_from(["rect", "diamond", "custom"]))
+    if kind == "rect":
+        return Rect(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    if kind == "diamond":
+        return Diamond(2 * draw(st.integers(0, 3)) + 1)
+    # far offsets reach past the image and take the clipping branch
+    reach = draw(st.sampled_from([2, 12, 60]))
+    offsets = draw(st.sets(st.tuples(st.integers(-reach, reach),
+                                      st.integers(-reach, reach)),
+                           min_size=1, max_size=8))
+    return Custom(tuple(offsets))
+
+
+@given(shape=windows(), height=st.integers(1, 9), width=st.integers(1, 9),
+       dtype=st.sampled_from([np.uint8, np.uint16]), seed=st.integers(0, 99))
+@example(shape=Custom(((40, 0), (0, -30), (0, 0))), height=1, width=5,
+         dtype=np.uint16, seed=1)
+@example(shape=Custom(((-40, 1), (0, 0))), height=3, width=3,
+         dtype=np.uint8, seed=4)
+@example(shape=Custom(((1, -25), (0, 0))), height=3, width=4,
+         dtype=np.uint16, seed=5)
+@example(shape=Rect(5, 5), height=6, width=1, dtype=np.uint8, seed=2)
+@example(shape=Diamond(7), height=1, width=1, dtype=np.uint8, seed=3)
+def test_the_clamp_frame_equals_edge_padding(shape, height, width, dtype,
+                                             seed):
+    # 1xN and Nx1 images included; the frame and the shifts both match
+    top = np.iinfo(dtype).max
+    img = np.random.default_rng(seed).integers(0, top + 1, (height, width))
+    samples = img.astype(dtype)
+    offsets = window_offsets(shape)
+    frame, shifts = imaging._padded(samples, offsets)
+    want_frame, want_shifts = padded_by_np_pad(samples, offsets)
+    assert frame.dtype == dtype
+    assert np.array_equal(frame, want_frame)
+    assert shifts == want_shifts
 
 
 def test_infer_data_bits():

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rankpipe import (
@@ -243,6 +245,36 @@ def test_blocks_of_sets_join_seamlessly(monkeypatch):
         assert _run_chain(cols, 40, 8, 7, 11, 8, 1) == whole
         assert (_sliding(strip, 40, 8, 11, 1)[3] == windows[3]).all()
     assert sum(whole[2]) == 40 and windows[2].sum() == 40
+
+
+def _strided_search(cols, sets, set_cycles, data_bits, rank, counter_bits):
+    """The back-to-back search through a strided view of the stream, one
+    window every ``set_cycles`` rows: the path any other step takes."""
+    windows = sliding_window_view(cols, set_cycles, axis=0)[::set_cycles]
+    planes = windows[:sets].transpose(1, 2, 0).astype(cols.dtype, order="C")
+    return _kernels._resolve(planes.reshape(-1, sets), data_bits, rank,
+                             counter_bits)
+
+
+@given(k=st.integers(1, 5), n=st.integers(1, 9), sets=st.integers(1, 30),
+       tail=st.integers(0, 12), bits=st.sampled_from([2, 8, 10, 16]),
+       block=st.sampled_from([1, 7, 64, None]), data=st.data())
+def test_back_to_back_sets_reshape_like_the_strided_view(k, n, sets, tail,
+                                                         bits, block, data):
+    # step == set_cycles takes the stream as a reshape; drain rows past the
+    # last set and block seams must not change a result
+    rank = data.draw(st.integers(1, n * k))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cols = _samples(rng, bits, (sets * n + tail, k)).astype(
+        np.uint8 if bits <= 8 else np.uint16)
+    want = _strided_search(cols, sets, n, bits, rank, 8)
+    saved = _kernels._BLOCK
+    _kernels._BLOCK = block or saved
+    try:
+        got = _kernels._search(cols, n, sets, n, bits, rank, 8)
+    finally:
+        _kernels._BLOCK = saved
+    assert got.tolist() == want.tolist()
 
 
 def test_sliding_windows_match_the_int64_search(monkeypatch):

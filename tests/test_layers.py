@@ -117,3 +117,34 @@ def test_kernel_calls_keep_the_benchmark_convention(monkeypatch):
     assert kernel_calls(trace) == gated
     report = run_filter(rng.integers(0, 256, size=(6, 7)), Rect(3, 3), 5)
     assert sum(kernel_calls(report)) == report.cycles
+
+
+@pytest.mark.parametrize("engine,name", [("single", "stream_cycles"),
+                                         ("multichannel", "mc_stream_cycles")])
+def test_a_filter_call_is_one_stream_and_one_kernel_run(monkeypatch, engine,
+                                                        name):
+    # perfbench/workloads.contract_violations pins a threads-1 filter call
+    # to one engine stream and one kernel run of report.cycles rows, whose
+    # comparisons are the report's
+    streams, kernels = [], []
+    real_stream = getattr(rankpipe.imaging, name)
+    real_kernel = _kernels.chain_run
+
+    def stream(*args, **kwargs):
+        streams.append(real_stream(*args, **kwargs))
+        return streams[-1]
+
+    def kernel(*args):
+        result = real_kernel(*args)
+        kernels.append((len(args[0]), int(result[1])))
+        return result
+
+    monkeypatch.setattr(rankpipe.imaging, name, stream)
+    monkeypatch.setattr(_kernels, "chain_run", kernel)
+    image = np.random.default_rng(9).integers(0, 256, size=(32, 48))
+    report = run_filter(image, Rect(5, 5), 13, engine=engine)
+    assert [trace.cycles for trace in streams] == [report.cycles]
+    assert [trace.comparisons for trace in streams] == [report.comparisons]
+    assert kernels == [(report.cycles, report.comparisons)]
+    p = rankpipe.imaging.engine_params(Rect(5, 5), 25, 13, engine, 8)
+    assert report.cycles == 48 * 32 * p.set_cycles + p.drain_cycles

@@ -18,6 +18,8 @@ from rankpipe import (
     imaging,
     mc_stream_cycles,
     run_filter,
+    run_stream,
+    run_windows,
     sliding_cycles,
     stream_cycles,
 )
@@ -89,6 +91,21 @@ def test_records_give_the_traces_cycles_fire_and_comparisons(kind, latency):
         assert p.fire(sets).tolist() == np.flatnonzero(trace.dv).tolist()
         assert p.comparisons(sets) == trace.comparisons
         assert p.comparisons(sets) == _clocked_comparisons(p, trace)
+
+
+@pytest.mark.parametrize("kind,run", [("single", run_stream),
+                                      ("multichannel", run_windows)])
+@pytest.mark.parametrize("latency", [0, 5])
+def test_results_read_at_the_fire_cycles_are_the_flagged_ones(kind, run,
+                                                              latency):
+    rng = np.random.default_rng([len(kind), latency, 7])
+    for case in range(10):
+        p = _random_record(rng, kind, latency)
+        sets = case % 5 + 1
+        trace = _batch_trace(p, rng, sets)
+        results = run(p, trace.din[:sets * p.set_cycles])
+        assert results.dtype == np.int64
+        assert results.tolist() == trace.results.tolist()
 
 
 def test_a_chain_runs_sets_times_n_plus_the_drain():
