@@ -112,11 +112,9 @@ def chain_run(cols, sets, params, dv, res):
     return _run(cols, sets, params, dv, res)
 
 
-def sliding_run(cols, starts, params, dv, res, chain_id):
+def sliding_run(cols, starts, params, dv, res):
     """W staggered W-channel chains over one shared ``(T, W)`` column
     stream: window i begins at cycle i, on chain ``i % W``, and ``starts``
-    windows run.  Fills ``dv``/``res``/``chain_id`` and returns ``(fire,
-    comparisons)`` like :func:`chain_run`."""
-    fire, comparisons = _run(cols, starts, params, dv, res)
-    chain_id[fire] = np.arange(starts) % params.columns
-    return fire, comparisons
+    windows run.  Fills ``dv``/``res`` and returns ``(fire, comparisons)``
+    like :func:`chain_run`."""
+    return _run(cols, starts, params, dv, res)

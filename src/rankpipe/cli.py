@@ -227,7 +227,13 @@ def cmd_trace(args) -> int:
             trace = sliding_cycles(shape.width, rank, cols, data_bits=bits)
         header, rows = _trace_stream(trace, shape.height)
     else:  # 9753
-        ranks = tuple(int(r) for r in args.ranks.split(","))
+        ranks = []
+        for token in args.ranks.split(","):
+            try:
+                ranks.append(int(token))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"--ranks takes integers, got {token!r}") from exc
         if len(ranks) != 4:
             raise ConfigError("--ranks must list four values m9,m7,m5,m3")
         cols = _reshape_columns(values, CADENCE)

@@ -19,7 +19,6 @@ build no clocked object; the clocked ``SlidingEnsemble`` and
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 
@@ -60,28 +59,17 @@ def enable_schedule(w: int, phase: int) -> bool:
     return abs(phase - CADENCE // 2) <= (w - 1) // 2
 
 
-@functools.lru_cache(typed=True)
-def _sliding_record(window: int, rank: int, data_bits: int,
+def _sliding_params(window: int, rank: int, data_bits: int,
                     counter_bits: int | None,
                     pipe_latency: int) -> SlidingParams:
+    """The chain parameters of a W x W sliding ensemble, the widths (unless
+    given) by :func:`rankpipe.params.chain_widths`."""
     widths = chain_widths(window * window, rank, pipe_latency)
     if counter_bits is not None:
         widths["counter_bits"] = counter_bits
     return SlidingParams(channels=window, columns=window, rank=rank,
                          data_bits=data_bits, pipe_latency=pipe_latency,
                          **widths)
-
-
-def _sliding_params(*args) -> SlidingParams:
-    """The chain parameters of a W x W sliding ensemble from ``(window,
-    rank, data_bits, counter_bits, pipe_latency)``, the widths (unless given)
-    by :func:`rankpipe.params.chain_widths`.  Cached, as an image runs a
-    strip per row; typed, so ``5.0`` is still rejected after ``5``;
-    unhashable arguments skip the cache for the same checks."""
-    try:
-        return _sliding_record(*args)
-    except TypeError:
-        return _sliding_record.__wrapped__(*args)
 
 
 class SlidingEnsemble:
@@ -132,7 +120,12 @@ class SlidingEnsemble:
 class SlidingTrace(StreamTrace):
     """Per-clock record of a batch sliding run, drain included."""
 
-    chain: np.ndarray
+    @property
+    def chain(self) -> np.ndarray:
+        """The chain each cycle's result matured on, -1 off dv: window i
+        matures at cycle ``alignment + i``, on chain ``i % W``."""
+        cycle = np.arange(len(self.dv))
+        return np.where(self.dv, (cycle - self.delay) % self.din.shape[1], -1)
 
     @property
     def alignment(self) -> int:
@@ -167,11 +160,9 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
     starts = p.starts(len(cols))
     total = p.cycles(starts)
     din, d1st, dv, res = _framed(cols, p.data_bits, total, window)
-    chain_id = np.full(total, -1, dtype=np.int64)
-    _, comparisons = _kernels.sliding_run(din, starts, p, dv, res, chain_id)
+    _, comparisons = _kernels.sliding_run(din, starts, p, dv, res)
     return SlidingTrace(din=din, d1st=d1st, dv=dv, result=res,
-                        comparisons=comparisons, delay=p.alignment,
-                        chain=chain_id)
+                        comparisons=comparisons, delay=p.alignment)
 
 
 def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray:

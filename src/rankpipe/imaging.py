@@ -11,7 +11,7 @@ window's extents, so clamp borders need no clipping and valid borders are
 anchors inside the same frame.  Every engine's stream is slices of that
 one frame: a single-channel band copies one slice per offset into its
 ``(rows, cols, N)`` stream, a multichannel band the same slices in column
-order, and a sliding row is a transposed slice.
+order, and a sliding band each row's transposed slice, one after another.
 """
 
 from __future__ import annotations
@@ -130,23 +130,25 @@ def window_size(shape: WindowShape) -> int:
 
 
 def parse_window(text: str) -> WindowShape:
-    """Parse a CLI window spec: ``WxH``, ``diamondD``, or ``custom=FILE``."""
-    text = text.strip().lower()
-    if text.startswith("custom="):
-        path = text[len("custom="):]
+    """Parse a CLI window spec: ``WxH``, ``diamondD``, or ``custom=FILE``.
+    The keywords take any case; the file path is opened as given."""
+    text = text.strip()
+    if text.lower().startswith("custom="):
         offsets = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+        with open(text[len("custom="):], "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                parts = line.split()
-                if len(parts) != 2:
+                try:
+                    dx, dy = map(int, line.split())
+                except ValueError as exc:
                     raise ConfigError(
-                        f"custom window lines must be 'dx dy', got {line!r}"
-                    )
-                offsets.append((int(parts[0]), int(parts[1])))
+                        f"custom window line {number} must be two integers "
+                        f"'dx dy', got {line!r}") from exc
+                offsets.append((dx, dy))
         return Custom(tuple(offsets))
+    text = text.lower()
     if text.startswith("diamond"):
         try:
             return Diamond(int(text[len("diamond"):]))
@@ -287,7 +289,7 @@ def _single_streams(frame, shifts, params, x0, cols, y0, rows):
     """One sample stream per band: each anchor's window in offset order."""
     samples = _windows(frame, shifts, x0, cols, y0, rows)
     trace = stream_cycles(params, samples.reshape(-1))
-    yield trace.result[params.fire(rows * cols)].astype(np.int64)
+    return trace.result[params.fire(rows * cols)].astype(np.int64)
 
 
 def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
@@ -295,21 +297,24 @@ def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
     every column K samples from the top row."""
     samples = _windows(frame, sorted(shifts), x0, cols, y0, rows)
     trace = mc_stream_cycles(params, samples.reshape(-1, params.channels))
-    yield trace.result[params.fire(rows * cols)].astype(np.int64)
+    return trace.result[params.fire(rows * cols)].astype(np.int64)
 
 
 def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
-    """One column stream per row: every column its windows span, a
-    transposed slice of the frame."""
+    """One column stream per band: each row's strip of the columns its
+    windows span, a transposed slice of the frame, one after another; the
+    W - 1 windows per row that cross into the next strip are dropped."""
     sx, sy = min(shifts)  # the top-left corner of the square window
-    side = params.columns
-    for y in range(y0, y0 + rows):
-        strip = frame[y + sy:y + sy + side, x0 + sx:x0 + sx + cols + side - 1]
-        trace = sliding_cycles(side, params.rank, strip.T,
-                               data_bits=params.data_bits,
-                               counter_bits=params.counter_bits,
-                               pipe_latency=params.pipe_latency)
-        yield trace.window_results(cols)
+    side, span = params.columns, cols + params.columns - 1
+    block = frame[y0 + sy:y0 + sy + rows + side - 1, x0 + sx:x0 + sx + span]
+    # strip r, column c, row k is block[r + k, c]
+    strips = np.lib.stride_tricks.sliding_window_view(block, side, axis=0)
+    trace = sliding_cycles(side, params.rank, strips.reshape(-1, side),
+                           data_bits=params.data_bits,
+                           counter_bits=params.counter_bits,
+                           pipe_latency=params.pipe_latency)
+    pixels = trace.result[params.fire(rows * span)].reshape(rows, span)
+    return pixels[:, :cols].astype(np.int64).reshape(-1)
 
 
 def engines_for(shape: WindowShape) -> list[str]:
@@ -359,10 +364,10 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     there; under the clamp policy coordinates are clipped to the image, so
     the output matches the input size.  The engine choice changes only the
     simulated datapath, never the pixels.  The chain runs under
-    :func:`engine_params`.  Row bands of anchors run on ``threads``
-    threads; the cycles and comparisons reported do not depend on
-    ``threads``: single and multichannel report one back-to-back stream
-    of every anchor's window plus one drain, sliding one stream per row.
+    :func:`engine_params`.  Each row band of anchors is one engine call,
+    on ``threads`` threads; the report does not depend on ``threads``:
+    single and multichannel count one back-to-back stream of every
+    anchor's window plus one drain, sliding one strip's stream per row.
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
@@ -390,12 +395,11 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
                "sliding": _sliding_streams}[engine]
 
     def worker(band):
-        return list(streams(frame, shifts, params, x_lo, cols, *band))
+        return streams(frame, shifts, params, x_lo, cols, *band)
 
-    pixels = [part for band in _run_bands(worker, _bands(y_lo, y_hi, threads),
-                                          threads) for part in band]
-    # the bands of a chain engine are one back-to-back stream cut up for the
-    # threads; a sliding row streams every column its windows span
+    pixels = _run_bands(worker, _bands(y_lo, y_hi, threads), threads)
+    # a chain engine's bands are one back-to-back stream cut up for the
+    # threads; the report counts each sliding row's strip as a stream alone
     runs, sets = ((rows, params.starts(cols + params.columns - 1))
                   if engine == "sliding" else (1, cols * rows))
     return FilterReport(image=np.concatenate(pixels).reshape(rows, cols),

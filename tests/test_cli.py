@@ -297,6 +297,22 @@ class TestFilter:
         assert code == 0
         assert out_path.read_bytes().startswith(b"P2\n")
 
+    @pytest.mark.parametrize("text,line", [("0 0\n0 zero\n", "0 zero"),
+                                           ("0 1.5\n", "0 1.5")])
+    def test_custom_window_offsets_must_be_integers(self, capsys, tmp_path,
+                                                    image_file, text, line):
+        in_path, _ = image_file
+        window = tmp_path / "Win.txt"
+        window.write_text(text)
+        code, out, err = run_cli(capsys, ["filter", str(in_path),
+                                          str(tmp_path / "out.pgm"),
+                                          "--window", f"Custom={window}",
+                                          "--rank", "1"])
+        assert (code, out) == (1, "")
+        number = text.count("\n")
+        assert err == (f"error: custom window line {number} must be two "
+                       f"integers 'dx dy', got {line!r}\n")
+
     @pytest.mark.parametrize("raster,found", [(b"1 2 3 4 5", 5),
                                               (b"1 2 3 4 5 6 7\n", 7)])
     def test_p2_sample_count_must_match(self, capsys, tmp_path, raster,
@@ -616,6 +632,20 @@ class TestTraceBytes:
         assert got == percent_rendered(header, rows)
         assert got.endswith(b"\n%d,0,0,1,%d,%d\n" % (
             len(rows) - 1, values[-9], rows[-1, -1]))
+
+    @pytest.mark.parametrize("ranks,message", [
+        ("41,x,13,5", "--ranks takes integers, got 'x'"),
+        ("41,25,13,5.5", "--ranks takes integers, got '5.5'"),
+        ("41,25,13", "--ranks must list four values m9,m7,m5,m3")])
+    def test_9753_ranks_must_be_four_integers(self, capsys, tmp_path, ranks,
+                                              message):
+        src = tmp_path / "in.txt"
+        src.write_text(" ".join(["4"] * 162))
+        code, out, err = run_cli(capsys, ["trace", str(src), "-o",
+                                          str(tmp_path / "out.csv"),
+                                          "--engine", "9753", "--ranks",
+                                          ranks])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("bits", ["8", "18"])
     def test_9753_rejects_a_data_width_the_samples_exceed(self, capsys,

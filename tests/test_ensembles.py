@@ -323,15 +323,10 @@ class TestBatch9753:
 class TestSlidingRecordCache:
     COLS = np.arange(24).reshape(8, 3) % 7
 
-    def test_rows_share_one_record(self):
-        assert _sliding_params(3, 5, 8, None, 5) is _sliding_params(
-            3, 5, 8, None, 5)
-        assert _sliding_params(3, 5, 8, None, 5).counter_bits == 8
-
     @pytest.mark.parametrize("rank", [5.0, np.float64(5.0)])
     def test_a_float_equal_to_a_cached_rank_is_still_rejected(self, rank):
-        # the cache is typed: 5.0 == 5 and hashes alike, yet must not reach
-        # the record of 5
+        # 5.0 == 5, yet must not reach the record of 5, before or after a
+        # run of 5
         want = sliding_cycles(3, 5, self.COLS).results.tolist()
         assert SlidingEnsemble(3, 5).params.rank == 5
         with pytest.raises(ConfigError, match="integers"):
@@ -347,6 +342,7 @@ class TestSlidingRecordCache:
         for rank in (np.int64(1), True, np.array(1)):
             assert _sliding_params(3, rank, 8, None, 5) == _sliding_params(
                 3, 1, 8, None, 5)
+        assert _sliding_params(3, 5, 8, None, 5).counter_bits == 8
 
     def test_unhashable_arguments_get_the_records_own_checks(self):
         with pytest.raises(ConfigError, match="integers"):

@@ -74,10 +74,32 @@ class TestParseWindow:
         shape = parse_window(f"custom={path}")
         assert window_size(shape) == 3
 
+    def test_a_custom_path_keeps_its_case(self, tmp_path):
+        # only the keyword is case-insensitive; the path opens as given
+        path = tmp_path / "CaseDir" / "Win.txt"
+        path.parent.mkdir()
+        path.write_text("0 0\n1 0\n")
+        for keyword in ("custom=", "CUSTOM=", "Custom="):
+            assert parse_window(f"  {keyword}{path} ") == Custom(
+                ((0, 0), (1, 0)))
+        assert parse_window("5X3") == Rect(5, 3)
+        assert parse_window("Diamond5") == Diamond(5)
+
     @pytest.mark.parametrize("spec", ["", "5", "x5", "ax2", "diamondx"])
     def test_bad_specs(self, spec):
         with pytest.raises(ConfigError):
             parse_window(spec)
+
+    @pytest.mark.parametrize("text,message", [
+        ("0 0\n0 zero\n", "line 2 must be two integers 'dx dy', got '0 zero'"),
+        ("# offsets\n0 1.5\n", "line 2 must be two integers 'dx dy', got '0 1.5'"),
+        ("0 0\n1\n", "line 2 must be two integers 'dx dy', got '1'"),
+        ("0 0 0\n", "line 1 must be two integers 'dx dy', got '0 0 0'")])
+    def test_bad_custom_lines_are_named(self, tmp_path, text, message):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"custom window {message}"):
+            parse_window(f"custom={path}")
 
 
 class TestPercentileToRank:
@@ -272,15 +294,16 @@ class TestDerivedWidths:
 
 
 class TestBandDriver:
-    @pytest.mark.parametrize("engine,name,per_row", [
+    @pytest.mark.parametrize("engine,name,strips", [
         ("single", "stream_cycles", False),
         ("multichannel", "mc_stream_cycles", False),
         ("sliding", "sliding_cycles", True)])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_engines_are_looked_up_at_call_time(self, monkeypatch, engine,
-                                                name, per_row, threads):
+                                                name, strips, threads):
         # run_filter reaches each engine through the imaging module's own
-        # globals, once per band (once per row for sliding)
+        # globals, once per band; a sliding band joins its rows' strips of
+        # cols + W - 1 columns into one stream
         calls = []
         real = getattr(imaging, name)
 
@@ -292,9 +315,33 @@ class TestBandDriver:
         img = np.random.default_rng(44).integers(0, 256, size=(7, 6))
         report = run_filter(img, Rect(3, 3), 5, engine=engine,
                             threads=threads, data_bits=8)
-        bands = 1 if threads == 1 else 3
-        assert len(calls) == (img.shape[0] if per_row else bands)
+        assert len(calls) == (1 if threads == 1 else 3)
+        per_row = 6 + 2 if strips else 6 * {"single": 9,
+                                            "multichannel": 3}[engine]
+        assert sum(calls) == 7 * per_row
         assert (report.image == filter_image_oracle(img, Rect(3, 3), 5)).all()
+
+    @pytest.mark.parametrize("side", [3, 5, 9])
+    @pytest.mark.parametrize("width", [1, 2, 4, 7, 12, 13])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_sliding_bands_drop_the_windows_across_seams(self, side, width,
+                                                         threads):
+        # cols + W - 1 columns per strip, a multiple of W or not, and
+        # images narrower than the window; every band ends on a seam
+        img = np.random.default_rng(width).integers(0, 256, size=(11, width))
+        shape = Rect(side, side)
+        rank = (side * side + 1) // 2
+        for border in Border:
+            try:
+                want = filter_image_oracle(img, shape, rank, border)
+            except ValueError:  # the oracle's error for a window too wide
+                with pytest.raises(ConfigError, match="does not fit"):
+                    run_filter(img, shape, rank, "sliding", border,
+                               threads=threads)
+                continue
+            got = filter_image(img, shape, rank, engine="sliding",
+                               border=border, threads=threads)
+            assert got.shape == want.shape and (got == want).all(), border
 
     @pytest.mark.parametrize("engine,name,shape", [
         ("single", "stream_cycles", Rect(3, 3)),
@@ -311,8 +358,8 @@ class TestBandDriver:
         real = getattr(imaging, name)
 
         def keep(*args, **kwargs):
-            traces.append(real(*args, **kwargs))
-            return traces[-1]
+            traces.append((len(args[-1]), real(*args, **kwargs)))
+            return traces[-1][1]
 
         monkeypatch.setattr(imaging, name, keep)
         img = np.random.default_rng(45).integers(0, 256, size=(7, 6))
@@ -321,14 +368,21 @@ class TestBandDriver:
             report = run_filter(img, shape, 4, engine=engine, border=border,
                                 threads=threads)
             rows, cols = report.image.shape
-            flagged = [trace.window_results(cols) if engine == "sliding"
-                       else trace.results for trace in traces]
-            per_band = ([1] * rows if engine == "sliding" else
-                        [n for _, n in imaging._bands(0, rows - 1, threads)])
+
+            def flagged(columns, trace):
+                if engine != "sliding":
+                    return trace.results
+                # a sliding band flags a window at every column of its
+                # strips, and past them to a whole cadence; the pixels are
+                # the first cols of each strip's cols + 2
+                strips = trace.results[:columns].reshape(-1, cols + 2)
+                return strips[:, :cols]
+
+            per_band = [n for _, n in imaging._bands(0, rows - 1, threads)]
             bands = np.split(report.image, np.cumsum(per_band)[:-1])
             assert report.image.dtype == np.int64
             assert sorted(band.ravel().tolist() for band in bands) == sorted(
-                result.tolist() for result in flagged)
+                flagged(*kept).ravel().tolist() for kept in traces)
 
     @pytest.mark.parametrize("engine,name,shape", [
         ("single", "stream_cycles", Custom(((2, 0), (0, 0), (-1, -3)))),
@@ -339,8 +393,9 @@ class TestBandDriver:
                                                      engine, name, shape):
         # the padded-frame gather feeds each engine what clamping every
         # coordinate gives: single a window per anchor in offset order,
-        # multichannel its columns left to right, sliding every column a
-        # row's windows span; each column lists its rows top down
+        # multichannel its columns left to right, sliding every column each
+        # row's windows span, row after row; each column lists its rows top
+        # down
         streams = []
         real = getattr(imaging, name)
 
@@ -367,7 +422,7 @@ class TestBandDriver:
                      for dx in dxs]]
         else:
             want = [[[pixel(x, y + dy) for dy in (-1, 0, 1)]
-                     for x in range(-1, 6)] for y in range(4)]
+                     for y in range(4) for x in range(-1, 6)]]
         assert streams == want
 
     @pytest.mark.parametrize("shape", [

@@ -111,9 +111,8 @@ def _sliding(cols, starts, bits, rank, latency):
                       data_bits=bits, pipe_latency=latency)
     dv = np.zeros(len(cols), dtype=np.uint8)
     res = np.zeros(len(cols), dtype=np.int64)
-    chain = np.full(len(cols), -1, dtype=np.int64)
-    fire, comparisons = _kernels.sliding_run(cols, starts, p, dv, res, chain)
-    return fire, comparisons, dv.astype(bool), res, chain
+    fire, comparisons = _kernels.sliding_run(cols, starts, p, dv, res)
+    return fire, comparisons, dv.astype(bool), res
 
 
 def test_sliding_run_matches_the_ensemble_window_for_window():
@@ -127,14 +126,14 @@ def test_sliding_run_matches_the_ensemble_window_for_window():
         cols = _drained(rng, 8, window, starts - 1, window + latency)
         d1st = np.zeros(len(cols), dtype=bool)
         d1st[:starts:window] = True
-        fire, comparisons, dv, res, chain = _sliding(cols, starts, 8, rank,
-                                                     latency)
+        fire, comparisons, dv, res = _sliding(cols, starts, 8, rank, latency)
         for t in range(len(cols)):
             out = ens.clock(cols[t], bool(d1st[t]))
             assert dv[t] == (out is not None)
             if out is not None:
                 assert res[t] == out
-                assert chain[t] == ens.last_chain
+                # window i matures at alignment + i, on chain i % W
+                assert ens.last_chain == (t - ens.alignment) % window
         assert fire.tolist() == np.flatnonzero(dv).tolist()
         # the first stage's comparisons are made once per column and
         # shared, where each object chain makes its own
@@ -288,10 +287,9 @@ def test_sliding_windows_match_the_int64_search(monkeypatch):
         cols = _drained(rng, bits, window, starts - 1, window + case % 3)
 
         def run():
-            fire, comparisons, dv, res, chain = _sliding(cols, starts, bits,
-                                                         rank, case % 3)
-            return (fire.tolist(), comparisons, dv.tolist(), res.tolist(),
-                    chain.tolist())
+            fire, comparisons, dv, res = _sliding(cols, starts, bits, rank,
+                                                  case % 3)
+            return fire.tolist(), comparisons, dv.tolist(), res.tolist()
 
         got, want = _kernel_pair(monkeypatch, run)
         assert got == want

@@ -178,20 +178,26 @@ def _summed_traces(monkeypatch, name):
 @pytest.mark.parametrize("threads", [1, 3])
 def test_the_image_report_is_the_band_traces_less_the_seams(
         monkeypatch, engine, name, shape, border, threads):
-    # the bands of a chain engine are one stream, which drains once; the
-    # sliding rows are one stream each
+    # the bands of a chain engine are one stream, which drains once; a
+    # sliding band streams its rows' strips back to back, but the report
+    # counts each row as the stream of its strip alone
     traces = _summed_traces(monkeypatch, name)
     image = np.random.default_rng(47).integers(0, 256, size=(9, 11))
     report = run_filter(image, shape, 4, engine, border, threads=threads)
-    cycles = sum(trace.cycles for trace in traces)
-    if engine != "sliding":
-        params = imaging.engine_params(shape, shape.width * shape.height, 4,
-                                       engine, 8)
-        cycles -= (len(traces) - 1) * params.drain_cycles
-    assert report.cycles == cycles
+    rows, cols = report.image.shape
+    assert len(traces) == min(threads, rows)
+    if engine == "sliding":
+        side = shape.width
+        strip = sliding_cycles(side, 4, np.zeros((cols + side - 1, side),
+                                                 np.int64))
+        assert report.cycles == rows * strip.cycles
+        assert report.comparisons == rows * strip.comparisons
+        return
+    params = imaging.engine_params(shape, shape.width * shape.height, 4,
+                                   engine, 8)
+    assert report.cycles == (sum(trace.cycles for trace in traces)
+                             - (len(traces) - 1) * params.drain_cycles)
     assert report.comparisons == sum(trace.comparisons for trace in traces)
-    assert len(traces) == (report.image.shape[0] if engine == "sliding"
-                           else min(threads, report.image.shape[0]))
 
 
 @pytest.mark.parametrize("engine,record", [
