@@ -23,7 +23,6 @@ from .params import (
     FilterParams,
     FramingError,
     McParams,
-    chain_widths,
 )
 
 DEFAULT_CLOCK_HZ = 275e6
@@ -118,8 +117,7 @@ def cmd_rank(args) -> int:
     rank = _resolve_rank(args, args.set_size)
     bits = (imaging.infer_data_bits(values) if args.data_bits is None
             else args.data_bits)
-    params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank,
-                          **chain_widths(args.set_size, rank))
+    params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
     results = run_stream(params, values)
     if len(results):
         print("\n".join(map(str, results.tolist())))
@@ -207,7 +205,7 @@ def cmd_trace(args) -> int:
             raise ConfigError("--set-size is required for single-engine traces")
         rank = _resolve_rank(args, args.set_size)
         params = FilterParams(data_bits=bits, set_size=args.set_size,
-                              rank=rank, **chain_widths(args.set_size, rank))
+                              rank=rank)
         trace = stream_cycles(params, values)
         header, rows = _trace_stream(trace, 1)
     elif args.engine in ("multichannel", "sliding"):
@@ -220,8 +218,7 @@ def cmd_trace(args) -> int:
         cols = _reshape_columns(values, shape.height)
         if args.engine == "multichannel":
             params = McParams(channels=shape.height, columns=shape.width,
-                              rank=rank, data_bits=bits,
-                              **chain_widths(n, rank))
+                              rank=rank, data_bits=bits)
             trace = mc_stream_cycles(params, cols)
         else:
             trace = sliding_cycles(shape.width, rank, cols, data_bits=bits)

@@ -38,6 +38,7 @@ from .params import (
     FilterParams,
     FramingError,
     PartialMedian,
+    _integral,
     as_samples,
     check_samples,
     narrowest_uint,
@@ -72,6 +73,11 @@ def counter_preset(rank: int, counter_bits: int) -> int:
     Starting the count here turns bit C-1 of the accumulator into the
     ``count >= M`` comparator for free.
     """
+    rank = _integral(rank, "rank values")
+    counter_bits = _integral(counter_bits, "counter_bits values")
+    if counter_bits < 1:
+        raise ConfigError(
+            f"counter_bits must be at least 1, got {counter_bits}")
     half = 1 << (counter_bits - 1)
     if not 1 <= rank <= half:
         raise ConfigError(

@@ -40,7 +40,6 @@ from .params import (
     SlidingParams,
     _integral,
     as_samples,
-    chain_widths,
 )
 
 CADENCE = 9  # fixed column cadence of the 9753 variant
@@ -52,24 +51,13 @@ def enable_schedule(w: int, phase: int) -> bool:
     The narrower chains skip the first and last columns symmetrically and
     process the middle w of the 9 phases.
     """
+    w = _integral(w, "9753 chain widths")
+    phase = _integral(phase, "9753 phases")
     if w not in (3, 5, 7):
         raise ConfigError(f"enable schedule is defined for w in (3, 5, 7), got {w}")
     if not 0 <= phase < CADENCE:
         raise ConfigError(f"phase must be in [0, {CADENCE - 1}], got {phase}")
     return abs(phase - CADENCE // 2) <= (w - 1) // 2
-
-
-def _sliding_params(window: int, rank: int, data_bits: int,
-                    counter_bits: int | None,
-                    pipe_latency: int) -> SlidingParams:
-    """The chain parameters of a W x W sliding ensemble, the widths (unless
-    given) by :func:`rankpipe.params.chain_widths`."""
-    widths = chain_widths(window * window, rank, pipe_latency)
-    if counter_bits is not None:
-        widths["counter_bits"] = counter_bits
-    return SlidingParams(channels=window, columns=window, rank=rank,
-                         data_bits=data_bits, pipe_latency=pipe_latency,
-                         **widths)
 
 
 class SlidingEnsemble:
@@ -82,9 +70,9 @@ class SlidingEnsemble:
     """
 
     def __init__(self, window: int, rank: int, *, data_bits: int = 8,
-                 counter_bits: int | None = None, pipe_latency: int = 5):
-        p = self.params = _sliding_params(window, rank, data_bits,
-                                          counter_bits, pipe_latency)
+                 pipe_latency: int = 5):
+        p = self.params = SlidingParams(window, window, rank, data_bits,
+                                        pipe_latency=pipe_latency)
         self._ring = _DelayRing(p.stages * p.pipe_delay, channels=window)
         self.chains = [_FinderChain(p, self._ring, j) for j in range(window)]
         self._t = 0
@@ -141,17 +129,16 @@ class SlidingTrace(StreamTrace):
 
 
 def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
-                   counter_bits: int | None = None,
                    pipe_latency: int = 5) -> SlidingTrace:
     """Batch-run a sliding ensemble over ``(n, W)`` columns.
 
     Markers are asserted every W columns; enough zero drain columns are
     appended to flush every window that was started, including the garbage
     tails past the strip edge (callers keep the first ``n - W + 1`` results).
-    The counter width (unless given) and the pipe capacity are the ones the
-    window needs.
+    The chains run under ``SlidingParams(window, window, rank, data_bits)``.
     """
-    p = _sliding_params(window, rank, data_bits, counter_bits, pipe_latency)
+    p = SlidingParams(window, window, rank, data_bits,
+                      pipe_latency=pipe_latency)
     cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[1] != window:
         raise ConfigError(f"column stream must have shape (n, {window})")
@@ -184,7 +171,7 @@ class _ChainSpec:
     rows: slice
 
 
-def _chain_specs(ranks, chains, data_bits: int, counter_bits: int,
+def _chain_specs(ranks, chains, data_bits: int,
                  pipe_latency: int) -> list[_ChainSpec]:
     """Validated specs of a 9753 ensemble's chains: the four concentric
     chains of ``ranks`` (m9, m7, m5, m3), or the ``chains`` override of
@@ -210,8 +197,7 @@ def _chain_specs(ranks, chains, data_bits: int, counter_bits: int,
         if channels > CADENCE or channels % 2 == 0:
             raise ConfigError("chain channel counts must be odd and at most 9")
         params = McParams(channels=channels, columns=len(phases), rank=rank,
-                          data_bits=data_bits, counter_bits=counter_bits,
-                          pipe_latency=pipe_latency)
+                          data_bits=data_bits, pipe_latency=pipe_latency)
         top = (CADENCE - channels) // 2
         specs.append(_ChainSpec(params, phases, slice(top, top + channels)))
     if not specs:
@@ -239,9 +225,8 @@ class Ensemble9753:
     """
 
     def __init__(self, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                 counter_bits: int = 8, pipe_latency: int = 5, chains=None):
-        self.specs = _chain_specs(ranks, chains, data_bits, counter_bits,
-                                  pipe_latency)
+                 pipe_latency: int = 5, chains=None):
+        self.specs = _chain_specs(ranks, chains, data_bits, pipe_latency)
         self.chains = [Engine(spec.params) for spec in self.specs]
         self._queues = [deque() for _ in self.specs]
         self._phase: int | None = None
@@ -300,8 +285,7 @@ class Trace9753(StreamTrace):
 
 
 def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                        counter_bits: int = 8, pipe_latency: int = 5,
-                        chains=None) -> Trace9753:
+                        pipe_latency: int = 5, chains=None) -> Trace9753:
     """Batch-run full cadences of a 9-row column strip plus the drain.
 
     Gives what clocking :class:`Ensemble9753` gives.  A gated chain lives in
@@ -313,7 +297,7 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[1] != CADENCE:
         raise ConfigError(f"column strip must have shape (n, {CADENCE})")
-    specs = _chain_specs(ranks, chains, data_bits, counter_bits, pipe_latency)
+    specs = _chain_specs(ranks, chains, data_bits, pipe_latency)
     n = len(cols)
     total = n + _drain_columns(specs)
     # anchor every full cadence; a negative stop would wrap
@@ -346,8 +330,7 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
 
 
 def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                         counter_bits: int = 8, pipe_latency: int = 5,
-                         chains=None):
+                         pipe_latency: int = 5, chains=None):
     """Run full cadences of a 9-row column strip; returns (cycles, quadruples).
 
     ``cols`` has shape (n, 9); only window positions with all 9 columns of
@@ -355,7 +338,6 @@ def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     ``quadruples[i]`` emerged.
     """
     trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits,
-                                counter_bits=counter_bits,
                                 pipe_latency=pipe_latency, chains=chains)
     return (np.flatnonzero(trace.dv).tolist(),
             [tuple(q) for q in trace.results.tolist()])

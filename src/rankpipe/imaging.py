@@ -34,7 +34,6 @@ from .params import (
     McParams,
     SlidingParams,
     _integral,
-    chain_widths,
     check_samples,
     narrowest_uint,
     padded_bits,
@@ -76,9 +75,13 @@ class Custom:
     offsets: tuple
 
     def __post_init__(self):
+        try:
+            pairs = [(dx, dy) for dx, dy in self.offsets]
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ConfigError(
+                "custom offsets must be (dx, dy) pairs") from None
         offs = tuple((_integral(dx, "custom offsets"),
-                      _integral(dy, "custom offsets"))
-                     for dx, dy in self.offsets)
+                      _integral(dy, "custom offsets")) for dx, dy in pairs)
         if not offs:
             raise ConfigError("custom windows need at least one offset")
         if len(set(offs)) != len(offs):
@@ -175,6 +178,7 @@ def percentile_to_rank(p: float, n: int) -> int:
     """Rank M = ceil(p * N) clamped to [1, N]; p = 0.5 selects the median."""
     if not isinstance(p, Real) or not 0 < p <= 1:
         raise ConfigError(f"percentile must lie in (0, 1], got {p!r}")
+    n = _integral(n, "set sizes")
     if n < 1:
         raise ConfigError("set size must be positive")
     return min(max(math.ceil(p * n - 1e-9), 1), n)
@@ -311,7 +315,6 @@ def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
     strips = np.lib.stride_tricks.sliding_window_view(block, side, axis=0)
     trace = sliding_cycles(side, params.rank, strips.reshape(-1, side),
                            data_bits=params.data_bits,
-                           counter_bits=params.counter_bits,
                            pipe_latency=params.pipe_latency)
     pixels = trace.result[params.fire(rows * span)].reshape(rows, span)
     return pixels[:, :cols].astype(np.int64).reshape(-1)
@@ -338,36 +341,33 @@ def require_engine(shape: WindowShape, engine: str) -> None:
 
 
 def engine_params(shape: WindowShape, n: int, rank: int, engine: str,
-                  bits: int, counter_bits: int | None = None,
-                  pipe_latency: int = 5):
+                  bits: int, *, pipe_latency: int = 5):
     """The parameter record ``engine`` filters ``shape`` of ``n`` offsets
-    with, its widths (unless given) by :func:`rankpipe.params.chain_widths`."""
+    with; the record derives its counter width from ``n`` and ``rank``."""
     require_engine(shape, engine)
-    widths = chain_widths(n, rank, pipe_latency)
-    if counter_bits is not None:
-        widths["counter_bits"] = counter_bits
     if engine == "single":
         return FilterParams(data_bits=bits, set_size=n, rank=rank,
-                            pipe_latency=pipe_latency, **widths)
+                            pipe_latency=pipe_latency)
     record = SlidingParams if engine == "sliding" else McParams
     return record(channels=shape.height, columns=shape.width, rank=rank,
-                  data_bits=bits, pipe_latency=pipe_latency, **widths)
+                  data_bits=bits, pipe_latency=pipe_latency)
 
 
 def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
                border: Border = Border.CLAMP, *, data_bits: int | None = None,
-               counter_bits: int | None = None, pipe_latency: int = 5,
-               threads: int = 1) -> FilterReport:
+               pipe_latency: int = 5, threads: int = 1) -> FilterReport:
     """Rank-filter an image and report the simulated cycle accounting.
 
     Output pixel (x, y) is the rank-th largest of the window anchored
     there; under the clamp policy coordinates are clipped to the image, so
     the output matches the input size.  The engine choice changes only the
     simulated datapath, never the pixels.  The chain runs under
-    :func:`engine_params`.  Each row band of anchors is one engine call,
-    on ``threads`` threads; the report does not depend on ``threads``:
-    single and multichannel count one back-to-back stream of every
-    anchor's window plus one drain, sliding one strip's stream per row.
+    :func:`engine_params`, whose record derives the counter width from the
+    window size and rank, so any window the oracle filters runs.  Each row
+    band of anchors is one engine call, on ``threads`` threads; the report
+    does not depend on ``threads``: single and multichannel count one
+    back-to-back stream of every anchor's window plus one drain, sliding
+    one strip's stream per row.
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
@@ -381,8 +381,8 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     if not 1 <= rank <= n:
         raise ConfigError(f"rank must satisfy 1 <= M <= {n}, got {rank}")
     bits = data_bits if data_bits is not None else infer_data_bits(image)
-    params = engine_params(shape, n, rank, engine, bits, counter_bits,
-                           pipe_latency)
+    params = engine_params(shape, n, rank, engine, bits,
+                           pipe_latency=pipe_latency)
     samples = check_samples(image, params.data_bits).astype(
         narrowest_uint(params.data_bits), copy=False)
     frame, shifts = _padded(samples, offsets)

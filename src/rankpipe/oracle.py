@@ -11,11 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .imaging import Border, Custom, Diamond, Rect
-from .params import ConfigError
+from .params import ConfigError, _integral
 
 
 def select_desc(data, rank: int):
     """The rank-th largest value: position rank-1 of the multiset sorted descending."""
+    rank = _integral(rank, "rank values")
     items = sorted(data, reverse=True)
     if not 1 <= rank <= len(items):
         raise ConfigError(f"rank {rank} outside [1, {len(items)}]")
@@ -34,13 +35,17 @@ def _own_offsets(shape):
                 if abs(dx) + abs(dy) <= r]
     if isinstance(shape, Custom):
         return list(shape.offsets)
-    raise ValueError(f"unknown window shape {shape!r}")
+    raise ConfigError(f"unknown window shape {shape!r}")
 
 
 def filter_image_oracle(image, shape, rank: int,
                         border: Border = Border.CLAMP) -> np.ndarray:
-    """Per-pixel sort-based rank filtering; definitionally correct reference."""
+    """Per-pixel sort-based rank filtering; definitionally correct reference.
+    Raises ``ConfigError`` where :func:`rankpipe.imaging.run_filter` does,
+    with its messages."""
     image = np.asarray(image)
+    if image.ndim != 2 or image.size == 0:
+        raise ConfigError("images must be non-empty 2-D arrays")
     if image.dtype.kind not in "iu":
         raise ConfigError(f"samples must be integers, got {image.dtype} data")
     height, width = image.shape
@@ -55,7 +60,7 @@ def filter_image_oracle(image, shape, rank: int,
         x_anchors = range(max(0, -min(dxs)), min(width, width - max(max(dxs), 0)))
         y_anchors = range(max(0, -min(dys)), min(height, height - max(max(dys), 0)))
         if not x_anchors or not y_anchors:
-            raise ValueError("window does not fit inside the image")
+            raise ConfigError("window does not fit inside the image")
     out = np.empty((len(y_anchors), len(x_anchors)), dtype=np.int64)
     for oy, y in enumerate(y_anchors):
         for ox, x in enumerate(x_anchors):

@@ -11,12 +11,11 @@ maximum" and M = N as "find the minimum".
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 MAX_DATA_BITS = 16
-MAX_COUNTER_BITS = 64  # the widest accumulator the batch kernels hold
 
 
 class ConfigError(ValueError):
@@ -46,9 +45,9 @@ def _count(value, what: str) -> int:
 
 def _integer_fields(record) -> None:
     """Store every field of a frozen params record as an int."""
-    for field in fields(record):
-        object.__setattr__(record, field.name, _integral(
-            getattr(record, field.name), f"{field.name} values"))
+    for name in (f.name for f in fields(record)):
+        object.__setattr__(record, name, _integral(getattr(record, name),
+                                                   f"{name} values"))
 
 
 def padded_bits(bits: int) -> int:
@@ -89,25 +88,6 @@ def as_samples(data, data_bits: int) -> np.ndarray:
     return check_samples(data, data_bits).astype(np.int64, copy=False)
 
 
-def chain_widths(set_size: int, rank: int,
-                 pipe_latency: int = 5) -> dict[str, int]:
-    """The ``counter_bits`` and ``pipe_capacity`` an N-sample, rank-M chain
-    needs, as keyword arguments.
-
-    C is the smallest width of at least 8 bits whose preset counters
-    neither start below zero (M <= 2**(C-1)) nor wrap past the comparator
-    bit (N - M <= 2**(C-1) - 1); the capacity is at least 255 and holds
-    the N + L cycles of a set in a stage.  Every set the reference build
-    of 8-bit counters and a 255-deep pipe accepts keeps those values.
-    """
-    set_size = _integral(set_size, "set_size values")
-    rank = _integral(rank, "rank values")
-    pipe_latency = _integral(pipe_latency, "pipe_latency values")
-    half = max(rank, set_size - rank + 1)  # 2**(C-1) must reach both
-    return {"counter_bits": max(8, (half - 1).bit_length() + 1),
-            "pipe_capacity": max(255, set_size + pipe_latency)}
-
-
 class _ChainTiming:
     """The cycle contract of every engine, from ``set_cycles``: the clocks
     one set spends in a stage (N samples, or Cw columns).  A run starts
@@ -117,6 +97,14 @@ class _ChainTiming:
     def stages(self) -> int:
         """Number of 2-bit refinement stages (B/2)."""
         return self.data_bits // 2
+
+    @property
+    def counter_bits(self) -> int:
+        """Accumulator width C: the narrowest of at least 8 bits whose
+        preset counters neither start below zero (M <= 2**(C-1)) nor wrap
+        past the comparator bit (N - M <= 2**(C-1) - 1)."""
+        half = max(self.rank, self.set_size - self.rank + 1)
+        return max(8, (half - 1).bit_length() + 1)
 
     @property
     def pipe_delay(self) -> int:
@@ -162,17 +150,16 @@ class FilterParams(_ChainTiming):
 
     ``data_bits`` is the sample width; odd widths are zero-padded up to the
     next even value.  ``set_size`` (N) counts samples per data set and
-    ``rank`` (M) selects the M-th largest.  ``counter_bits`` (C) is the
-    accumulator width, ``pipe_latency`` (L) the per-stage internal pipeline
-    depth, and ``pipe_capacity`` the physical circular-buffer bound.
+    ``rank`` (M) selects the M-th largest.  ``pipe_latency`` (L), keyword
+    only, is the per-stage internal pipeline depth.  The counter width
+    follows from N and M (:attr:`counter_bits`), so any N and M in range
+    make a record.
     """
 
     data_bits: int
     set_size: int
     rank: int
-    counter_bits: int = 8
-    pipe_latency: int = 5
-    pipe_capacity: int = 255
+    pipe_latency: int = field(default=5, kw_only=True)
 
     def __post_init__(self):
         _integer_fields(self)
@@ -181,11 +168,6 @@ class FilterParams(_ChainTiming):
                 f"data_bits must be in [2, {MAX_DATA_BITS}], got {self.data_bits}"
             )
         object.__setattr__(self, "data_bits", padded_bits(self.data_bits))
-        if not 2 <= self.counter_bits <= MAX_COUNTER_BITS:
-            raise ConfigError(
-                f"counter_bits must be in [2, {MAX_COUNTER_BITS}], "
-                f"got {self.counter_bits}"
-            )
         if self.pipe_latency < 0:
             raise ConfigError("pipe_latency must be non-negative")
         if self.set_size < 1:
@@ -193,17 +175,6 @@ class FilterParams(_ChainTiming):
         if not 1 <= self.rank <= self.set_size:
             raise ConfigError(
                 f"rank must satisfy 1 <= M <= N, got M={self.rank} N={self.set_size}"
-            )
-        if self.set_size > self.pipe_capacity - self.pipe_latency:
-            raise ConfigError(
-                f"set_size {self.set_size} exceeds pipe capacity "
-                f"{self.pipe_capacity} - latency {self.pipe_latency}"
-            )
-        half = 1 << (self.counter_bits - 1)
-        if self.rank > half or self.set_size - self.rank > half - 1:
-            raise ConfigError(
-                f"{self.counter_bits}-bit accumulators would wrap: need "
-                f"M <= {half} and N - M <= {half - 1}"
             )
 
     @property
@@ -218,16 +189,15 @@ class McParams(_ChainTiming):
 
     A window spans ``columns`` (Cw) clock cycles of ``channels`` (K) samples
     each; the effective set size is N = K * Cw and must satisfy every
-    single-channel invariant.
+    single-channel invariant.  ``pipe_latency`` is keyword only, as on
+    :class:`FilterParams`.
     """
 
     channels: int
     columns: int
     rank: int
     data_bits: int = 8
-    counter_bits: int = 8
-    pipe_latency: int = 5
-    pipe_capacity: int = 255
+    pipe_latency: int = field(default=5, kw_only=True)
 
     def __post_init__(self):
         _integer_fields(self)
@@ -239,9 +209,7 @@ class McParams(_ChainTiming):
             data_bits=self.data_bits,
             set_size=self.channels * self.columns,
             rank=self.rank,
-            counter_bits=self.counter_bits,
             pipe_latency=self.pipe_latency,
-            pipe_capacity=self.pipe_capacity,
         )
         object.__setattr__(self, "data_bits", base.data_bits)
 

@@ -84,7 +84,7 @@ class TestRank:
     @pytest.mark.parametrize("size,rank", [(256, 128), (250, 1), (300, 7)])
     def test_sets_past_the_reference_widths(self, capsys, monkeypatch, size,
                                             rank):
-        # the counter width and pipe capacity are derived from N and M
+        # the records derive the counter width from N and M
         values = np.random.default_rng(size).integers(0, 256, size=3 * size)
         code, out, err = run_cli(
             capsys, ["rank", "--set-size", str(size), "--rank", str(rank),

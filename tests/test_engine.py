@@ -11,8 +11,10 @@ from rankpipe import (
     Engine,
     FilterParams,
     FramingError,
+    McParams,
     comparison_count,
     run_stream,
+    run_windows,
     stream_cycles,
 )
 from rankpipe.oracle import select_desc
@@ -111,13 +113,27 @@ class TestCycleContract:
             assert int(trace.dv.sum()) == sets
 
     def test_wider_counters_admit_extreme_ranks(self):
-        # N=250 with M=1 wraps 8-bit accumulators but fits 10-bit ones
-        p = FilterParams(data_bits=8, set_size=250, rank=1, counter_bits=10)
+        # N=250 with M=1 wraps 8-bit accumulators; the record takes 9 bits
+        p = FilterParams(data_bits=8, set_size=250, rank=1)
+        assert p.counter_bits == 9
         rng = np.random.default_rng(10)
         data = rng.integers(0, 256, size=250)
         assert run_stream(p, data).tolist() == [int(data.max())]
-        p = FilterParams(data_bits=8, set_size=250, rank=250, counter_bits=10)
+        p = FilterParams(data_bits=8, set_size=250, rank=250)
         assert run_stream(p, data).tolist() == [int(data.min())]
+
+    def test_hand_built_records_past_the_reference_widths(self):
+        # N = 300 overflows the reference build's 255-deep pipe, and N = 289
+        # with M = 145 its 8-bit counters; built by hand, both rank
+        rng = np.random.default_rng(11)
+        p = FilterParams(8, 300, 150)
+        data = rng.integers(0, 256, size=3 * 300)
+        assert run_stream(p, data).tolist() == [
+            select_desc(data[i:i + 300], 150) for i in range(0, 900, 300)]
+        mc = McParams(17, 17, 145)
+        cols = rng.integers(0, 256, size=(2 * 17, 17))
+        assert run_windows(mc, cols).tolist() == [
+            select_desc(cols[i:i + 17].ravel(), 145) for i in (0, 17)]
 
 
 class TestEngineObject:
@@ -133,6 +149,17 @@ class TestEngineObject:
             assert out.dout == trace.dout[t]
             if out.dv:
                 assert out.result == trace.result[t]
+        assert engine.comparisons == trace.comparisons
+
+    def test_a_set_past_the_reference_widths_matches_cycle_for_cycle(self):
+        p = FilterParams(8, 300, 150)
+        data = np.random.default_rng(12).integers(0, 256, size=300)
+        trace = stream_cycles(p, data)
+        engine = Engine(p)
+        outs = drive(engine, trace.din, trace.d1st)
+        assert [o.dv for o in outs] == trace.dv.tolist()
+        assert [o.dout for o in outs] == trace.dout.tolist()
+        assert [o.result for o in outs if o.dv] == trace.results.tolist()
         assert engine.comparisons == trace.comparisons
 
     def test_gapped_sets_are_legal(self):

@@ -15,7 +15,6 @@ from rankpipe import (
     sliding_cycles,
     sliding_window_results,
 )
-from rankpipe.ensembles import _sliding_params
 from rankpipe.oracle import select_desc
 
 
@@ -139,7 +138,7 @@ class TestSliding:
 
     @pytest.mark.parametrize("rank", [1, 145])
     def test_17x17_derives_its_widths(self, rank):
-        # N = 289 needs 9- or 10-bit counters and a 294-deep pipe
+        # N = 289 needs 9- or 10-bit counters
         rng = np.random.default_rng(25 + rank)
         strip = rng.integers(0, 256, size=(17, 20))
         want = oracle_sliding(strip, 17, rank)
@@ -150,17 +149,9 @@ class TestSliding:
                for t in range(trace.cycles)]
         assert got[ens.alignment:ens.alignment + len(want)] == want
 
-    def test_explicit_counter_width_is_validated(self):
-        strip = np.zeros((20, 17), dtype=np.int64)
-        with pytest.raises(ConfigError, match="8-bit accumulators would wrap"):
-            sliding_cycles(17, 1, strip, counter_bits=8)
-        with pytest.raises(ConfigError, match="8-bit accumulators would wrap"):
-            SlidingEnsemble(17, 1, counter_bits=8)
-
     def test_windows_within_8_bits_keep_the_reference_widths(self):
         for ens in (SlidingEnsemble(3, 5), SlidingEnsemble(15, 113)):
             assert ens.params.counter_bits == 8
-            assert ens.params.pipe_capacity == 255
 
 
 def oracle_9753(strip, anchor, ranks=(41, 25, 13, 5)):
@@ -340,9 +331,9 @@ class TestSlidingRecordCache:
     def test_integer_types_give_the_same_record(self):
         # bools are integers to the records (operator.index), as before
         for rank in (np.int64(1), True, np.array(1)):
-            assert _sliding_params(3, rank, 8, None, 5) == _sliding_params(
-                3, 1, 8, None, 5)
-        assert _sliding_params(3, 5, 8, None, 5).counter_bits == 8
+            assert (SlidingEnsemble(3, rank).params
+                    == SlidingEnsemble(3, 1).params)
+        assert SlidingEnsemble(3, 5).params.counter_bits == 8
 
     def test_unhashable_arguments_get_the_records_own_checks(self):
         with pytest.raises(ConfigError, match="integers"):

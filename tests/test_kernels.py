@@ -3,7 +3,7 @@ from cycle 0, then a full drain): against the clock-stepped object engines
 and an int64 reference search, with and without pipe latency, across
 sample and counter widths and block seams; plus the backend flag.  The
 kernels run under parameter records; the set search alone also runs on
-counter widths and set sizes no record accepts."""
+counter widths no record derives for its set."""
 
 import os
 import subprocess
@@ -172,14 +172,11 @@ def _kernel_pair(monkeypatch, run):
     return got, want
 
 
-def _run_chain(cols, sets, bits, n, rank, counter_bits, latency):
-    p = McParams(channels=cols.shape[1], columns=n, rank=rank,
-                 data_bits=bits, counter_bits=counter_bits,
-                 pipe_latency=latency)
-    dv = np.zeros(len(cols), dtype=np.uint8)
-    res = np.zeros(len(cols), dtype=np.int64)
-    fire, comparisons = _kernels.chain_run(cols, sets, p, dv, res)
-    return fire.tolist(), comparisons, dv.tolist(), res.tolist()
+def _run_chain(cols, sets, bits, n, rank, counter_bits):
+    """The set search of a chain's back-to-back sets at ``counter_bits``:
+    the results ``chain_run`` writes at their dv cycles."""
+    return _kernels._search(cols, n, sets, n, bits, rank,
+                            counter_bits).tolist()
 
 
 @pytest.mark.parametrize("bits", [2, 8, 10, 16])
@@ -195,7 +192,7 @@ def test_narrow_planes_match_the_int64_search_across_widths(monkeypatch, bits):
         cols = _chain_case(rng, n, k, bits, sets, case % 6)
         seen.update(np.unique(cols).tolist())
         got, want = _kernel_pair(monkeypatch, lambda: _run_chain(
-            cols, sets, bits, n, rank, 8, case % 6))
+            cols, sets, bits, n, rank, 8))
         assert got == want
     assert {0, (1 << bits) - 1} <= seen
 
@@ -227,7 +224,7 @@ def test_wide_accumulators_match_the_int64_search(monkeypatch, counter_bits):
         rank = int(rng.integers(1, n * k + 1))
         cols = _chain_case(rng, n, k, 16, 5, 2)
         got, want = _kernel_pair(monkeypatch, lambda: _run_chain(
-            cols, 5, 16, n, rank, counter_bits, 2))
+            cols, 5, 16, n, rank, counter_bits))
         assert got == want
 
 
@@ -237,13 +234,13 @@ def test_blocks_of_sets_join_seamlessly(monkeypatch):
     rng = np.random.default_rng(96)
     cols = _chain_case(rng, 7, 3, 8, 40, 1)
     strip = _drained(rng, 8, 5, 39, 5 + 1)
-    whole = _run_chain(cols, 40, 8, 7, 11, 8, 1)
+    whole = _run_chain(cols, 40, 8, 7, 11, 8)
     windows = _sliding(strip, 40, 8, 11, 1)
     with monkeypatch.context() as patch:
         patch.setattr(_kernels, "_BLOCK", 3 * 7 * 3)
-        assert _run_chain(cols, 40, 8, 7, 11, 8, 1) == whole
+        assert _run_chain(cols, 40, 8, 7, 11, 8) == whole
         assert (_sliding(strip, 40, 8, 11, 1)[3] == windows[3]).all()
-    assert sum(whole[2]) == 40 and windows[2].sum() == 40
+    assert len(whole) == 40 and windows[2].sum() == 40
 
 
 def _strided_search(cols, sets, set_cycles, data_bits, rank, counter_bits):

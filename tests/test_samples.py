@@ -145,7 +145,7 @@ STRIP = np.zeros((18, 9), dtype=np.int64)
     lambda: FilterParams(8, 5, 3, pipe_latency=1.5),
     lambda: FilterParams(8, np.float64(5), 3),
     lambda: McParams(channels=3.0, columns=2, rank=2),
-    lambda: McParams(channels=3, columns=2, rank=2, counter_bits=8.5),
+    lambda: McParams(channels=3, columns=2, rank=2, pipe_latency=8.5),
     lambda: Ensemble9753(chains=[(9, (0, 1.7), 5)]),
     lambda: Ensemble9753(chains=[(9.0, (0, 1), 5)]),
     lambda: ensemble9753_cycles(STRIP, chains=[(9, (0.0, 1), 5)]),
@@ -163,7 +163,7 @@ def test_chain_parameters_store_numpy_integers_as_int():
     p = FilterParams(np.int64(8), np.uint8(5), np.int32(3),
                      pipe_latency=np.int16(2))
     mc = McParams(channels=np.int64(3), columns=np.uint16(2),
-                  rank=np.int8(2), counter_bits=np.int64(9))
+                  rank=np.int8(2), pipe_latency=np.int64(9))
     for record in (p, mc):
         assert all(type(v) is int for v in vars(record).values())
     assert p.alignment == 27 and type(p.alignment) is int

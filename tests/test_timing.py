@@ -52,7 +52,6 @@ def _batch_trace(p, rng, sets):
         columns = sets - int(rng.integers(0, p.columns))
         cols = rng.integers(0, top, size=(columns, p.columns))
         return sliding_cycles(p.columns, p.rank, cols, data_bits=p.data_bits,
-                              counter_bits=p.counter_bits,
                               pipe_latency=p.pipe_latency)
     if isinstance(p, McParams):
         cols = rng.integers(0, top, size=(sets * p.columns, p.channels))
