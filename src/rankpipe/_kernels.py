@@ -2,9 +2,10 @@
 
 These functions are the hot path behind ``run_stream``, ``run_windows``,
 ``sliding_cycles``, ``ensemble9753_cycles`` and the image driver.  They
-fill the same per-cycle ``dv``/``res`` trace as clocking the chain would,
-without stepping clocks.  A chain reads a ``(T, K)`` column stream, and a
-single-channel chain is the K = 1 case.
+give one result per set, with the cycle each one matures at, without
+stepping clocks: where a result sits in the per-cycle stream is
+:class:`rankpipe.core.StreamTrace`'s business.  A chain reads a ``(T, K)``
+column stream, and a single-channel chain is the K = 1 case.
 
 Every driver frames its stream the paper's way: sets back to back from
 cycle 0, then a full drain.  So a kernel takes the number of sets and the
@@ -26,8 +27,8 @@ depends only on its own samples, so each kernel
    ``count >= M`` comparator).  The two result bits are the priority
    encoding ``max(k * msb_k)`` over k = 1, 2, 3, as ``refine`` resolves
    them;
-2. writes each result at its dv cycle, and returns those cycles with the
-   record's comparison count.
+2. returns each set's result at the sample dtype, with the sets' dv
+   cycles and the record's comparison count.
 
 The clock-stepped object engines (``Engine``, ``McEngine``,
 ``SlidingEnsemble``, ``Ensemble9753``) are the reference these kernels are
@@ -95,26 +96,24 @@ def _resolve(planes, data_bits, rank, counter_bits):
     return pre
 
 
-def _run(cols, sets, params, dv, res):
+def _run(cols, sets, params):
     """The body of both kernels: ``sets`` sets, one per ``params.cadence``."""
-    fire = params.fire(sets)
-    dv[fire] = 1
-    res[fire] = _search(cols, params.cadence, sets, params.set_cycles,
-                        params.data_bits, params.rank, params.counter_bits)
-    return fire, params.comparisons(sets)
+    values = _search(cols, params.cadence, sets, params.set_cycles,
+                     params.data_bits, params.rank, params.counter_bits)
+    return params.fire(sets), params.comparisons(sets), values
 
 
-def chain_run(cols, sets, params, dv, res):
+def chain_run(cols, sets, params):
     """One chain over a ``(T, K)`` column stream; K = 1 is the
-    single-channel engine.  Runs ``sets`` sets back to back from cycle 0,
-    fills ``dv``/``res`` at their dv cycles and returns ``(fire,
-    comparisons)``: those cycles and the boundary comparisons."""
-    return _run(cols, sets, params, dv, res)
+    single-channel engine.  Runs ``sets`` sets back to back from cycle 0
+    and returns ``(fire, comparisons, values)``: their dv cycles, the
+    boundary comparisons, and one result per set at the sample dtype."""
+    return _run(cols, sets, params)
 
 
-def sliding_run(cols, starts, params, dv, res):
+def sliding_run(cols, starts, params):
     """W staggered W-channel chains over one shared ``(T, W)`` column
     stream: window i begins at cycle i, on chain ``i % W``, and ``starts``
-    windows run.  Fills ``dv``/``res`` and returns ``(fire, comparisons)``
-    like :func:`chain_run`."""
-    return _run(cols, starts, params, dv, res)
+    windows run.  Returns ``(fire, comparisons, values)`` like
+    :func:`chain_run`."""
+    return _run(cols, starts, params)

@@ -179,11 +179,11 @@ def _trace_table(trace, channels: int, tail_header, *tail):
     header = (["cycle", "d1st"] + [f"din{k}" for k in range(channels)]
               + ["dv"] + [f"dout{k}" for k in range(channels)]
               + list(tail_header))
-    total = len(trace.dv)
-    result = np.where(trace.dv[:, None],
-                      trace.result.reshape(total, -1).astype(np.int64), BLANK)
-    return header, np.column_stack([np.arange(total), trace.d1st, trace.din,
-                                    trace.dv, trace.dout, result, *tail])
+    result = np.full((trace.cycles,) + trace.values.shape[1:], BLANK)
+    result[trace.fire] = trace.values
+    return header, np.column_stack([np.arange(trace.cycles), trace.d1st,
+                                    trace.din, trace.dv, trace.dout, result,
+                                    *tail])
 
 
 def _trace_stream(trace, channels: int):

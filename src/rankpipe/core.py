@@ -14,14 +14,13 @@ fed samples, columns, staggered markers or gated phases: ``Engine`` gives
 it its own data pipe, under ``FilterParams`` or ``McParams``, and the
 ensembles reuse it.  ``run_stream`` and the image driver use
 :mod:`rankpipe._kernels` instead, which computes every set's result at
-once and writes it at its fixed dv cycle.  The test suite checks the two
+once, with the fixed cycle it matures at.  The test suite checks the two
 against each other cycle-for-cycle.
 
-A batch trace carries each sample once, at its own width: ``din`` and
-``result`` use the sample dtype (uint8 up to 8 bits, uint16 up to 16),
-the markers and ``dv`` are bool, and ``dout`` is computed from ``din`` on
-demand, as the data pipe's output is only a delayed tap on its input.
-The results a caller receives are int64.
+A batch run is one result per set: a ``StreamTrace`` keeps its framed
+input at the sample dtype (uint8 up to 8 bits, uint16 up to 16), each
+set's result and dv cycle, and its marker cycles.  Only ``rankpipe
+trace`` lays these out per cycle.  The results a caller receives are int64.
 """
 
 from __future__ import annotations
@@ -293,20 +292,41 @@ class Engine(_FinderChain):
 
 @dataclass(frozen=True)
 class StreamTrace:
-    """Per-clock record of a batch run, drain cycles included.
+    """A batch run, drain cycles included: its input and one result per set.
 
-    ``din`` and ``result`` hold samples at the sample dtype
-    (:func:`rankpipe.params.narrowest_uint`), ``d1st`` and ``dv`` are bool,
-    and ``delay`` is how many cycles ``dout`` lags ``din``: the alignment,
-    or None when no set was anchored.  ``results`` is int64.
+    ``din`` is the framed input, one row per cycle, and ``values`` holds
+    each set's result (one per chain for 9753), both at the sample dtype
+    (:func:`rankpipe.params.narrowest_uint`); ``fire`` holds each set's dv
+    cycle and ``starts`` slices the marker cycles.  ``delay`` is how many
+    cycles ``dout`` lags ``din``: the alignment, or None when no set was
+    anchored.  The per-cycle views ``d1st``, ``dv`` and ``result`` are
+    built when read, like ``dout``; ``results`` is ``values`` as int64.
     """
 
     din: np.ndarray
-    d1st: np.ndarray
-    dv: np.ndarray
-    result: np.ndarray
+    starts: slice
+    fire: np.ndarray
+    values: np.ndarray
     comparisons: int
     delay: int | None
+
+    def _per_cycle(self, at, values, dtype) -> np.ndarray:
+        """``values`` laid out at cycles ``at``, zeros on every other cycle."""
+        out = np.zeros((len(self.din),) + np.shape(values)[1:], dtype)
+        out[at] = values
+        return out
+
+    @property
+    def d1st(self) -> np.ndarray:
+        return self._per_cycle(self.starts, True, bool)
+
+    @property
+    def dv(self) -> np.ndarray:
+        return self._per_cycle(self.fire, True, bool)
+
+    @property
+    def result(self) -> np.ndarray:
+        return self._per_cycle(self.fire, self.values, self.din.dtype)
 
     @property
     def dout(self) -> np.ndarray:
@@ -319,34 +339,28 @@ class StreamTrace:
 
     @property
     def results(self) -> np.ndarray:
-        return self.result[self.dv].astype(np.int64)
+        return self.values.astype(np.int64)
 
     @property
     def cycles(self) -> int:
         return len(self.din)
 
 
-def _framed(cols, data_bits: int, total: int, step: int,
-            stop: int | None = None):
-    """The per-cycle buffers of a batch run over ``total`` cycles: ``din``,
-    the checked ``cols`` then zeros, at the sample dtype; bool first-data
-    markers every ``step`` cycles from 0 up to ``stop`` (default: the
-    length of ``cols``); and zeroed bool ``dv`` and sample-dtype ``res``."""
+def _framed(cols, data_bits: int, total: int) -> np.ndarray:
+    """``din`` of a batch run over ``total`` cycles: the checked ``cols``
+    then zeros, at the sample dtype."""
     cols = check_samples(cols, data_bits)
+    if total > np.iinfo(np.intp).max:
+        raise ConfigError(f"a run of {total} cycles is too long to simulate")
     din = np.zeros((total,) + cols.shape[1:], narrowest_uint(data_bits))
     din[:len(cols)] = cols
-    d1st = np.zeros(total, dtype=bool)
-    d1st[0:len(cols) if stop is None else stop:step] = True
-    dv = np.zeros(total, dtype=bool)
-    res = np.zeros(total, dtype=din.dtype)
-    return din, d1st, dv, res
+    return din
 
 
 def _chain_trace(params, cols, what: str) -> StreamTrace:
     """Frame ``cols`` (samples, or ``(n, K)`` columns) into back-to-back
     sets of ``params.set_cycles``, run the chain through them plus the
-    drain, and return the full per-cycle trace.  ``what`` names the stream
-    in error messages."""
+    drain, and return the trace.  ``what`` names the stream in errors."""
     p = params
     sets, rest = divmod(len(cols), p.set_cycles)
     if rest:
@@ -355,16 +369,17 @@ def _chain_trace(params, cols, what: str) -> StreamTrace:
             f"{p.set_cycles}"
         )
     total = p.cycles(sets)
-    din, d1st, dv, res = _framed(cols, p.data_bits, total, p.set_cycles)
-    _, comparisons = _kernels.chain_run(din.reshape(total, -1), sets, p, dv,
-                                        res)
-    return StreamTrace(din=din, d1st=d1st, dv=dv, result=res,
-                       comparisons=comparisons, delay=p.alignment)
+    din = _framed(cols, p.data_bits, total)
+    fire, comparisons, values = _kernels.chain_run(din.reshape(total, -1),
+                                                   sets, p)
+    return StreamTrace(din=din, starts=slice(0, len(cols), p.set_cycles),
+                       fire=fire, values=values, comparisons=comparisons,
+                       delay=p.alignment)
 
 
 def stream_cycles(params: FilterParams, data) -> StreamTrace:
-    """Frame ``data`` into back-to-back sets, clock the engine through them
-    plus the drain, and return the full per-cycle trace."""
+    """Frame ``data`` into back-to-back sets, run the engine through them
+    plus the drain, and return the trace."""
     data = np.asarray(data)
     if data.ndim != 1:
         raise ConfigError("stream data must be one-dimensional")
@@ -380,6 +395,4 @@ def run_stream(params: FilterParams, data) -> np.ndarray:
     """
     if np.size(data) == 0:
         return np.zeros(0, dtype=np.int64)
-    trace = stream_cycles(params, data)
-    sets = np.size(data) // params.set_size
-    return trace.result[params.fire(sets)].astype(np.int64)
+    return stream_cycles(params, data).results

@@ -106,26 +106,21 @@ class SlidingEnsemble:
 
 @dataclass(frozen=True)
 class SlidingTrace(StreamTrace):
-    """Per-clock record of a batch sliding run, drain included."""
+    """A batch sliding run, drain included: one result per window start,
+    in start order, with markers every W columns."""
 
     @property
     def chain(self) -> np.ndarray:
         """The chain each cycle's result matured on, -1 off dv: window i
         matures at cycle ``alignment + i``, on chain ``i % W``."""
-        cycle = np.arange(len(self.dv))
-        return np.where(self.dv, (cycle - self.delay) % self.din.shape[1], -1)
+        chain = np.full(len(self.din), -1)
+        chain[self.fire] = (self.fire - self.delay) % self.din.shape[1]
+        return chain
 
     @property
     def alignment(self) -> int:
         """Cycles from a window's first column to its result."""
         return self.delay
-
-    def window_results(self, n_starts: int) -> np.ndarray:
-        """Results for window starts 0..n_starts-1 (one per consecutive cycle)."""
-        results = self.results[:max(0, n_starts)]
-        if len(results) < n_starts:
-            raise RuntimeError("missing window results in the sliding trace")
-        return results
 
 
 def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
@@ -146,10 +141,11 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
         raise ConfigError("sliding runs need at least one column")
     starts = p.starts(len(cols))
     total = p.cycles(starts)
-    din, d1st, dv, res = _framed(cols, p.data_bits, total, window)
-    _, comparisons = _kernels.sliding_run(din, starts, p, dv, res)
-    return SlidingTrace(din=din, d1st=d1st, dv=dv, result=res,
-                        comparisons=comparisons, delay=p.alignment)
+    din = _framed(cols, p.data_bits, total)
+    fire, comparisons, values = _kernels.sliding_run(din, starts, p)
+    return SlidingTrace(din=din, starts=slice(0, len(cols), window),
+                        fire=fire, values=values, comparisons=comparisons,
+                        delay=p.alignment)
 
 
 def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray:
@@ -157,7 +153,7 @@ def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray
     n_starts = len(cols) - window + 1
     if n_starts < 1:
         return np.zeros(0, dtype=np.int64)
-    return sliding_cycles(window, rank, cols, **kwargs).window_results(n_starts)
+    return sliding_cycles(window, rank, cols, **kwargs).results[:n_starts]
 
 
 @dataclass(frozen=True)
@@ -276,10 +272,11 @@ class Ensemble9753:
 
 @dataclass(frozen=True)
 class Trace9753(StreamTrace):
-    """Per-clock record of a batch 9753 run, drain included: ``result`` has
-    one column per chain, ``delay`` is the first quadruple's cycle (None
-    without an anchor), so ``dout`` replays the strip delayed to it, and
-    ``enables`` flags every chain past the first."""
+    """A batch 9753 run, drain included: ``values`` has one row per
+    anchored cadence and one column per chain, ``fire`` is the cycle each
+    row emerges at, ``delay`` is the first row's cycle (None without an
+    anchor), so ``dout`` replays the strip delayed to it, and ``enables``
+    flags every chain past the first on every cycle."""
 
     enables: np.ndarray
 
@@ -300,32 +297,25 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     specs = _chain_specs(ranks, chains, data_bits, pipe_latency)
     n = len(cols)
     total = n + _drain_columns(specs)
-    # anchor every full cadence; a negative stop would wrap
-    din, d1st, dv, _ = _framed(cols, specs[0].params.data_bits, total,
-                               CADENCE, max(0, n - CADENCE + 1))
-    anchors = np.count_nonzero(d1st)
+    din = _framed(cols, specs[0].params.data_bits, total)
+    anchors = n // CADENCE  # every full cadence
     # phases count from the first anchor, cycle 0; without one no chain runs
     phase = np.arange(total) % CADENCE if anchors else np.full(total, -1)
     enabled = [np.isin(phase, spec.phases) for spec in specs]
-    fires, results, comparisons = [], [], 0
+    fires, values, comparisons = [], [], 0
     for spec, on in zip(specs, enabled):
         width = len(spec.phases)
-        rows = din[on, spec.rows]
-        chain_dv = np.zeros(len(rows), bool)
-        res = np.zeros(len(rows), din.dtype)
-        g, count = _kernels.chain_run(rows, anchors, spec.params, chain_dv,
-                                      res)
+        g, count, chain_values = _kernels.chain_run(din[on, spec.rows],
+                                                    anchors, spec.params)
         comparisons += count
         fires.append(CADENCE * (g // width) + spec.phases[0] + g % width)
-        results.append(res[g])
+        values.append(chain_values)
     # the drain lets every chain fire once per anchor
-    cycles = np.max(fires, axis=0)
-    dv[cycles] = True
-    result = np.zeros((total, len(specs)), dtype=din.dtype)
-    result[cycles] = np.transpose(results)
-    return Trace9753(din=din, d1st=d1st, dv=dv, result=result,
+    fire = np.max(fires, axis=0)
+    return Trace9753(din=din, starts=slice(0, anchors * CADENCE, CADENCE),
+                     fire=fire, values=np.column_stack(values),
                      comparisons=comparisons,
-                     delay=int(cycles[0]) if anchors else None,
+                     delay=int(fire[0]) if anchors else None,
                      enables=np.array(enabled)[1:].T)
 
 
@@ -339,5 +329,4 @@ def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     """
     trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits,
                                 pipe_latency=pipe_latency, chains=chains)
-    return (np.flatnonzero(trace.dv).tolist(),
-            [tuple(q) for q in trace.results.tolist()])
+    return trace.fire.tolist(), [tuple(q) for q in trace.results.tolist()]

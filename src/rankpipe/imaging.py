@@ -292,16 +292,15 @@ def _windows(frame, shifts, x0, cols, y0, rows):
 def _single_streams(frame, shifts, params, x0, cols, y0, rows):
     """One sample stream per band: each anchor's window in offset order."""
     samples = _windows(frame, shifts, x0, cols, y0, rows)
-    trace = stream_cycles(params, samples.reshape(-1))
-    return trace.result[params.fire(rows * cols)].astype(np.int64)
+    return stream_cycles(params, samples.reshape(-1)).results
 
 
 def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
     """One column stream per band: each anchor's window columns in turn,
     every column K samples from the top row."""
     samples = _windows(frame, sorted(shifts), x0, cols, y0, rows)
-    trace = mc_stream_cycles(params, samples.reshape(-1, params.channels))
-    return trace.result[params.fire(rows * cols)].astype(np.int64)
+    return mc_stream_cycles(params,
+                            samples.reshape(-1, params.channels)).results
 
 
 def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
@@ -313,10 +312,10 @@ def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
     block = frame[y0 + sy:y0 + sy + rows + side - 1, x0 + sx:x0 + sx + span]
     # strip r, column c, row k is block[r + k, c]
     strips = np.lib.stride_tricks.sliding_window_view(block, side, axis=0)
-    trace = sliding_cycles(side, params.rank, strips.reshape(-1, side),
-                           data_bits=params.data_bits,
-                           pipe_latency=params.pipe_latency)
-    pixels = trace.result[params.fire(rows * span)].reshape(rows, span)
+    values = sliding_cycles(side, params.rank, strips.reshape(-1, side),
+                            data_bits=params.data_bits,
+                            pipe_latency=params.pipe_latency).values
+    pixels = values[:rows * span].reshape(rows, span)
     return pixels[:, :cols].astype(np.int64).reshape(-1)
 
 
@@ -378,6 +377,7 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
         raise ConfigError(f"threads must be at least 1, got {threads}")
     offsets = window_offsets(shape)
     n = len(offsets)
+    rank = _integral(rank, "rank values")
     if not 1 <= rank <= n:
         raise ConfigError(f"rank must satisfy 1 <= M <= {n}, got {rank}")
     bits = data_bits if data_bits is not None else infer_data_bits(image)

@@ -40,6 +40,4 @@ def run_windows(params: McParams, cols) -> np.ndarray:
     """One result per window of ``columns`` back-to-back columns."""
     if np.size(cols) == 0:
         return np.zeros(0, dtype=np.int64)
-    trace = mc_stream_cycles(params, cols)
-    sets = len(cols) // params.columns
-    return trace.result[params.fire(sets)].astype(np.int64)
+    return mc_stream_cycles(params, cols).results

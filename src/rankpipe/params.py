@@ -261,6 +261,7 @@ class PartialMedian:
     bits_resolved: int = 0
 
     def __post_init__(self):
+        _integer_fields(self)
         if self.bits_resolved < 0 or self.bits_resolved % 2:
             raise ConfigError("bits_resolved must be a non-negative even count")
         if self.prefix < 0:

@@ -151,7 +151,7 @@ def test_08_sliding_9x64_strip_one_result_per_clock():
     dv_at = np.flatnonzero(trace.dv)
     assert dv_at[0] == trace.alignment
     assert set(np.diff(dv_at).tolist()) == {1}, "output rate below 1/clock"
-    got = trace.window_results(n_starts)
+    got = trace.results[:n_starts]
     expected = [select_desc(strip[:, c:c + 9].reshape(-1).tolist(), 48)
                 for c in range(n_starts)]
     assert got.tolist() == expected

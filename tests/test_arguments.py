@@ -9,6 +9,8 @@ from rankpipe import (
     Border,
     ConfigError,
     Custom,
+    FilterParams,
+    PartialMedian,
     Rect,
     Stage,
     counter_preset,
@@ -17,6 +19,7 @@ from rankpipe import (
     percentile_to_rank,
     run_filter,
     select_desc,
+    stream_cycles,
 )
 
 IMAGE = np.arange(12).reshape(3, 4)
@@ -48,20 +51,31 @@ IMAGE = np.arange(12).reshape(3, 4)
                  id="oracle-valid-misfit"),
     pytest.param(lambda: filter_image_oracle(IMAGE, "3x3", 1),
                  id="oracle-unknown-shape"),
+    pytest.param(lambda: PartialMedian(0.5, 0), id="partial-float-prefix"),
+    pytest.param(lambda: PartialMedian(0, 2.0), id="partial-float-bits"),
+    pytest.param(lambda: PartialMedian("a", 0), id="partial-str-prefix"),
+    # the drain alone is more cycles than an array can index
+    pytest.param(lambda: stream_cycles(FilterParams(8, 2**63 + 1, 1), []),
+                 id="stream-too-long"),
 ])
 def test_malformed_calls_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
 
 
-@pytest.mark.parametrize("image,shape,border", [
-    (np.arange(5), Rect(3, 3), Border.CLAMP),
-    (np.zeros((0, 5), np.int64), Rect(1, 1), Border.CLAMP),
-    (IMAGE, Rect(5, 5), Border.VALID),
-    (IMAGE, "3x3", Border.CLAMP)])
-def test_the_oracle_fails_as_run_filter_does(image, shape, border):
+@pytest.mark.parametrize("image,shape,rank,border", [
+    pytest.param(np.arange(5), Rect(3, 3), 1, Border.CLAMP,
+                 id="image0-shape0-Border.CLAMP"),
+    pytest.param(np.zeros((0, 5), np.int64), Rect(1, 1), 1, Border.CLAMP,
+                 id="image1-shape1-Border.CLAMP"),
+    pytest.param(IMAGE, Rect(5, 5), 1, Border.VALID,
+                 id="image2-shape2-Border.VALID"),
+    pytest.param(IMAGE, "3x3", 1, Border.CLAMP, id="image3-3x3-Border.CLAMP"),
+    pytest.param(np.arange(30).reshape(5, 6), Rect(3, 3), "5", Border.CLAMP,
+                 id="str-rank")])
+def test_the_oracle_fails_as_run_filter_does(image, shape, rank, border):
     with pytest.raises(ConfigError) as engine:
-        run_filter(image, shape, 1, border=border)
+        run_filter(image, shape, rank, border=border)
     with pytest.raises(ConfigError) as oracle:
-        filter_image_oracle(image, shape, 1, border)
+        filter_image_oracle(image, shape, rank, border)
     assert str(oracle.value) == str(engine.value)

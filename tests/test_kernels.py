@@ -59,6 +59,15 @@ def _clock(engine, cols, d1st):
     return dv, res
 
 
+def _at_fire(cycles, fire, values):
+    """Per-cycle dv/result of a kernel run: ``values`` placed at ``fire``."""
+    dv = np.zeros(cycles, dtype=bool)
+    res = np.zeros(cycles, dtype=np.int64)
+    dv[fire] = True
+    res[fire] = values
+    return dv, res
+
+
 def _random_chain(rng, latency):
     """A random single- or multi-channel configuration and its engine."""
     bits = int(rng.choice([2, 4, 8]))
@@ -84,9 +93,8 @@ def test_chain_run_matches_the_object_engines_on_back_to_back_sets():
         cols = _chain_case(rng, n, k, p.data_bits, sets, p.pipe_latency)
         d1st = np.zeros(len(cols), dtype=bool)
         d1st[:sets * n:n] = True
-        dv = np.zeros(len(cols), dtype=bool)
-        res = np.zeros(len(cols), dtype=np.int64)
-        fire, comparisons = _kernels.chain_run(cols, sets, p, dv, res)
+        fire, comparisons, values = _kernels.chain_run(cols, sets, p)
+        dv, res = _at_fire(len(cols), fire, values)
         want_dv, want_res = _clock(engine, cols, d1st)
         assert fire.tolist() == np.flatnonzero(want_dv).tolist()
         assert (dv == want_dv).all()
@@ -109,10 +117,8 @@ def _sliding(cols, starts, bits, rank, latency):
     window = cols.shape[1]
     p = SlidingParams(channels=window, columns=window, rank=rank,
                       data_bits=bits, pipe_latency=latency)
-    dv = np.zeros(len(cols), dtype=np.uint8)
-    res = np.zeros(len(cols), dtype=np.int64)
-    fire, comparisons = _kernels.sliding_run(cols, starts, p, dv, res)
-    return fire, comparisons, dv.astype(bool), res
+    fire, comparisons, values = _kernels.sliding_run(cols, starts, p)
+    return (fire, comparisons) + _at_fire(len(cols), fire, values)
 
 
 def test_sliding_run_matches_the_ensemble_window_for_window():
@@ -174,7 +180,7 @@ def _kernel_pair(monkeypatch, run):
 
 def _run_chain(cols, sets, bits, n, rank, counter_bits):
     """The set search of a chain's back-to-back sets at ``counter_bits``:
-    the results ``chain_run`` writes at their dv cycles."""
+    the results ``chain_run`` returns."""
     return _kernels._search(cols, n, sets, n, bits, rank,
                             counter_bits).tolist()
 
