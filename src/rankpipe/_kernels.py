@@ -1,18 +1,19 @@
-"""Set-parallel batch kernels for the refinement-stage chains.
+"""The set-parallel batch kernel for the refinement-stage chains.
 
-These functions are the hot path behind ``run_stream``, ``run_windows``,
-``sliding_cycles``, ``ensemble9753_cycles`` and the image driver.  They
-give one result per set, with the cycle each one matures at, without
-stepping clocks: where a result sits in the per-cycle stream is
+``chain_run``, also bound as ``sliding_run``, is the hot path behind
+``run_stream``, ``run_windows``, ``sliding_cycles``,
+``ensemble9753_cycles`` and the image driver.  It gives one result per
+set, with the cycle each one matures at, without stepping clocks: where a
+result sits in the per-cycle stream is
 :class:`rankpipe.core.StreamTrace`'s business.  A chain reads a ``(T, K)``
 column stream, and a single-channel chain is the K = 1 case.
 
 Every driver frames its stream the paper's way: sets back to back from
-cycle 0, then a full drain.  So a kernel takes the number of sets and the
+cycle 0, then a full drain.  So the kernel takes the number of sets and the
 chain's parameter record, whose cycle contract gives each set's dv cycle
 and the comparison count (``params._ChainTiming``, and
 ``params.SlidingParams`` for the sliding ensemble).  A set's result
-depends only on its own samples, so each kernel
+depends only on its own samples, so the kernel
 
 1. runs the B/2 radix-4 passes over every set at once, the way the stages
    do it in hardware.  The sets are copied once into sample-major planes:
@@ -24,21 +25,21 @@ depends only on its own samples, so each kernel
    surviving range is counted by adding rows into an accumulator of the
    narrowest unsigned dtype with at least C bits.  That sum wraps, as the
    C-bit counters do, without changing bit C-1 of ``preset + count`` (the
-   ``count >= M`` comparator).  The two result bits are the priority
-   encoding ``max(k * msb_k)`` over k = 1, 2, 3, as ``refine`` resolves
-   them;
+   ``count >= M`` comparator).  The stage's three decisions are
+   :mod:`rankpipe.params`' ``quarter_width``, ``counter_preset`` and
+   ``priority``, the functions the clocked ``Stage`` reaches too;
 2. returns each set's result at the sample dtype, with the sets' dv
    cycles and the record's comparison count.
 
 The clock-stepped object engines (``Engine``, ``McEngine``,
-``SlidingEnsemble``, ``Ensemble9753``) are the reference these kernels are
+``SlidingEnsemble``, ``Ensemble9753``) are the reference this kernel is
 tested against cycle for cycle.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .params import narrowest_uint
+from .params import counter_preset, narrowest_uint, priority, quarter_width
 
 _BLOCK = 1 << 17  # plane samples per block of sets: bounds the 3x bool buffer
 
@@ -73,47 +74,36 @@ def _search(cols, step, sets, set_cycles, data_bits, rank, counter_bits):
 def _resolve(planes, data_bits, rank, counter_bits):
     """The B/2 radix-4 passes over sample-major planes, one column per set."""
     acc = narrowest_uint(counter_bits)
-    preset = acc.type((1 << (counter_bits - 1)) - rank)
-    msb = acc.type(1 << (counter_bits - 1))
+    preset = counter_preset(rank, counter_bits)
+    preset, msb = acc.type(preset), acc.type(preset + rank)
     ks = np.arange(1, 4, dtype=planes.dtype)[:, None]
     pre = np.zeros(planes.shape[1], planes.dtype)
     ge = np.empty((3,) + planes.shape, bool)
     bounds = np.empty((3, planes.shape[1]), planes.dtype)
     counts = np.empty(bounds.shape, acc)
+    flags, rows = ge.view(np.uint8), bounds[:, None, :]  # views made once
     for s in range(data_bits // 2):
-        kq = ks << (data_bits - 2 * s - 2)
+        kq = ks * quarter_width(data_bits, 2 * s)
         # the three boundaries pre + k*q at once, into buffers every stage
-        # reuses: (3, samples, sets) flags, (3, sets) bounds and counts
-        np.greater_equal(planes, np.add(pre, kq, out=bounds)[:, None, :],
-                         out=ge)
-        np.add.reduce(ge.view(np.uint8), axis=1, dtype=acc, out=counts)
-        # the sum wraps at the acc width, at least C bits, which leaves
-        # bit C-1 of preset + count as the C-bit accumulator has it
-        counts += preset
+        # reuses: (3, samples, sets) flags, (3, sets) bounds and preset counts
+        np.add(pre, kq, out=bounds)
+        np.greater_equal(planes, rows, out=ge)
+        np.add.reduce(flags, axis=1, dtype=acc, out=counts, initial=preset)
         counts &= msb
-        # priority encode like ``refine``: the highest boundary whose MSB is set
-        pre += np.multiply(counts != 0, kq, out=bounds).max(axis=0)
+        pre += priority(counts, kq, out=bounds)
     return pre
 
 
-def _run(cols, sets, params):
-    """The body of both kernels: ``sets`` sets, one per ``params.cadence``."""
+def chain_run(cols, sets, params):
+    """``sets`` sets over a ``(T, K)`` column stream, one every
+    ``params.cadence`` cycles from cycle 0: a chain's back-to-back sets, or
+    under ``SlidingParams`` W staggered chains' windows, window i on chain
+    ``i % W``.  Returns ``(fire, comparisons, values)``: the sets' dv
+    cycles, the boundary comparisons, one result per set at the sample
+    dtype."""
     values = _search(cols, params.cadence, sets, params.set_cycles,
                      params.data_bits, params.rank, params.counter_bits)
     return params.fire(sets), params.comparisons(sets), values
 
 
-def chain_run(cols, sets, params):
-    """One chain over a ``(T, K)`` column stream; K = 1 is the
-    single-channel engine.  Runs ``sets`` sets back to back from cycle 0
-    and returns ``(fire, comparisons, values)``: their dv cycles, the
-    boundary comparisons, and one result per set at the sample dtype."""
-    return _run(cols, sets, params)
-
-
-def sliding_run(cols, starts, params):
-    """W staggered W-channel chains over one shared ``(T, W)`` column
-    stream: window i begins at cycle i, on chain ``i % W``, and ``starts``
-    windows run.  Returns ``(fire, comparisons, values)`` like
-    :func:`chain_run`."""
-    return _run(cols, starts, params)
+sliding_run = chain_run  # the sliding ensemble's name for the same kernel

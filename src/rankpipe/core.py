@@ -40,7 +40,10 @@ from .params import (
     _integral,
     as_samples,
     check_samples,
+    counter_preset,
     narrowest_uint,
+    priority,
+    quarter_width,
 )
 
 _ROOT = PartialMedian()
@@ -48,9 +51,7 @@ _ROOT = PartialMedian()
 
 def boundaries(pm: PartialMedian, data_bits: int) -> tuple[int, int, int]:
     """The three interior quarter boundaries (b1 < b2 < b3) of ``pm``'s range."""
-    if pm.bits_resolved > data_bits - 2:
-        raise ConfigError("partial median is fully resolved; no subranges remain")
-    q = 1 << (data_bits - pm.bits_resolved - 2)
+    q = quarter_width(data_bits, pm.bits_resolved)
     return pm.prefix + q, pm.prefix + 2 * q, pm.prefix + 3 * q
 
 
@@ -66,25 +67,6 @@ def incgen(x: int, pm: PartialMedian, data_bits: int) -> tuple[bool, bool, bool]
     return x >= b3, x >= b2, x >= b1
 
 
-def counter_preset(rank: int, counter_bits: int) -> int:
-    """Accumulator preset ``2**(C-1) - M``.
-
-    Starting the count here turns bit C-1 of the accumulator into the
-    ``count >= M`` comparator for free.
-    """
-    rank = _integral(rank, "rank values")
-    counter_bits = _integral(counter_bits, "counter_bits values")
-    if counter_bits < 1:
-        raise ConfigError(
-            f"counter_bits must be at least 1, got {counter_bits}")
-    half = 1 << (counter_bits - 1)
-    if not 1 <= rank <= half:
-        raise ConfigError(
-            f"rank {rank} outside [1, {half}] for {counter_bits}-bit counters"
-        )
-    return half - rank
-
-
 def refine(msb3: int, msb2: int, msb1: int, check: bool = False) -> int:
     """Two new result bits from the three accumulator MSBs, priority encoded.
 
@@ -97,13 +79,7 @@ def refine(msb3: int, msb2: int, msb1: int, check: bool = False) -> int:
             f"non-thermometer accumulator MSBs ({int(bool(msb3))}, "
             f"{int(bool(msb2))}, {int(bool(msb1))})"
         )
-    if msb3:
-        return 0b11
-    if msb2:
-        return 0b10
-    if msb1:
-        return 0b01
-    return 0b00
+    return int(priority((msb1, msb2, msb3)))
 
 
 def comparison_count(params: FilterParams, num_sets: int) -> int:
@@ -123,16 +99,18 @@ class Stage:
 
     def __init__(self, data_bits: int, set_cycles: int, rank: int,
                  counter_bits: int = 8, latency: int = 5):
+        if _integral(set_cycles, "set_cycles values") < 1:
+            raise ConfigError("set_cycles must be at least 1")
+        if _integral(latency, "latency values") < 0:
+            raise ConfigError("latency must be non-negative")
         self.data_bits = data_bits
         self.set_cycles = set_cycles
         self.latency = latency
         self.preset = counter_preset(rank, counter_bits)
         self._mask = (1 << counter_bits) - 1
-        self._msb = 1 << (counter_bits - 1)
+        self._msb = self.preset + rank
         self.pm = _ROOT  # latched partial median of the running set
-        self.qc1 = 0
-        self.qc2 = 0
-        self.qc3 = 0
+        self.qc1 = self.qc2 = self.qc3 = 0
         self.position = 0
         self.active = False
         self.comparisons = 0
@@ -155,11 +133,11 @@ class Stage:
             out = self._pending.popleft()[1]
         if d1st:
             if self.active:
-                raise FramingError(
-                    f"first-data marker arrived at set position {self.position}"
-                )
+                raise FramingError(f"first-data marker arrived at set "
+                                   f"position {self.position} on cycle {t}")
             if pm_in is None:
-                raise FramingError("first-data marker before any partial median")
+                raise FramingError("first-data marker before any partial "
+                                   f"median on cycle {t}")
             self.pm = pm_in
             self.qc1 = self.qc2 = self.qc3 = self.preset
             self.active = True
@@ -249,7 +227,10 @@ class _FinderChain:
             if self._offset:
                 f = self._ring.read(t, tap + self._offset)[1]
             pm_in = _ROOT if s == 0 else self._holds[s - 1]
-            out = self.stages[s].clock(x, f, pm_in)
+            try:
+                out = self.stages[s].clock(x, f, pm_in)
+            except FramingError as err:
+                raise FramingError(f"stage {s}: {err}") from None
             if out is not None:
                 self._holds[s] = out
                 if s == len(self.stages) - 1:

@@ -1,4 +1,4 @@
-"""Configuration and domain types shared by all engine variants.
+"""Configuration, domain types and stage decisions shared by all engines.
 
 Samples are plain non-negative ints that must fit the configured data width;
 there is no wrapper type, and :func:`check_samples` is the one check every
@@ -48,6 +48,43 @@ def _integer_fields(record) -> None:
     for name in (f.name for f in fields(record)):
         object.__setattr__(record, name, _integral(getattr(record, name),
                                                    f"{name} values"))
+
+
+def counter_preset(rank: int, counter_bits: int) -> int:
+    """Accumulator preset ``2**(C-1) - M``.
+
+    Starting the count here turns bit C-1 of the accumulator into the
+    ``count >= M`` comparator for free: that bit's mask is ``preset + M``.
+    """
+    rank = _integral(rank, "rank values")
+    counter_bits = _integral(counter_bits, "counter_bits values")
+    if counter_bits < 1:
+        raise ConfigError(f"counter_bits must be at least 1, got {counter_bits}")
+    half = 1 << (counter_bits - 1)
+    if not 1 <= rank <= half:
+        raise ConfigError(f"rank {rank} outside [1, {half}] for "
+                          f"{counter_bits}-bit counters")
+    return half - rank
+
+
+def quarter_width(data_bits: int, bits_resolved: int) -> int:
+    """Quarter width of a B-bit range with ``bits_resolved`` bits resolved."""
+    data_bits = _integral(data_bits, "data_bits values")
+    bits_resolved = _integral(bits_resolved, "bits_resolved values")
+    if not 0 <= bits_resolved <= data_bits - 2:
+        raise ConfigError(f"no quarters remain with {bits_resolved} of "
+                          f"{data_bits} bits resolved")
+    return 1 << (data_bits - bits_resolved - 2)
+
+
+def priority(msbs, weights=(1, 2, 3), out=None):
+    """A stage's priority encode: the weight (by default the result bits 1
+    to 3) of the highest boundary whose MSB is nonzero, or 0.  ``msbs``
+    stacks one MSB per boundary on axis 0, lowest first; ``out`` gets the
+    weighted stack."""
+    msbs = np.asarray(msbs)
+    weights = np.asarray(weights).reshape((-1,) + (1,) * (msbs.ndim - 1))
+    return np.multiply(msbs != 0, weights, out=out).max(axis=0)
 
 
 def padded_bits(bits: int) -> int:
@@ -269,7 +306,9 @@ class PartialMedian:
 
     def refined(self, quarter: int, data_bits: int) -> "PartialMedian":
         """Narrow to one of the four quarters (0..3) of this range."""
-        q = 1 << (data_bits - self.bits_resolved - 2)
+        q = quarter_width(data_bits, self.bits_resolved)
+        if not 0 <= _integral(quarter, "quarters") <= 3:
+            raise ConfigError(f"quarter must be in 0..3, got {quarter}")
         return PartialMedian(self.prefix + quarter * q, self.bits_resolved + 2)
 
 

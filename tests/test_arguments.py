@@ -13,9 +13,11 @@ from rankpipe import (
     PartialMedian,
     Rect,
     Stage,
+    boundaries,
     counter_preset,
     enable_schedule,
     filter_image_oracle,
+    incgen,
     percentile_to_rank,
     run_filter,
     select_desc,
@@ -38,6 +40,27 @@ IMAGE = np.arange(12).reshape(3, 4)
     pytest.param(lambda: counter_preset(2.5, 8), id="preset-float-rank"),
     pytest.param(lambda: Stage(8, 5, 3, counter_bits=0),
                  id="stage-zero-width"),
+    pytest.param(lambda: Stage(8.0, 5, 3).clock(3, True, PartialMedian()),
+                 id="stage-float-bits"),
+    # a stage that could never emit a partial median
+    pytest.param(lambda: Stage(8, 0, 1), id="stage-zero-set-cycles"),
+    pytest.param(lambda: Stage(8, 3, 1, latency=-1),
+                 id="stage-negative-latency"),
+    pytest.param(lambda: Stage(8, 3, 1, latency=1.5),
+                 id="stage-float-latency"),
+    pytest.param(lambda: Stage(8, 3.5, 1), id="stage-float-set-cycles"),
+    pytest.param(lambda: boundaries(PartialMedian(), 8.0),
+                 id="boundaries-float-bits"),
+    pytest.param(lambda: incgen(5, PartialMedian(), 8.0),
+                 id="incgen-float-bits"),
+    pytest.param(lambda: PartialMedian().refined(0, 8.0),
+                 id="refined-float-bits"),
+    pytest.param(lambda: PartialMedian(0, 8).refined(0, 8),
+                 id="refined-fully-resolved"),
+    pytest.param(lambda: PartialMedian().refined(4, 8),
+                 id="refined-quarter-4"),
+    pytest.param(lambda: PartialMedian().refined(-1, 8),
+                 id="refined-quarter-minus-1"),
     pytest.param(lambda: Custom(((1, 2, 3),)), id="custom-triple"),
     pytest.param(lambda: Custom((1, 2)), id="custom-flat-pair"),
     pytest.param(lambda: Custom(5), id="custom-int"),

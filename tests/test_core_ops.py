@@ -1,6 +1,7 @@
 """Unit checks of the per-sample operations: boundary generation, the
 comparison flags, the counter preset trick, and the refinement table."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,18 @@ from rankpipe import (
     incgen,
     refine,
 )
+from rankpipe.params import priority
+
+TRUTH_TABLE = [
+    ((0, 0, 0), 0b00),
+    ((0, 0, 1), 0b01),
+    ((0, 1, 0), 0b10),
+    ((0, 1, 1), 0b10),
+    ((1, 0, 0), 0b11),
+    ((1, 0, 1), 0b11),
+    ((1, 1, 0), 0b11),
+    ((1, 1, 1), 0b11),
+]
 
 
 class TestBoundaries:
@@ -98,18 +111,15 @@ class TestCounterPreset:
 
 
 class TestRefine:
-    @pytest.mark.parametrize("msbs,expected", [
-        ((0, 0, 0), 0b00),
-        ((0, 0, 1), 0b01),
-        ((0, 1, 0), 0b10),
-        ((0, 1, 1), 0b10),
-        ((1, 0, 0), 0b11),
-        ((1, 0, 1), 0b11),
-        ((1, 1, 0), 0b11),
-        ((1, 1, 1), 0b11),
-    ])
+    # the last input is the array form: all eight rows as one (3, 8) stack
+    @pytest.mark.parametrize("msbs,expected", TRUTH_TABLE + [
+        (np.array([msbs for msbs, _ in TRUTH_TABLE]).T,
+         [expected for _, expected in TRUTH_TABLE])])
     def test_truth_table(self, msbs, expected):
-        assert refine(*msbs) == expected
+        # refine takes (msb3, msb2, msb1); priority, the lowest boundary first
+        assert priority(np.flip(msbs, axis=0)).tolist() == expected
+        if np.ndim(msbs) == 1:
+            assert refine(*msbs) == expected
 
     @pytest.mark.parametrize("msbs", [(0, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 0)])
     def test_check_mode_flags_non_thermometer_inputs(self, msbs):

@@ -22,6 +22,7 @@ from rankpipe import (
     core,
     ensemble9753_cycles,
     mc_stream_cycles,
+    params,
     run_filter,
     sliding_cycles,
     stream_cycles,
@@ -60,6 +61,15 @@ def test_batch_paths_build_no_clocked_object(monkeypatch, tmp_path):
 def test_the_clocked_engines_are_one_chain_class():
     assert all(type(chain) is Engine for chain in Ensemble9753().chains)
     assert [name for name in vars(McEngine) if not name.startswith("__")] == []
+
+
+def test_the_stage_decisions_and_the_kernel_are_written_once():
+    # the clocked Stage and the batch kernel share each stage decision,
+    # and the chain and sliding kernels are one function
+    for name in ("counter_preset", "quarter_width", "priority"):
+        assert getattr(core, name) is getattr(params, name), name
+        assert getattr(_kernels, name) is getattr(params, name), name
+    assert _kernels.sliding_run is _kernels.chain_run
 
 
 def _assigned(path: Path, name: str):

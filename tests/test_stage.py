@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from rankpipe import FramingError, PartialMedian, Stage, boundaries
+from rankpipe import (
+    Engine,
+    FilterParams,
+    FramingError,
+    PartialMedian,
+    Stage,
+    boundaries,
+)
 from rankpipe.oracle import select_desc
 
 ROOT = PartialMedian()
@@ -73,8 +80,17 @@ def test_marker_mid_set_is_a_framing_error():
     stage = Stage(8, 5, 2)
     stage.clock(10, True, ROOT)
     stage.clock(20, False, ROOT)
-    with pytest.raises(FramingError):
+    with pytest.raises(FramingError, match="set position 2 on cycle 2$"):
         stage.clock(30, True, ROOT)
+
+
+def test_an_engine_framing_error_names_the_stage_and_the_cycle():
+    engine = Engine(FilterParams(8, 5, 3))
+    for t in range(3):
+        engine.clock(t, t == 0)
+    with pytest.raises(FramingError, match="^stage 0: .* set position 3 "
+                                           "on cycle 3$"):
+        engine.clock(3, True)
 
 
 def test_marker_without_partial_median_is_a_framing_error():
