@@ -1,10 +1,11 @@
 """The set-parallel batch kernel for the refinement-stage chains.
 
-``chain_run``, also bound as ``sliding_run``, is the hot path behind
-``run_stream``, ``run_windows``, ``sliding_cycles``,
-``ensemble9753_cycles`` and the image driver.  It gives one result per
-set, with the cycle each one matures at, without stepping clocks: where a
-result sits in the per-cycle stream is
+``chain_run`` is the hot path behind the two batch entries,
+``core._chain_trace`` (every ``FilterParams``, ``McParams`` and
+``SlidingParams`` run) and ``ensemble9753_cycles``; ``sliding_run`` is
+the same function, a name kept for the benchmark's span table.  It gives
+one result per set, with the cycle each one matures at, without stepping
+clocks: where a result sits in the per-cycle stream is
 :class:`rankpipe.core.StreamTrace`'s business.  A chain reads a ``(T, K)``
 column stream, and a single-channel chain is the K = 1 case.
 
@@ -106,4 +107,4 @@ def chain_run(cols, sets, params):
     return params.fire(sets), params.comparisons(sets), values
 
 
-sliding_run = chain_run  # the sliding ensemble's name for the same kernel
+sliding_run = chain_run  # kept for the benchmark's span table

@@ -12,10 +12,10 @@ stage's partial median for it is ready.
 reference for the cycle semantics.  Every clocked engine is that chain
 fed samples, columns, staggered markers or gated phases: ``Engine`` gives
 it its own data pipe, under ``FilterParams`` or ``McParams``, and the
-ensembles reuse it.  ``run_stream`` and the image driver use
-:mod:`rankpipe._kernels` instead, which computes every set's result at
-once, with the fixed cycle it matures at.  The test suite checks the two
-against each other cycle-for-cycle.
+ensembles reuse it.  The batch runs, ``_chain_trace`` for every chain
+record and the 9753 path, use :mod:`rankpipe._kernels` instead, which
+computes every set's result at once, with the fixed cycle it matures at.
+The test suite checks the two against each other cycle-for-cycle.
 
 A batch run is one result per set: a ``StreamTrace`` keeps its framed
 input at the sample dtype (uint8 up to 8 bits, uint16 up to 16), each
@@ -25,6 +25,7 @@ trace`` lays these out per cycle.  The results a caller receives are int64.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -161,6 +162,13 @@ class Stage:
         return out
 
 
+def _lanes(params) -> tuple[int, ...]:
+    """The shape of one clock's input: ``()`` under ``FilterParams``,
+    ``(channels,)`` under ``McParams`` and ``SlidingParams``."""
+    channels = getattr(params, "channels", None)
+    return () if channels is None else (channels,)
+
+
 class _DelayRing:
     """Circular (value, marker) history with fixed read offsets.
 
@@ -170,10 +178,9 @@ class _DelayRing:
     the pipes.
     """
 
-    def __init__(self, capacity: int, channels: int | None = None):
-        self._cap = max(capacity, 1)
-        shape = (self._cap,) if channels is None else (self._cap, channels)
-        self._data = np.zeros(shape, dtype=np.int64)
+    def __init__(self, params):
+        self._cap = max(params.stages * params.pipe_delay, 1)
+        self._data = np.zeros((self._cap,) + _lanes(params), dtype=np.int64)
         self._zero = self._data[0].copy()
         self._d1st = np.zeros(self._cap, dtype=bool)
 
@@ -189,15 +196,11 @@ class _DelayRing:
 
 
 def _column(params, din) -> np.ndarray:
-    """One clock's input under the sample contract: a single sample for
-    ``FilterParams``, a column of ``channels`` samples for ``McParams``."""
+    """One clock's checked input, of shape ``_lanes(params)``."""
     din = as_samples(din, params.data_bits)
-    channels = getattr(params, "channels", None)
-    if channels is None and din.shape != ():
-        raise ConfigError(f"one sample per clock, got shape {din.shape}")
-    if channels is not None and din.shape != (channels,):
-        raise ConfigError(f"column must carry exactly {channels} samples, "
-                          f"got {din.shape}")
+    if din.shape != _lanes(params):
+        raise ConfigError(f"one clock's input must have shape "
+                          f"{_lanes(params)}, got {din.shape}")
     return din
 
 
@@ -253,8 +256,7 @@ class Engine(_FinderChain):
     """
 
     def __init__(self, params: FilterParams):
-        super().__init__(params, _DelayRing(params.stages * params.pipe_delay,
-                                            getattr(params, "channels", None)))
+        super().__init__(params, _DelayRing(params))
         self._t = 0
 
     def clock(self, din, d1st: bool = False) -> CycleOutput:
@@ -327,50 +329,58 @@ class StreamTrace:
         return len(self.din)
 
 
+# The most bytes a batch run may frame.  Even an empty run frames its whole
+# drain, about (B/2)(N + L) cycles, so a huge set size would ask numpy for
+# terabytes, and whether that fails at once depends on the host's overcommit
+# policy.  Real streams stay far below: a 1024x768 frame through a 31x31
+# single-engine window frames 0.76 GB at 8 bits.
+_MAX_FRAME_BYTES = 1 << 32
+
+
 def _framed(cols, data_bits: int, total: int) -> np.ndarray:
     """``din`` of a batch run over ``total`` cycles: the checked ``cols``
     then zeros, at the sample dtype."""
     cols = check_samples(cols, data_bits)
-    if total > np.iinfo(np.intp).max:
-        raise ConfigError(f"a run of {total} cycles is too long to simulate")
-    din = np.zeros((total,) + cols.shape[1:], narrowest_uint(data_bits))
+    dtype = narrowest_uint(data_bits)
+    size = total * math.prod(cols.shape[1:]) * dtype.itemsize
+    if size > _MAX_FRAME_BYTES:
+        raise ConfigError(f"a run of {total} cycles needs {size} bytes, more "
+                          f"than the {_MAX_FRAME_BYTES} a batch run may frame")
+    din = np.zeros((total,) + cols.shape[1:], dtype)
     din[:len(cols)] = cols
     return din
 
 
-def _chain_trace(params, cols, what: str) -> StreamTrace:
-    """Frame ``cols`` (samples, or ``(n, K)`` columns) into back-to-back
-    sets of ``params.set_cycles``, run the chain through them plus the
-    drain, and return the trace.  ``what`` names the stream in errors."""
-    p = params
-    sets, rest = divmod(len(cols), p.set_cycles)
-    if rest:
-        raise FramingError(
-            f"{what} length {len(cols)} is not a multiple of the set length "
-            f"{p.set_cycles}"
-        )
+def _chain_trace(params, cols, trace=StreamTrace) -> StreamTrace:
+    """The one batch entry of every chain record: frame ``cols``, one input
+    of shape ``_lanes(params)`` per cycle, into the sets the record starts,
+    run the kernel through them plus the drain, and return a ``trace``."""
+    p, lanes = params, _lanes(params)
+    cols = np.asarray(cols)
+    if cols.ndim != 1 + len(lanes) or cols.shape[1:] != lanes:
+        raise ConfigError(f"stream must have shape "
+                          f"(n,{''.join(f' {k}' for k in lanes)}), "
+                          f"got {cols.shape}")
+    sets = p.starts(len(cols))
     total = p.cycles(sets)
     din = _framed(cols, p.data_bits, total)
-    fire, comparisons, values = _kernels.chain_run(din.reshape(total, -1),
-                                                   sets, p)
-    return StreamTrace(din=din, starts=slice(0, len(cols), p.set_cycles),
-                       fire=fire, values=values, comparisons=comparisons,
-                       delay=p.alignment)
+    fire, comparisons, values = _kernels.chain_run(
+        din.reshape(total, math.prod(lanes)), sets, p)
+    return trace(din=din, starts=slice(0, len(cols), p.set_cycles),
+                 fire=fire, values=values, comparisons=comparisons,
+                 delay=p.alignment)
 
 
 def stream_cycles(params: FilterParams, data) -> StreamTrace:
-    """Frame ``data`` into back-to-back sets, run the engine through them
-    plus the drain, and return the trace."""
-    data = np.asarray(data)
-    if data.ndim != 1:
-        raise ConfigError("stream data must be one-dimensional")
-    return _chain_trace(params, data, "stream")
+    """Frame ``data`` (samples, or ``(n, K)`` columns) into back-to-back
+    sets, run the engine through them plus the drain; return the trace."""
+    return _chain_trace(params, data)
 
 
 def run_stream(params: FilterParams, data) -> np.ndarray:
     """One result per set of ``set_size`` samples: the rank-th largest of each.
 
-    ``data`` length must be a multiple of the set size; sets are streamed
+    ``data`` length must be a multiple of the set length; sets are streamed
     back-to-back and the engine is drained afterwards so every result is
     collected.
     """

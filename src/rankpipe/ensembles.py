@@ -12,9 +12,10 @@ of each cadence (and centered rows of each column): each is a plain
 window results every 9 clocks.  Overriding the enabled phase windows
 produces non-square rectangles instead.
 
-``sliding_cycles`` and ``ensemble9753_cycles`` run on the batch kernels and
-build no clocked object; the clocked ``SlidingEnsemble`` and
-``Ensemble9753`` are their reference.
+``sliding_cycles`` is core's one batch entry under ``SlidingParams``, and
+``ensemble9753_cycles`` runs one kernel call per gated chain; neither builds
+a clocked object, and the clocked ``SlidingEnsemble`` and ``Ensemble9753``
+are their reference.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import _kernels
 from .core import (
     Engine,
     StreamTrace,
+    _chain_trace,
     _column,
     _DelayRing,
     _FinderChain,
@@ -73,7 +75,7 @@ class SlidingEnsemble:
                  pipe_latency: int = 5):
         p = self.params = SlidingParams(window, window, rank, data_bits,
                                         pipe_latency=pipe_latency)
-        self._ring = _DelayRing(p.stages * p.pipe_delay, channels=window)
+        self._ring = _DelayRing(p)
         self.chains = [_FinderChain(p, self._ring, j) for j in range(window)]
         self._t = 0
         self.last_chain = -1
@@ -134,26 +136,18 @@ def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
     """
     p = SlidingParams(window, window, rank, data_bits,
                       pipe_latency=pipe_latency)
-    cols = np.asarray(cols)
-    if cols.ndim != 2 or cols.shape[1] != window:
-        raise ConfigError(f"column stream must have shape (n, {window})")
-    if cols.size == 0:
+    if np.size(cols) == 0:
         raise ConfigError("sliding runs need at least one column")
-    starts = p.starts(len(cols))
-    total = p.cycles(starts)
-    din = _framed(cols, p.data_bits, total)
-    fire, comparisons, values = _kernels.sliding_run(din, starts, p)
-    return SlidingTrace(din=din, starts=slice(0, len(cols), window),
-                        fire=fire, values=values, comparisons=comparisons,
-                        delay=p.alignment)
+    return _chain_trace(p, cols, SlidingTrace)
 
 
 def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray:
     """Results of every full W-wide window of a column strip, in start order."""
-    n_starts = len(cols) - window + 1
-    if n_starts < 1:
+    cols = np.asarray(cols)
+    if cols.ndim and len(cols) < _integral(window, "window sides"):
         return np.zeros(0, dtype=np.int64)
-    return sliding_cycles(window, rank, cols, **kwargs).results[:n_starts]
+    trace = sliding_cycles(window, rank, cols, **kwargs)
+    return trace.results[:len(cols) - window + 1]
 
 
 @dataclass(frozen=True)

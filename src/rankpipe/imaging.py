@@ -135,6 +135,8 @@ def window_size(shape: WindowShape) -> int:
 def parse_window(text: str) -> WindowShape:
     """Parse a CLI window spec: ``WxH``, ``diamondD``, or ``custom=FILE``.
     The keywords take any case; the file path is opened as given."""
+    if not isinstance(text, str):
+        raise ConfigError(f"window spec must be text, got {text!r}")
     text = text.strip()
     if text.lower().startswith("custom="):
         offsets = []

@@ -163,6 +163,14 @@ class _ChainTiming:
         """Cycles between the starts of back-to-back sets."""
         return self.set_cycles
 
+    def starts(self, columns: int) -> int:
+        """Sets a stream of ``columns`` cycles starts: whole sets."""
+        sets, rest = divmod(_count(columns, "column counts"), self.set_cycles)
+        if rest:
+            raise FramingError(f"stream length {columns} is not a multiple "
+                               f"of the set length {self.set_cycles}")
+        return sets
+
     def fire(self, sets: int) -> np.ndarray:
         """The dv cycles of a run."""
         sets = _count(sets, "set counts")

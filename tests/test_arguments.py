@@ -2,6 +2,8 @@
 call below raises ``ConfigError``, never a bare ``TypeError`` or
 ``ValueError``, and never returns a truncated answer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,17 +12,24 @@ from rankpipe import (
     ConfigError,
     Custom,
     FilterParams,
+    McEngine,
+    McParams,
     PartialMedian,
     Rect,
+    SlidingEnsemble,
     Stage,
     boundaries,
     counter_preset,
     enable_schedule,
     filter_image_oracle,
     incgen,
+    mc_stream_cycles,
+    parse_window,
     percentile_to_rank,
     run_filter,
     select_desc,
+    sliding_cycles,
+    sliding_window_results,
     stream_cycles,
 )
 
@@ -80,10 +89,66 @@ IMAGE = np.arange(12).reshape(3, 4)
     # the drain alone is more cycles than an array can index
     pytest.param(lambda: stream_cycles(FilterParams(8, 2**63 + 1, 1), []),
                  id="stream-too-long"),
+    # an empty run still frames its drain, terabytes at N = 2**40
+    pytest.param(lambda: stream_cycles(FilterParams(8, 2**40, 1), []),
+                 id="stream-empty-drain-too-big"),
+    pytest.param(lambda: mc_stream_cycles(McParams(1, 2**40, 1),
+                                          np.zeros((0, 1), np.uint8)),
+                 id="columns-empty-drain-too-big"),
+    pytest.param(lambda: parse_window(5), id="window-spec-int"),
+    pytest.param(lambda: sliding_window_results(3, 5, 5),
+                 id="sliding-results-scalar-strip"),
+    pytest.param(lambda: sliding_window_results("3", 5, np.zeros((4, 3))),
+                 id="sliding-results-str-window"),
+    # too short for a window of 3, but 3.0 is no window side
+    pytest.param(lambda: sliding_window_results(3.0, 5, np.zeros((2, 3))),
+                 id="sliding-results-float-window"),
+    # the stream shape each chain record's one batch entry checks
+    pytest.param(lambda: stream_cycles(FilterParams(8, 5, 3),
+                                       np.zeros((5, 2), np.uint8)),
+                 id="stream-2d"),
+    pytest.param(lambda: stream_cycles(FilterParams(8, 5, 3), 7),
+                 id="stream-scalar"),
+    pytest.param(lambda: mc_stream_cycles(McParams(3, 3, 5),
+                                          np.zeros(9, np.uint8)),
+                 id="columns-1d"),
+    pytest.param(lambda: mc_stream_cycles(McParams(3, 3, 5),
+                                          np.zeros((9, 4), np.uint8)),
+                 id="columns-too-wide"),
+    pytest.param(lambda: sliding_cycles(3, 5, np.zeros((6, 4), np.uint8)),
+                 id="sliding-too-wide"),
+    pytest.param(lambda: sliding_cycles(3, 5, np.zeros(6, np.uint8)),
+                 id="sliding-1d"),
+    pytest.param(lambda: sliding_cycles(3, 5, np.zeros((0, 3), np.uint8)),
+                 id="sliding-empty"),
+    pytest.param(lambda: SlidingEnsemble(3, 5).clock([1, 2]),
+                 id="sliding-clock-short-column"),
+    pytest.param(lambda: McEngine(McParams(3, 3, 5)).clock(1),
+                 id="columns-clock-scalar"),
 ])
 def test_malformed_calls_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize("strip", [[], np.zeros((2, 3), np.uint8)])
+def test_a_strip_shorter_than_the_window_has_no_results(strip):
+    assert sliding_window_results(3, 5, strip).tolist() == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stream_cycles(FilterParams(8, 2**40, 1), []),
+    lambda: mc_stream_cycles(McParams(1, 2**40, 1),
+                             np.zeros((0, 1), np.uint8))])
+def test_a_huge_empty_run_fails_before_it_allocates(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="bytes"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("image,shape,rank,border", [

@@ -356,6 +356,18 @@ class TestTrace:
         rows = out_csv.read_text().splitlines()[1:]
         assert sum(row.split(",")[3] == "1" for row in rows) == 1
 
+    def test_an_empty_trace_of_a_huge_set_is_refused(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # no sets, but the drain alone would frame terabytes at N = 2**40
+        out_csv = tmp_path / "t.csv"
+        code, out, err = run_cli(capsys, ["trace", "-o", str(out_csv),
+                                          "--set-size", "1099511627776",
+                                          "--rank", "1", "--data-bits", "8"],
+                                 stdin="", monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_csv.exists()
+
     def test_traces_are_deterministic_bytes(self, capsys, tmp_path,
                                             monkeypatch):
         rng = np.random.default_rng(63)

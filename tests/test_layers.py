@@ -72,6 +72,28 @@ def test_the_stage_decisions_and_the_kernel_are_written_once():
     assert _kernels.sliding_run is _kernels.chain_run
 
 
+def test_every_chain_record_has_one_batch_entry(monkeypatch):
+    # the K-channel names are the chain's own, and a batch run of any chain
+    # record, sliding included, frames its stream once in core
+    assert rankpipe.mc_stream_cycles is rankpipe.stream_cycles
+    assert rankpipe.run_windows is rankpipe.run_stream
+    framed = []
+    real_framed = core._framed
+
+    def counted(cols, *args):
+        framed.append(len(cols))
+        return real_framed(cols, *args)
+
+    monkeypatch.setattr(core, "_framed", counted)
+    rng = np.random.default_rng(10)
+    stream_cycles(FilterParams(data_bits=8, set_size=5, rank=3),
+                  rng.integers(0, 256, size=20))
+    mc_stream_cycles(McParams(channels=3, columns=3, rank=5),
+                     rng.integers(0, 256, size=(9, 3)))
+    sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))
+    assert framed == [20, 9, 8]
+
+
 def _assigned(path: Path, name: str):
     """The literal value assigned to ``name`` at the top of ``path``."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:

@@ -11,6 +11,7 @@ from rankpipe import (
     ConfigError,
     Engine,
     FilterParams,
+    FramingError,
     McParams,
     Rect,
     SlidingEnsemble,
@@ -125,9 +126,8 @@ def test_the_contract_rejects_counts_that_are_not_whole(count, record):
             method(count)
     with pytest.raises(ConfigError, match="set counts"):
         comparison_count(record, count)
-    if isinstance(record, SlidingParams):
-        with pytest.raises(ConfigError, match="column counts"):
-            record.starts(count)
+    with pytest.raises(ConfigError, match="column counts"):
+        record.starts(count)
 
 
 def test_zero_sets_still_run_the_drain():
@@ -136,6 +136,22 @@ def test_zero_sets_still_run_the_drain():
     assert p.fire(0).size == 0
     assert p.comparisons(0) == comparison_count(p, np.int64(0)) == 0
     assert p.cycles(np.int64(2)) == p.cycles(2)
+
+
+def test_a_chain_starts_whole_sets_and_frames_no_remainder():
+    for p in (FilterParams(data_bits=8, set_size=5, rank=3),
+              McParams(channels=3, columns=4, rank=6)):
+        assert [p.starts(k * p.set_cycles) for k in range(3)] == [0, 1, 2]
+        with pytest.raises(FramingError, match="stream length 7 is not a "
+                           f"multiple of the set length {p.set_cycles}$"):
+            p.starts(7)
+
+
+def test_an_empty_run_with_no_drain_is_an_empty_trace():
+    # one stage with no latency: the drain is zero cycles long
+    trace = stream_cycles(FilterParams(data_bits=2, set_size=1, rank=1,
+                                       pipe_latency=0), [])
+    assert (trace.cycles, trace.results.tolist()) == (0, [])
 
 
 @pytest.mark.parametrize("window", [3, 5])
