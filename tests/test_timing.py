@@ -94,7 +94,8 @@ def test_records_give_the_traces_cycles_fire_and_comparisons(kind, latency):
 
 
 @pytest.mark.parametrize("kind,run", [("single", run_stream),
-                                      ("multichannel", run_windows)])
+                                      ("multichannel", run_windows)],
+                         ids=["single-run_stream", "multichannel-run_windows"])
 @pytest.mark.parametrize("latency", [0, 5])
 def test_results_read_at_the_fire_cycles_are_the_flagged_ones(kind, run,
                                                               latency):
