@@ -329,12 +329,12 @@ class StreamTrace:
         return len(self.din)
 
 
-# The most bytes a batch run may frame.  Even an empty run frames its whole
-# drain, about (B/2)(N + L) cycles, so a huge set size would ask numpy for
-# terabytes, and whether that fails at once depends on the host's overcommit
-# policy.  Real streams stay far below: a 1024x768 frame through a 31x31
-# single-engine window frames 0.76 GB at 8 bits.
-_MAX_FRAME_BYTES = 1 << 32
+# The most bytes of drain, the cycles past the input, a batch run may frame.
+# Even an empty run frames its whole drain, about (B/2)(N + L) cycles: some
+# 3 bytes per set sample at 8 bits and 14 at 16 (13.5 KB for a 31x31 window),
+# so N = 2**40 would ask numpy for terabytes.  The input is not counted: it
+# is already in memory.
+_MAX_DRAIN_BYTES = 1 << 32
 
 
 def _framed(cols, data_bits: int, total: int) -> np.ndarray:
@@ -342,10 +342,11 @@ def _framed(cols, data_bits: int, total: int) -> np.ndarray:
     then zeros, at the sample dtype."""
     cols = check_samples(cols, data_bits)
     dtype = narrowest_uint(data_bits)
-    size = total * math.prod(cols.shape[1:]) * dtype.itemsize
-    if size > _MAX_FRAME_BYTES:
-        raise ConfigError(f"a run of {total} cycles needs {size} bytes, more "
-                          f"than the {_MAX_FRAME_BYTES} a batch run may frame")
+    drain = (total - len(cols)) * math.prod(cols.shape[1:]) * dtype.itemsize
+    if drain > _MAX_DRAIN_BYTES:
+        raise ConfigError(f"a run of {total} cycles drains {drain} bytes, "
+                          f"more than the {_MAX_DRAIN_BYTES} a batch run "
+                          f"may frame")
     din = np.zeros((total,) + cols.shape[1:], dtype)
     din[:len(cols)] = cols
     return din

@@ -1,6 +1,7 @@
 """Public entry points that cannot misread their arguments: each malformed
 call below raises ``ConfigError``, never a bare ``TypeError`` or
-``ValueError``, and never returns a truncated answer."""
+``ValueError``, never returns a truncated answer, and never allocates a
+megabyte first."""
 
 import tracemalloc
 
@@ -19,6 +20,7 @@ from rankpipe import (
     SlidingEnsemble,
     Stage,
     boundaries,
+    core,
     counter_preset,
     enable_schedule,
     filter_image_oracle,
@@ -86,7 +88,7 @@ IMAGE = np.arange(12).reshape(3, 4)
     pytest.param(lambda: PartialMedian(0.5, 0), id="partial-float-prefix"),
     pytest.param(lambda: PartialMedian(0, 2.0), id="partial-float-bits"),
     pytest.param(lambda: PartialMedian("a", 0), id="partial-str-prefix"),
-    # the drain alone is more cycles than an array can index
+    # the drain alone passes the byte bound
     pytest.param(lambda: stream_cycles(FilterParams(8, 2**63 + 1, 1), []),
                  id="stream-too-long"),
     # an empty run still frames its drain, terabytes at N = 2**40
@@ -127,8 +129,14 @@ IMAGE = np.arange(12).reshape(3, 4)
                  id="columns-clock-scalar"),
 ])
 def test_malformed_calls_raise_config_error(call):
-    with pytest.raises(ConfigError):
-        call()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before anything run-sized is allocated
 
 
 @pytest.mark.parametrize("strip", [[], np.zeros((2, 3), np.uint8)])
@@ -136,19 +144,15 @@ def test_a_strip_shorter_than_the_window_has_no_results(strip):
     assert sliding_window_results(3, 5, strip).tolist() == []
 
 
-@pytest.mark.parametrize("call", [
-    lambda: stream_cycles(FilterParams(8, 2**40, 1), []),
-    lambda: mc_stream_cycles(McParams(1, 2**40, 1),
-                             np.zeros((0, 1), np.uint8))])
-def test_a_huge_empty_run_fails_before_it_allocates(call):
-    tracemalloc.start()
-    try:
-        with pytest.raises(ConfigError, match="bytes"):
-            call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+def test_the_byte_bound_counts_the_drain_not_the_input(monkeypatch):
+    p = FilterParams(8, 5, 3)
+    data = np.arange(5000) % 256
+    drain = p.cycles(1000) - len(data)  # one byte per cycle at 8 bits
+    monkeypatch.setattr(core, "_MAX_DRAIN_BYTES", drain)
+    assert len(stream_cycles(p, data).results) == 1000
+    monkeypatch.setattr(core, "_MAX_DRAIN_BYTES", drain - 1)
+    with pytest.raises(ConfigError, match="drains"):
+        stream_cycles(p, data)
 
 
 @pytest.mark.parametrize("image,shape,rank,border", [
