@@ -42,6 +42,7 @@ from .params import (
     as_samples,
     check_samples,
     counter_preset,
+    counter_width,
     narrowest_uint,
     priority,
     quarter_width,
@@ -91,31 +92,30 @@ def comparison_count(params: FilterParams, num_sets: int) -> int:
 class Stage:
     """One 2-bit refinement stage.
 
-    Holds the three preset accumulators, the set-position counter, and an
-    L-deep output delay modeling the stage's internal pipeline registers.
-    ``clock`` consumes one sample (or one column of K samples) per call and
-    returns the maturing partial median, if any: that happens exactly
-    ``latency`` cycles after the last input of a set.
+    Holds three preset accumulators, sized per set for N = ``set_cycles``
+    times the samples of its first input (:func:`counter_width`), the set
+    position, and an L-deep output delay modeling the pipeline registers.
+    ``clock`` takes one sample (or column of K samples) per call and returns
+    the partial median maturing ``latency`` cycles after a set's last input.
     """
 
     def __init__(self, data_bits: int, set_cycles: int, rank: int,
-                 counter_bits: int = 8, latency: int = 5):
+                 latency: int = 5):
         if _integral(set_cycles, "set_cycles values") < 1:
             raise ConfigError("set_cycles must be at least 1")
+        if _integral(rank, "rank values") < 1:
+            raise ConfigError(f"rank must be at least 1, got {rank}")
         if _integral(latency, "latency values") < 0:
             raise ConfigError("latency must be non-negative")
         self.data_bits = data_bits
         self.set_cycles = set_cycles
+        self.rank = rank
         self.latency = latency
-        self.preset = counter_preset(rank, counter_bits)
-        self._mask = (1 << counter_bits) - 1
-        self._msb = self.preset + rank
         self.pm = _ROOT  # latched partial median of the running set
         self.qc1 = self.qc2 = self.qc3 = 0
-        self.position = 0
-        self.active = False
+        self.position = 0  # inputs of the running set so far; 0 when idle
         self.comparisons = 0
-        self._pending: deque = deque()  # (due_cycle, PartialMedian)
+        self._pipe = deque([None] * latency)  # the L output registers
         self._cycle = 0
 
     def _increments(self, x) -> tuple[int, int, int]:
@@ -130,20 +130,19 @@ class Stage:
         t = self._cycle
         self._cycle += 1
         out = None
-        if self._pending and self._pending[0][0] == t:
-            out = self._pending.popleft()[1]
         if d1st:
-            if self.active:
+            if self.position:
                 raise FramingError(f"first-data marker arrived at set "
                                    f"position {self.position} on cycle {t}")
             if pm_in is None:
                 raise FramingError("first-data marker before any partial "
                                    f"median on cycle {t}")
+            bits = counter_width(self.set_cycles * np.size(x), self.rank)
+            self.preset = counter_preset(self.rank, bits)
+            self._mask, self._msb = (1 << bits) - 1, self.preset + self.rank
             self.pm = pm_in
             self.qc1 = self.qc2 = self.qc3 = self.preset
-            self.active = True
-            self.position = 0
-        if self.active:
+        if d1st or self.position:
             inc1, inc2, inc3 = self._increments(x)
             self.qc1 = (self.qc1 + inc1) & self._mask
             self.qc2 = (self.qc2 + inc2) & self._mask
@@ -152,14 +151,10 @@ class Stage:
             if self.position == self.set_cycles:
                 two = refine(self.qc3 & self._msb, self.qc2 & self._msb,
                              self.qc1 & self._msb, check=True)
-                pm_out = self.pm.refined(two, self.data_bits)
-                self.active = False
+                out = self.pm.refined(two, self.data_bits)
                 self.position = 0
-                if self.latency == 0:
-                    out = pm_out
-                else:
-                    self._pending.append((t + self.latency, pm_out))
-        return out
+        self._pipe.append(out)
+        return self._pipe.popleft()
 
 
 def _lanes(params) -> tuple[int, ...]:
@@ -214,8 +209,8 @@ class _FinderChain:
 
     def __init__(self, params, ring: _DelayRing, d1st_offset: int = 0):
         p = self.params = params
-        self.stages = [Stage(p.data_bits, p.set_cycles, p.rank, p.counter_bits,
-                             p.pipe_latency) for _ in range(p.stages)]
+        self.stages = [Stage(p.data_bits, p.set_cycles, p.rank, p.pipe_latency)
+                       for _ in range(p.stages)]
         self._ring = ring
         self._offset = d1st_offset
         self._holds: list[PartialMedian | None] = [None] * p.stages
@@ -226,9 +221,8 @@ class _FinderChain:
         result = None
         for s in reversed(range(len(self.stages))):
             tap = s * self.params.pipe_delay
-            x, f = self._ring.read(t, tap)
-            if self._offset:
-                f = self._ring.read(t, tap + self._offset)[1]
+            x = self._ring.read(t, tap)[0]
+            f = self._ring.read(t, tap + self._offset)[1]
             pm_in = _ROOT if s == 0 else self._holds[s - 1]
             try:
                 out = self.stages[s].clock(x, f, pm_in)

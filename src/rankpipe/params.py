@@ -67,6 +67,17 @@ def counter_preset(rank: int, counter_bits: int) -> int:
     return half - rank
 
 
+def counter_width(set_size: int, rank: int) -> int:
+    """Accumulator width C for rank M of N samples (1 <= M <= N): the
+    narrowest of at least 8 bits whose presets neither start below zero
+    (M <= 2**(C-1)) nor wrap past the comparator bit (N - M < 2**(C-1))."""
+    if not 1 <= rank <= set_size:
+        raise ConfigError(
+            f"rank must satisfy 1 <= M <= N, got M={rank} N={set_size}")
+    half = max(rank, set_size - rank + 1)
+    return max(8, (half - 1).bit_length() + 1)
+
+
 def quarter_width(data_bits: int, bits_resolved: int) -> int:
     """Quarter width of a B-bit range with ``bits_resolved`` bits resolved."""
     data_bits = _integral(data_bits, "data_bits values")
@@ -137,11 +148,8 @@ class _ChainTiming:
 
     @property
     def counter_bits(self) -> int:
-        """Accumulator width C: the narrowest of at least 8 bits whose
-        preset counters neither start below zero (M <= 2**(C-1)) nor wrap
-        past the comparator bit (N - M <= 2**(C-1) - 1)."""
-        half = max(self.rank, self.set_size - self.rank + 1)
-        return max(8, (half - 1).bit_length() + 1)
+        """Accumulator width C of N and M (:func:`counter_width`)."""
+        return counter_width(self.set_size, self.rank)
 
     @property
     def pipe_delay(self) -> int:
@@ -217,10 +225,7 @@ class FilterParams(_ChainTiming):
             raise ConfigError("pipe_latency must be non-negative")
         if self.set_size < 1:
             raise ConfigError("set_size must be at least 1")
-        if not 1 <= self.rank <= self.set_size:
-            raise ConfigError(
-                f"rank must satisfy 1 <= M <= N, got M={self.rank} N={self.set_size}"
-            )
+        counter_width(self.set_size, self.rank)  # raises unless 1 <= M <= N
 
     @property
     def set_cycles(self) -> int:

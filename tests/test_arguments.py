@@ -49,8 +49,6 @@ IMAGE = np.arange(12).reshape(3, 4)
     pytest.param(lambda: counter_preset(5, 0), id="preset-zero-width"),
     pytest.param(lambda: counter_preset(5, 1.5), id="preset-float-width"),
     pytest.param(lambda: counter_preset(2.5, 8), id="preset-float-rank"),
-    pytest.param(lambda: Stage(8, 5, 3, counter_bits=0),
-                 id="stage-zero-width"),
     pytest.param(lambda: Stage(8.0, 5, 3).clock(3, True, PartialMedian()),
                  id="stage-float-bits"),
     # a stage that could never emit a partial median

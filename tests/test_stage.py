@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rankpipe import (
+    ConfigError,
     Engine,
     FilterParams,
     FramingError,
@@ -145,3 +146,40 @@ def test_back_to_back_sets_reuse_the_stage():
             outs.append(out)
     quarters = [pm.prefix >> 6 for pm in outs]
     assert quarters == [0, 3, 0]  # maxima 3, 200, 9 land in these quarters
+
+
+# 300-sample sets whose maximum, 200, lies in the top quarter: more samples
+# than 8-bit counters hold, so each set must size its own counters
+WIDE_SETS = [[200] * 200 + [10] * 100,
+             [200] * 100 + [100] * 100 + [10] * 100]
+
+
+@pytest.mark.parametrize("data", WIDE_SETS, ids=["two-values", "three-values"])
+def test_a_stage_sizes_its_counters_for_the_set(data):
+    (_, pm), = run_set(Stage(8, 300, 1), data, ROOT)
+    assert pm == PartialMedian(192, 2)
+
+
+@pytest.mark.parametrize("data", WIDE_SETS, ids=["two-values", "three-values"])
+def test_a_column_stage_counts_every_sample_of_its_columns(data):
+    columns = [data[i:i + 3] for i in range(0, len(data), 3)]
+    stage = Stage(8, 100, 1)
+    outs = [stage.clock(col, i == 0, ROOT) for i, col in enumerate(columns)]
+    outs += [stage.clock([0, 0, 0], False, None) for _ in range(8)]
+    assert [pm for pm in outs if pm is not None] == [PartialMedian(192, 2)]
+
+
+def test_a_rank_past_the_set_raises_at_the_sets_first_input():
+    with pytest.raises(ConfigError, match="M=5 N=3"):
+        Stage(8, 3, 5).clock(7, True, ROOT)
+    stage = Stage(8, 3, 5)  # 3-sample columns make N = 9
+    outs = [stage.clock([i, i + 3, i + 6], i == 0, ROOT) for i in range(3)]
+    outs += [stage.clock([0, 0, 0], False, None) for _ in range(8)]
+    # the 5th largest of 0..8 is 4, in the bottom quarter
+    assert [pm for pm in outs if pm is not None] == [PartialMedian(0, 2)]
+
+
+@pytest.mark.parametrize("rank", [0, -1])
+def test_a_rank_below_one_raises_when_the_stage_is_built(rank):
+    with pytest.raises(ConfigError):
+        Stage(8, 5, rank)
