@@ -88,7 +88,7 @@ def cmd_filter(args) -> int:
     border = Border(args.border)
     if args.engine == "9753":
         raise ConfigError(
-            "the 9753 ensemble is a trace/bench engine, not an image filter; "
+            "the 9753 ensemble is a trace engine, not an image filter; "
             "use --engine single, multichannel, or sliding"
         )
     height, width = image.shape
@@ -245,33 +245,34 @@ _STANDARD_WINDOWS = ("3x3", "5x5", "3x5", "3x7", "diamond5", "diamond7")
 
 def cmd_bench(args) -> int:
     width, height = _parse_dims(args.image_dims)
-    specs = args.window or list(_STANDARD_WINDOWS)
     sim_w, sim_h = _parse_dims(args.sim_dims)
     frame_rate(args.clock, width, height, 1)  # checks the clock before output
+    shapes = [imaging.parse_window(spec)
+              for spec in args.window or _STANDARD_WINDOWS]
+    if not args.window:  # the standard windows the engine can filter
+        shapes = [s for s in shapes if args.engine in imaging.engines_for(s)]
+    rows = []  # every row's record is built before anything is printed
+    for shape in shapes:
+        n = imaging.window_size(shape)
+        rank = percentile_to_rank(0.5, n)
+        params = imaging.engine_params(shape, n, rank, args.engine, 8)
+        cpr = params.cadence
+        fps = frame_rate(args.clock, width, height, cpr)
+        line = (f"{imaging.format_window(shape):<10} {n:>4} {cpr:>8} "
+                f"{fps:>9.2f}")
+        if args.simulate:
+            cycles, _ = imaging.filter_cost(params, sim_h, sim_w)
+            measured = cycles / (sim_h * sim_w)
+            fps = frame_rate(args.clock, width, height, measured)
+            line += f" {measured:>10.3f} {fps:>10.2f}"
+        rows.append(line)
     print(f"operating frequency: {args.clock / 1e6:.1f} MHz")
     print(f"image size: {width} x {height}")
     print(f"engine: {args.engine}")
     header = f"{'window':<10} {'N':>4} {'cyc/res':>8} {'fps':>9}"
     if args.simulate:
         header += f" {'measured':>10} {'fps(meas)':>10}"
-    print(header)
-    for spec in specs:
-        shape = imaging.parse_window(spec)
-        n = imaging.window_size(shape)
-        rank = percentile_to_rank(0.5, n)
-        cpr = imaging.engine_params(shape, n, rank, args.engine, 8).cadence
-        fps = frame_rate(args.clock, width, height, cpr)
-        line = (f"{imaging.format_window(shape):<10} {n:>4} {cpr:>8} "
-                f"{fps:>9.2f}")
-        if args.simulate:
-            rng = np.random.default_rng(0)
-            image = rng.integers(0, 256, size=(sim_h, sim_w), dtype=np.int64)
-            report = imaging.run_filter(image, shape, rank,
-                                        engine=args.engine, data_bits=8)
-            measured = report.cycles_per_result
-            fps = frame_rate(args.clock, width, height, measured)
-            line += f" {measured:>10.3f} {fps:>10.2f}"
-        print(line)
+    print("\n".join([header] + rows))
     return 0
 
 
@@ -337,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--engine", default="single",
                          choices=["single", "multichannel", "sliding"])
     p_bench.add_argument("--simulate", action="store_true",
-                         help="measure cycles/result on a scaled image")
+                         help="add the cycles/result of filtering a "
+                              "--sim-dims frame, read from the engine's "
+                              "record; no pixel is filtered")
     p_bench.add_argument("--sim-dims", default="64x48")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -167,13 +167,20 @@ def _chain_specs(ranks, chains, data_bits: int,
     chains of ``ranks`` (m9, m7, m5, m3), or the ``chains`` override of
     (channels, enabled phases, rank) triples."""
     if chains is None:
-        if len(ranks) != 4:
-            raise ConfigError("ranks must list (m9, m7, m5, m3)")
-        chains = [(CADENCE, tuple(range(CADENCE)), ranks[0])]
-        for w, rank in zip((7, 5, 3), ranks[1:]):
-            phases = tuple(ph for ph in range(CADENCE)
-                           if enable_schedule(w, ph))
+        try:
+            m9, m7, m5, m3 = ranks
+        except (TypeError, ValueError):  # not iterable, or not four items
+            raise ConfigError("ranks must list (m9, m7, m5, m3)") from None
+        chains = [(CADENCE, range(CADENCE), m9)]
+        for w, rank in ((7, m7), (5, m5), (3, m3)):
+            phases = [ph for ph in range(CADENCE) if enable_schedule(w, ph)]
             chains.append((w, phases, rank))
+    try:
+        chains = [(channels, tuple(phases), rank)
+                  for channels, phases, rank in chains]
+    except (TypeError, ValueError):  # not iterable, or not three items
+        raise ConfigError("chains must be (channels, enabled phases, rank) "
+                          "triples") from None
     specs = []
     for channels, phases, rank in chains:
         channels = _integral(channels, "9753 channel counts")

@@ -354,6 +354,16 @@ def engine_params(shape: WindowShape, n: int, rank: int, engine: str,
                   data_bits=bits, pipe_latency=pipe_latency)
 
 
+def filter_cost(params, rows: int, cols: int) -> tuple[int, int]:
+    """Simulated cycles and comparisons of filtering ``rows`` x ``cols``
+    anchors under ``params``, read from the record alone.  A chain engine's
+    bands are one back-to-back stream cut up for the threads; each sliding
+    row's strip is a stream alone."""
+    runs, sets = ((rows, params.starts(cols + params.columns - 1))
+                  if isinstance(params, SlidingParams) else (1, cols * rows))
+    return runs * params.cycles(sets), runs * params.comparisons(sets)
+
+
 def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
                border: Border = Border.CLAMP, *, data_bits: int | None = None,
                pipe_latency: int = 5, threads: int = 1) -> FilterReport:
@@ -366,9 +376,7 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     :func:`engine_params`, whose record derives the counter width from the
     window size and rank, so any window the oracle filters runs.  Each row
     band of anchors is one engine call, on ``threads`` threads; the report
-    does not depend on ``threads``: single and multichannel count one
-    back-to-back stream of every anchor's window plus one drain, sliding
-    one strip's stream per row.
+    does not depend on ``threads`` (:func:`filter_cost`).
     """
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
@@ -400,14 +408,10 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
         return streams(frame, shifts, params, x_lo, cols, *band)
 
     pixels = _run_bands(worker, _bands(y_lo, y_hi, threads), threads)
-    # a chain engine's bands are one back-to-back stream cut up for the
-    # threads; the report counts each sliding row's strip as a stream alone
-    runs, sets = ((rows, params.starts(cols + params.columns - 1))
-                  if engine == "sliding" else (1, cols * rows))
+    cycles, comparisons = filter_cost(params, rows, cols)
     return FilterReport(image=np.concatenate(pixels).reshape(rows, cols),
                         set_size=n, rank=rank, engine=engine, border=border,
-                        data_bits=bits, cycles=runs * params.cycles(sets),
-                        comparisons=runs * params.comparisons(sets))
+                        data_bits=bits, cycles=cycles, comparisons=comparisons)
 
 
 def filter_image(image, shape: WindowShape, rank: int, engine: str = "single",

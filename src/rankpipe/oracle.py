@@ -17,7 +17,11 @@ from .params import ConfigError, _integral
 def select_desc(data, rank: int):
     """The rank-th largest value: position rank-1 of the multiset sorted descending."""
     rank = _integral(rank, "rank values")
-    items = sorted(data, reverse=True)
+    try:
+        items = sorted(data, reverse=True)
+    except TypeError:  # not iterable, or not comparable
+        raise ConfigError(f"select_desc takes a sequence of samples, "
+                          f"got {data!r}") from None
     if not 1 <= rank <= len(items):
         raise ConfigError(f"rank {rank} outside [1, {len(items)}]")
     return items[rank - 1]

@@ -12,6 +12,7 @@ from rankpipe import (
     Border,
     ConfigError,
     Custom,
+    Ensemble9753,
     FilterParams,
     McEngine,
     McParams,
@@ -23,6 +24,7 @@ from rankpipe import (
     core,
     counter_preset,
     enable_schedule,
+    ensemble9753_cycles,
     filter_image_oracle,
     incgen,
     mc_stream_cycles,
@@ -36,11 +38,13 @@ from rankpipe import (
 )
 
 IMAGE = np.arange(12).reshape(3, 4)
+STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
 
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: select_desc([1, 2, 3], 1.5), id="select-float-rank"),
     pytest.param(lambda: select_desc([1, 2, 3], "1"), id="select-str-rank"),
+    pytest.param(lambda: select_desc(5, 1), id="select-scalar-data"),
     pytest.param(lambda: percentile_to_rank(0.5, "9"), id="percentile-str-n"),
     pytest.param(lambda: percentile_to_rank(0.5, 2.5),
                  id="percentile-float-n"),
@@ -96,6 +100,15 @@ IMAGE = np.arange(12).reshape(3, 4)
                                           np.zeros((0, 1), np.uint8)),
                  id="columns-empty-drain-too-big"),
     pytest.param(lambda: parse_window(5), id="window-spec-int"),
+    pytest.param(lambda: ensemble9753_cycles(STRIP, ranks=5),
+                 id="9753-scalar-ranks"),
+    pytest.param(lambda: Ensemble9753(ranks=5), id="9753-clocked-scalar-ranks"),
+    pytest.param(lambda: ensemble9753_cycles(STRIP, chains=5),
+                 id="9753-scalar-chains"),
+    pytest.param(lambda: ensemble9753_cycles(STRIP, chains=[(9, (0, 1))]),
+                 id="9753-chain-pair"),
+    pytest.param(lambda: ensemble9753_cycles(STRIP, chains=[(9, 5, 41)]),
+                 id="9753-scalar-phases"),
     pytest.param(lambda: sliding_window_results(3, 5, 5),
                  id="sliding-results-scalar-strip"),
     pytest.param(lambda: sliding_window_results("3", 5, np.zeros((4, 3))),

@@ -19,6 +19,7 @@ from rankpipe import (
     Rect,
     SlidingEnsemble,
     cli,
+    imaging,
     pgm,
     stream_cycles,
 )
@@ -226,7 +227,7 @@ class TestFilter:
                                         "--window", "9x9", "--engine", "9753",
                                         "--rank", "41"])
         assert code == 1
-        assert "9753" in err
+        assert "9753 ensemble is a trace engine" in err
 
     def test_rank_above_window_size(self, capsys, tmp_path, image_file):
         in_path, _ = image_file
@@ -756,9 +757,33 @@ class TestBench:
         code, out, err = run_cli(capsys, ["bench", "--engine", "sliding",
                                           "--window", window, "--sim-dims",
                                           "8x6"] + simulate)
-        assert code == 1
-        assert "fps" in out and window not in out
+        assert code == 1 and out == ""
         assert err.startswith("error:") and "sliding" in err
+
+    @pytest.mark.parametrize("engine, windows", [
+        ("sliding", ["3x3", "5x5"]),
+        ("multichannel", ["3x3", "5x5", "3x5", "3x7"]),
+    ])
+    def test_the_default_table_holds_the_windows_the_engine_filters(
+            self, capsys, engine, windows):
+        code, out, err = run_cli(capsys, ["bench", "--engine", engine])
+        assert (code, err) == (0, "")
+        assert [row.split()[0] for row in out.splitlines()[4:]] == windows
+
+    def test_simulation_reads_the_record_and_filters_nothing(self, capsys,
+                                                            monkeypatch):
+        report = imaging.run_filter(np.zeros((12, 16), np.int64), Rect(3, 3),
+                                    5, data_bits=8)
+
+        def no_filter(*args, **kwargs):
+            raise AssertionError("bench --simulate filtered a frame")
+
+        monkeypatch.setattr(imaging, "run_filter", no_filter)
+        code, out, _ = run_cli(capsys, ["bench", "--window", "3x3",
+                                        "--simulate", "--sim-dims", "16x12"])
+        assert code == 0
+        row = [l for l in out.splitlines() if l.startswith("3x3")][0]
+        assert row.split()[4] == f"{report.cycles_per_result:.3f}"
 
 
 class TestParser:
