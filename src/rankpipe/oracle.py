@@ -20,8 +20,8 @@ def select_desc(data, rank: int):
     try:
         items = sorted(data, reverse=True)
     except TypeError:  # not iterable, or not comparable
-        raise ConfigError(f"select_desc takes a sequence of samples, "
-                          f"got {data!r}") from None
+        raise ConfigError(f"samples must be a sequence of comparable "
+                          f"values, got {type(data).__name__}") from None
     if not 1 <= rank <= len(items):
         raise ConfigError(f"rank {rank} outside [1, {len(items)}]")
     return items[rank - 1]
