@@ -163,20 +163,17 @@ def test_a_stage_sizes_its_counters_for_the_set(data):
 @pytest.mark.parametrize("data", WIDE_SETS, ids=["two-values", "three-values"])
 def test_a_column_stage_counts_every_sample_of_its_columns(data):
     columns = [data[i:i + 3] for i in range(0, len(data), 3)]
-    stage = Stage(8, 100, 1)
-    outs = [stage.clock(col, i == 0, ROOT) for i, col in enumerate(columns)]
-    outs += [stage.clock([0, 0, 0], False, None) for _ in range(8)]
-    assert [pm for pm in outs if pm is not None] == [PartialMedian(192, 2)]
+    (_, pm), = run_set(Stage(8, 100, 1), columns, ROOT)
+    assert pm == PartialMedian(192, 2)
 
 
 def test_a_rank_past_the_set_raises_at_the_sets_first_input():
     with pytest.raises(ConfigError, match="M=5 N=3"):
         Stage(8, 3, 5).clock(7, True, ROOT)
-    stage = Stage(8, 3, 5)  # 3-sample columns make N = 9
-    outs = [stage.clock([i, i + 3, i + 6], i == 0, ROOT) for i in range(3)]
-    outs += [stage.clock([0, 0, 0], False, None) for _ in range(8)]
-    # the 5th largest of 0..8 is 4, in the bottom quarter
-    assert [pm for pm in outs if pm is not None] == [PartialMedian(0, 2)]
+    # 3-sample columns make N = 9; the 5th largest of 0..8, 4, is in the
+    # bottom quarter
+    (_, pm), = run_set(Stage(8, 3, 5), [[0, 3, 6], [1, 4, 7], [2, 5, 8]], ROOT)
+    assert pm == PartialMedian(0, 2)
 
 
 @pytest.mark.parametrize("rank", [0, -1])
