@@ -1,13 +1,13 @@
 """The set-parallel batch kernel for the refinement-stage chains.
 
-``chain_run`` is the hot path behind the two batch entries,
-``core._chain_trace`` (every ``FilterParams``, ``McParams`` and
-``SlidingParams`` run) and ``ensemble9753_cycles``; ``sliding_run`` is
-the same function, a name kept for the benchmark's span table.  It gives
-one result per set, with the cycle each one matures at, without stepping
-clocks: where a result sits in the per-cycle stream is
-:class:`rankpipe.core.StreamTrace`'s business.  A chain reads a ``(T, K)``
-column stream, and a single-channel chain is the K = 1 case.
+``chain_run`` is the hot path behind the one batch entry,
+``core._chain_trace``: every ``FilterParams``, ``McParams`` and
+``SlidingParams`` run, the 9753 ensemble's four gated chains included.
+``sliding_run`` is the same function, a name kept for the benchmark's
+span table.  It gives one result per set, with the cycle each one matures
+at, without stepping clocks: where a result sits in the per-cycle stream
+is :class:`rankpipe.core.StreamTrace`'s business.  A chain reads a
+``(T, K)`` column stream, and a single-channel chain is the K = 1 case.
 
 Every driver frames its stream the paper's way: sets back to back from
 cycle 0, then a full drain.  So the kernel takes the number of sets and the

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import imaging, oracle, pgm
 from .core import run_stream, stream_cycles
-from .ensembles import CADENCE, ensemble9753_cycles, sliding_cycles
+from .ensembles import CADENCE, WIDTHS, ensemble9753_cycles, sliding_cycles
 from .imaging import Border, frame_rate, percentile_to_rank
 from .multichannel import mc_stream_cycles
 from .params import (
@@ -192,7 +192,8 @@ def _trace_stream(trace, channels: int):
 
 def _trace_9753(cols, ranks, data_bits: int = 8):
     trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits)
-    names = [f"result{w}" for w in (9, 7, 5, 3)] + ["en7", "en5", "en3"]
+    names = ([f"result{w}" for w in WIDTHS]
+             + [f"en{w}" for w in WIDTHS[1:]])
     return _trace_table(trace, CADENCE, names, trace.enables)
 
 

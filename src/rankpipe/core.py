@@ -12,9 +12,10 @@ stage's partial median for it is ready.
 reference for the cycle semantics.  Every clocked engine is that chain
 fed samples, columns, staggered markers or gated phases: ``Engine`` gives
 it its own data pipe, under ``FilterParams`` or ``McParams``, and the
-ensembles reuse it.  The batch runs, ``_chain_trace`` for every chain
-record and the 9753 path, use :mod:`rankpipe._kernels` instead, which
-computes every set's result at once, with the fixed cycle it matures at.
+ensembles reuse it.  The batch runs go through ``_chain_trace``, the one
+entry of every chain record, the 9753 ensemble's gated chains included.
+It is the one caller of :mod:`rankpipe._kernels`, which computes every
+set's result at once, with the fixed cycle it matures at.
 The test suite checks the two against each other cycle-for-cycle.
 
 A batch run is one result per set: a ``StreamTrace`` keeps its framed
@@ -38,6 +39,7 @@ from .params import (
     FilterParams,
     FramingError,
     PartialMedian,
+    _ChainTiming,
     _integral,
     as_samples,
     check_samples,
@@ -84,9 +86,18 @@ def refine(msb3: int, msb2: int, msb1: int, check: bool = False) -> int:
     return int(priority((msb1, msb2, msb3)))
 
 
+def _record(params):
+    """``params``, once it is checked to be a chain record."""
+    if not isinstance(params, _ChainTiming):
+        raise ConfigError(f"params must be a chain record (FilterParams, "
+                          f"McParams or SlidingParams), got "
+                          f"{type(params).__name__}")
+    return params
+
+
 def comparison_count(params: FilterParams, num_sets: int) -> int:
     """Exact boundary comparisons for ``num_sets`` sets: 3 * N * (B/2) each."""
-    return params.comparisons(num_sets)
+    return _record(params).comparisons(num_sets)
 
 
 class Stage:
@@ -250,7 +261,7 @@ class Engine(_FinderChain):
     """
 
     def __init__(self, params: FilterParams):
-        super().__init__(params, _DelayRing(params))
+        super().__init__(_record(params), _DelayRing(params))
         self._t = 0
 
     def clock(self, din, d1st: bool = False) -> CycleOutput:
@@ -350,7 +361,7 @@ def _chain_trace(params, cols, trace=StreamTrace) -> StreamTrace:
     """The one batch entry of every chain record: frame ``cols``, one input
     of shape ``_lanes(params)`` per cycle, into the sets the record starts,
     run the kernel through them plus the drain, and return a ``trace``."""
-    p, lanes = params, _lanes(params)
+    p, lanes = _record(params), _lanes(params)
     cols = np.asarray(cols)
     if cols.ndim != 1 + len(lanes) or cols.shape[1:] != lanes:
         raise ConfigError(f"stream must have shape "
@@ -379,6 +390,7 @@ def run_stream(params: FilterParams, data) -> np.ndarray:
     back-to-back and the engine is drained afterwards so every result is
     collected.
     """
+    _record(params)
     if np.size(data) == 0:
         return np.zeros(0, dtype=np.int64)
     return stream_cycles(params, data).results

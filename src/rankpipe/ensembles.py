@@ -5,17 +5,18 @@ pipe; chain j's first-data markers are delayed j columns, so collectively
 the chains cover every window start and one result matures per clock after
 warm-up.
 
-The 9753 ensemble runs four chains of 9/7/5/3 channels on a 9-clock column
-cadence.  Enable signals gate the narrower chains onto the middle columns
-of each cadence (and centered rows of each column): each is a plain
-``Engine`` clocked only on its enabled phases, yielding the four concentric
-window results every 9 clocks.  Overriding the enabled phase windows
-produces non-square rectangles instead.
+The 9753 ensemble runs the paper's four concentric square chains, w x w for
+w in 9, 7, 5, 3, on a 9-clock column cadence.  Enable signals gate chain w
+onto the middle w columns of each cadence and the middle w rows of each
+column: each is a plain ``Engine`` under ``McParams(w, w, m_w)`` clocked
+only on its enabled phases, yielding the four concentric window results
+every 9 clocks.  Non-square and irregular windows are the single and
+multichannel engines' business.
 
 ``sliding_cycles`` is core's one batch entry under ``SlidingParams``, and
-``ensemble9753_cycles`` runs one kernel call per gated chain; neither builds
-a clocked object, and the clocked ``SlidingEnsemble`` and ``Ensemble9753``
-are their reference.
+``ensemble9753_cycles`` runs each gated chain through that entry; neither
+builds a clocked object, and the clocked ``SlidingEnsemble`` and
+``Ensemble9753`` are their reference.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import (
     Engine,
     StreamTrace,
@@ -45,6 +45,18 @@ from .params import (
 )
 
 CADENCE = 9  # fixed column cadence of the 9753 variant
+WIDTHS = (9, 7, 5, 3)  # the 9753 chains' window sides, widest first
+
+
+def _centered(w: int) -> slice:
+    """The middle w of 9: chain w's enabled phases of every cadence, and
+    its rows of every column."""
+    return slice((CADENCE - w) // 2, (CADENCE + w) // 2)
+
+
+def _enabled(on: slice, phase):
+    """Whether ``phase`` (an int or an array of them) lies in ``on``."""
+    return (on.start <= phase) & (phase < on.stop)
 
 
 def enable_schedule(w: int, phase: int) -> bool:
@@ -59,7 +71,7 @@ def enable_schedule(w: int, phase: int) -> bool:
         raise ConfigError(f"enable schedule is defined for w in (3, 5, 7), got {w}")
     if not 0 <= phase < CADENCE:
         raise ConfigError(f"phase must be in [0, {CADENCE - 1}], got {phase}")
-    return abs(phase - CADENCE // 2) <= (w - 1) // 2
+    return _enabled(_centered(w), phase)
 
 
 class SlidingEnsemble:
@@ -150,89 +162,47 @@ def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray
     return trace.results[:len(cols) - window + 1]
 
 
-@dataclass(frozen=True)
-class _ChainSpec:
-    """One chain of a 9753 ensemble: its parameters (``columns`` is the
-    number of enabled phases), its contiguous enabled phases of the
-    cadence, and the strip rows it reads, centered."""
-
-    params: McParams
-    phases: tuple[int, ...]
-    rows: slice
-
-
-def _chain_specs(ranks, chains, data_bits: int,
-                 pipe_latency: int) -> list[_ChainSpec]:
-    """Validated specs of a 9753 ensemble's chains: the four concentric
-    chains of ``ranks`` (m9, m7, m5, m3), or the ``chains`` override of
-    (channels, enabled phases, rank) triples."""
-    if chains is None:
-        try:
-            m9, m7, m5, m3 = ranks
-        except (TypeError, ValueError):  # not iterable, or not four items
-            raise ConfigError("ranks must list (m9, m7, m5, m3)") from None
-        chains = [(CADENCE, range(CADENCE), m9)]
-        for w, rank in ((7, m7), (5, m5), (3, m3)):
-            phases = [ph for ph in range(CADENCE) if enable_schedule(w, ph)]
-            chains.append((w, phases, rank))
+def _chain_specs(ranks, data_bits: int, pipe_latency: int) -> list[McParams]:
+    """The records of a 9753 ensemble's four chains: chain w of
+    ``WIDTHS`` is ``McParams(w, w, m_w)`` for ``ranks`` (m9, m7, m5, m3)."""
     try:
-        chains = [(channels, tuple(phases), rank)
-                  for channels, phases, rank in chains]
-    except (TypeError, ValueError):  # not iterable, or not three items
-        raise ConfigError("chains must be (channels, enabled phases, rank) "
-                          "triples") from None
-    specs = []
-    for channels, phases, rank in chains:
-        channels = _integral(channels, "9753 channel counts")
-        phases = tuple(_integral(ph, "9753 phases") for ph in phases)
-        if not phases:
-            raise ConfigError("a chain needs at least one enabled phase")
-        if any(not 0 <= ph < CADENCE for ph in phases):
-            raise ConfigError(f"phases must lie in [0, {CADENCE - 1}]")
-        if list(phases) != list(range(phases[0], phases[0] + len(phases))):
-            raise ConfigError("enabled phases must form one contiguous window")
-        if channels > CADENCE or channels % 2 == 0:
-            raise ConfigError("chain channel counts must be odd and at most 9")
-        params = McParams(channels=channels, columns=len(phases), rank=rank,
-                          data_bits=data_bits, pipe_latency=pipe_latency)
-        top = (CADENCE - channels) // 2
-        specs.append(_ChainSpec(params, phases, slice(top, top + channels)))
-    if not specs:
-        raise ConfigError("a 9753 ensemble needs at least one chain")
-    return specs
+        m9, m7, m5, m3 = ranks
+    except (TypeError, ValueError):  # not iterable, or not four items
+        raise ConfigError("ranks must list (m9, m7, m5, m3)") from None
+    return [McParams(w, w, rank, data_bits, pipe_latency=pipe_latency)
+            for w, rank in zip(WIDTHS, (m9, m7, m5, m3))]
 
 
-def _drain_columns(specs) -> int:
+def _drain_columns(chains) -> int:
     """Generous idle-column count flushing every started window."""
-    worst = max(spec.params.pipe_delay for spec in specs)
-    return CADENCE * (specs[0].params.stages * worst + 2)
+    worst = max(p.pipe_delay for p in chains)
+    return CADENCE * (chains[0].stages * worst + 2)
 
 
 class Ensemble9753:
     """Four concentric-window chains on a 9-clock column cadence.
 
     Feed one 9-sample column per ``clock``; assert ``d1st`` on the first
-    column of each window position (every 9 columns).  Each chain is an
-    ``Engine`` that sees only its enabled phases and its own rows, so its
+    column of each window position (every 9 columns).  Chain w is an
+    ``Engine`` under ``McParams(w, w, m_w)`` that sees only the middle w
+    phases of each cadence and the middle w rows of each column, so its
     data pipe advances one slot per enabled column.  Once all four chains
     have matured a window's result the quadruple is returned, every 9 clocks
-    in steady state.  ``chains`` overrides the default
-    (channels, enabled phases, rank) configuration, e.g. to produce
-    9-column-wide rectangles by enabling all phases.
+    in steady state.
     """
 
     def __init__(self, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                 pipe_latency: int = 5, chains=None):
-        self.specs = _chain_specs(ranks, chains, data_bits, pipe_latency)
-        self.chains = [Engine(spec.params) for spec in self.specs]
-        self._queues = [deque() for _ in self.specs]
+                 pipe_latency: int = 5):
+        self.chains = [Engine(p) for p in
+                       _chain_specs(ranks, data_bits, pipe_latency)]
+        self._queues = [deque() for _ in self.chains]
         self._phase: int | None = None
         self._live = False
         self.last_phase = -1
 
     def clock(self, col, d1st: bool = False):
         """Returns the per-chain result tuple when a window position completes."""
-        col = as_samples(col, self.specs[0].params.data_bits)
+        col = as_samples(col, self.chains[0].params.data_bits)
         if col.shape != (CADENCE,):
             raise ConfigError(f"column must carry exactly {CADENCE} samples")
         if self._phase is None:
@@ -248,10 +218,10 @@ class Ensemble9753:
             self._live = True
         elif ph == 0:
             self._live = False
-        for spec, chain, queue in zip(self.specs, self.chains, self._queues):
-            if ph in spec.phases:
-                out = chain.clock(col[spec.rows],
-                                  self._live and ph == spec.phases[0])
+        for chain, queue in zip(self.chains, self._queues):
+            on = _centered(chain.params.channels)
+            if _enabled(on, ph):
+                out = chain.clock(col[on], self._live and ph == on.start)
                 if out.dv:
                     queue.append(out.result)
         self.last_phase = ph
@@ -262,13 +232,13 @@ class Ensemble9753:
 
     def enable_flags(self) -> tuple[bool, ...]:
         """Enabled state of every chain past the first at the last phase."""
-        return tuple(self.last_phase in spec.phases
-                     for spec in self.specs[1:])
+        return tuple(_enabled(_centered(w), self.last_phase)
+                     for w in WIDTHS[1:])
 
     @property
     def drain_columns(self) -> int:
         """Generous idle-column count flushing every started window."""
-        return _drain_columns(self.specs)
+        return _drain_columns([chain.params for chain in self.chains])
 
 
 @dataclass(frozen=True)
@@ -276,52 +246,54 @@ class Trace9753(StreamTrace):
     """A batch 9753 run, drain included: ``values`` has one row per
     anchored cadence and one column per chain, ``fire`` is the cycle each
     row emerges at, ``delay`` is the first row's cycle (None without an
-    anchor), so ``dout`` replays the strip delayed to it, and ``enables``
-    flags every chain past the first on every cycle."""
+    anchor), so ``dout`` replays the strip delayed to it."""
 
-    enables: np.ndarray
+    @property
+    def enables(self) -> np.ndarray:
+        """The enable flag of every chain past the first on every cycle:
+        phases count from the first anchor, cycle 0; without one no chain
+        runs."""
+        phase = np.arange(self.cycles) % CADENCE
+        flags = [_enabled(_centered(w), phase) for w in WIDTHS[1:]]
+        return np.column_stack(flags) & (self.delay is not None)
 
 
 def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                        pipe_latency: int = 5, chains=None) -> Trace9753:
+                        pipe_latency: int = 5) -> Trace9753:
     """Batch-run full cadences of a 9-row column strip plus the drain.
 
     Gives what clocking :class:`Ensemble9753` gives.  A gated chain lives in
-    its own enabled-column time, so it is one ``chain_run`` over the strip's
-    enabled columns and its own rows; gated fire index g maps back to cycle
-    ``9 * (g // w) + phases[0] + g % w`` for w enabled phases.  The k-th
+    its own enabled-column time, so chain w is core's one batch entry over
+    the middle w columns and rows of every full cadence; its fire index g
+    maps back to cycle ``9 * (g // w) + (9 - w) // 2 + g % w``.  The k-th
     quadruple emerges with the last of the chains' k-th results.
     """
     cols = np.asarray(cols)
     if cols.ndim != 2 or cols.shape[1] != CADENCE:
         raise ConfigError(f"column strip must have shape (n, {CADENCE})")
-    specs = _chain_specs(ranks, chains, data_bits, pipe_latency)
+    chains = _chain_specs(ranks, data_bits, pipe_latency)
     n = len(cols)
-    total = n + _drain_columns(specs)
-    din = _framed(cols, specs[0].params.data_bits, total)
+    din = _framed(cols, chains[0].data_bits, n + _drain_columns(chains))
     anchors = n // CADENCE  # every full cadence
-    # phases count from the first anchor, cycle 0; without one no chain runs
-    phase = np.arange(total) % CADENCE if anchors else np.full(total, -1)
-    enabled = [np.isin(phase, spec.phases) for spec in specs]
+    windows = din[:anchors * CADENCE].reshape(anchors, CADENCE, CADENCE)
     fires, values, comparisons = [], [], 0
-    for spec, on in zip(specs, enabled):
-        width = len(spec.phases)
-        g, count, chain_values = _kernels.chain_run(din[on, spec.rows],
-                                                    anchors, spec.params)
-        comparisons += count
-        fires.append(CADENCE * (g // width) + spec.phases[0] + g % width)
-        values.append(chain_values)
+    for p in chains:
+        w, on = p.channels, _centered(p.channels)
+        trace = _chain_trace(p, windows[:, on, on].reshape(-1, w))
+        g = trace.fire
+        fires.append(CADENCE * (g // w) + on.start + g % w)
+        values.append(trace.values)
+        comparisons += trace.comparisons
     # the drain lets every chain fire once per anchor
     fire = np.max(fires, axis=0)
     return Trace9753(din=din, starts=slice(0, anchors * CADENCE, CADENCE),
                      fire=fire, values=np.column_stack(values),
                      comparisons=comparisons,
-                     delay=int(fire[0]) if anchors else None,
-                     enables=np.array(enabled)[1:].T)
+                     delay=int(fire[0]) if anchors else None)
 
 
 def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                         pipe_latency: int = 5, chains=None):
+                         pipe_latency: int = 5):
     """Run full cadences of a 9-row column strip; returns (cycles, quadruples).
 
     ``cols`` has shape (n, 9); only window positions with all 9 columns of
@@ -329,5 +301,5 @@ def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     ``quadruples[i]`` emerged.
     """
     trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits,
-                                pipe_latency=pipe_latency, chains=chains)
+                                pipe_latency=pipe_latency)
     return trace.fire.tolist(), [tuple(q) for q in trace.results.tolist()]

@@ -388,8 +388,6 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     offsets = window_offsets(shape)
     n = len(offsets)
     rank = _integral(rank, "rank values")
-    if not 1 <= rank <= n:
-        raise ConfigError(f"rank must satisfy 1 <= M <= {n}, got {rank}")
     bits = data_bits if data_bits is not None else infer_data_bits(image)
     params = engine_params(shape, n, rank, engine, bits,
                            pipe_latency=pipe_latency)

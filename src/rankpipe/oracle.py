@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .imaging import Border, Custom, Diamond, Rect
-from .params import ConfigError, _integral
+from .params import MAX_DATA_BITS, ConfigError, _integral
 
 
 def select_desc(data, rank: int):
@@ -46,15 +46,27 @@ def filter_image_oracle(image, shape, rank: int,
                         border: Border = Border.CLAMP) -> np.ndarray:
     """Per-pixel sort-based rank filtering; definitionally correct reference.
     Raises ``ConfigError`` where :func:`rankpipe.imaging.run_filter` does,
-    with its messages."""
+    with its messages, in its order, from checks of its own."""
     image = np.asarray(image)
     if image.ndim != 2 or image.size == 0:
         raise ConfigError("images must be non-empty 2-D arrays")
-    if image.dtype.kind not in "iu":
-        raise ConfigError(f"samples must be integers, got {image.dtype} data")
-    height, width = image.shape
-    offsets = _own_offsets(shape)
     border = Border(border)
+    offsets = _own_offsets(shape)
+    rank = _integral(rank, "rank values")
+    if image.dtype.kind not in "iu":
+        raise ConfigError(f"samples must be integers that fit in "
+                          f"{MAX_DATA_BITS} bits, got {image.dtype} data")
+    width_bits = max(int(image.max()), 0).bit_length()
+    bits = max(2, width_bits + width_bits % 2)  # stages resolve 2 bits
+    if bits > MAX_DATA_BITS:
+        raise ConfigError(f"data_bits must be in [2, {MAX_DATA_BITS}], "
+                          f"got {bits}")
+    if not 1 <= rank <= len(offsets):
+        raise ConfigError(f"rank must satisfy 1 <= M <= N, "
+                          f"got M={rank} N={len(offsets)}")
+    if int(image.min()) < 0:
+        raise ConfigError("samples must be non-negative")
+    height, width = image.shape
     if border is Border.CLAMP:
         x_anchors = range(width)
         y_anchors = range(height)

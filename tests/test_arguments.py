@@ -12,6 +12,7 @@ from rankpipe import (
     Border,
     ConfigError,
     Custom,
+    Engine,
     Ensemble9753,
     FilterParams,
     McEngine,
@@ -21,6 +22,7 @@ from rankpipe import (
     SlidingEnsemble,
     Stage,
     boundaries,
+    comparison_count,
     core,
     counter_preset,
     enable_schedule,
@@ -31,6 +33,7 @@ from rankpipe import (
     parse_window,
     percentile_to_rank,
     run_filter,
+    run_stream,
     select_desc,
     sliding_cycles,
     sliding_window_results,
@@ -103,12 +106,17 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
     pytest.param(lambda: ensemble9753_cycles(STRIP, ranks=5),
                  id="9753-scalar-ranks"),
     pytest.param(lambda: Ensemble9753(ranks=5), id="9753-clocked-scalar-ranks"),
-    pytest.param(lambda: ensemble9753_cycles(STRIP, chains=5),
-                 id="9753-scalar-chains"),
-    pytest.param(lambda: ensemble9753_cycles(STRIP, chains=[(9, (0, 1))]),
-                 id="9753-chain-pair"),
-    pytest.param(lambda: ensemble9753_cycles(STRIP, chains=[(9, 5, 41)]),
-                 id="9753-scalar-phases"),
+    pytest.param(lambda: Ensemble9753(ranks=(1, 2, 3)),
+                 id="9753-three-ranks"),
+    pytest.param(lambda: ensemble9753_cycles(STRIP, ranks=(41, 25, 13, 5, 1)),
+                 id="9753-five-ranks"),
+    # every chain-record entry names the type it was given instead
+    pytest.param(lambda: stream_cycles(None, [1, 2, 3]),
+                 id="stream-none-params"),
+    pytest.param(lambda: run_stream(5, []), id="run-stream-int-params"),
+    pytest.param(lambda: Engine(None), id="engine-none-params"),
+    pytest.param(lambda: comparison_count(None, 1),
+                 id="comparisons-none-params"),
     pytest.param(lambda: sliding_window_results(3, 5, 5),
                  id="sliding-results-scalar-strip"),
     pytest.param(lambda: sliding_window_results("3", 5, np.zeros((4, 3))),
@@ -175,7 +183,22 @@ def test_the_byte_bound_counts_the_drain_not_the_input(monkeypatch):
                  id="image2-shape2-Border.VALID"),
     pytest.param(IMAGE, "3x3", 1, Border.CLAMP, id="image3-3x3-Border.CLAMP"),
     pytest.param(np.arange(30).reshape(5, 6), Rect(3, 3), "5", Border.CLAMP,
-                 id="str-rank")])
+                 id="str-rank"),
+    pytest.param(np.arange(30).reshape(5, 6), Rect(3, 3), 0, Border.CLAMP,
+                 id="rank-0"),
+    pytest.param(np.arange(30).reshape(5, 6), Rect(3, 3), 10, Border.CLAMP,
+                 id="rank-n-plus-1"),
+    pytest.param(np.arange(30).reshape(5, 6) - 1, Rect(3, 3), 5, Border.CLAMP,
+                 id="negative-image"),
+    pytest.param(np.arange(30.0).reshape(5, 6), Rect(3, 3), 5, Border.CLAMP,
+                 id="float-image"),
+    pytest.param(np.ones((5, 6), bool), Rect(3, 3), 5, Border.CLAMP,
+                 id="bool-image"),
+    pytest.param(np.full((5, 6), 2**20), Rect(3, 3), 5, Border.CLAMP,
+                 id="image-past-16-bits"),
+    # the sample checks come before the window's fit
+    pytest.param(np.arange(12.0).reshape(3, 4), Rect(5, 5), 1, Border.VALID,
+                 id="float-image-valid-misfit")])
 def test_the_oracle_fails_as_run_filter_does(image, shape, rank, border):
     with pytest.raises(ConfigError) as engine:
         run_filter(image, shape, rank, border=border)

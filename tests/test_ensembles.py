@@ -218,37 +218,11 @@ class Test9753:
         with pytest.raises(FramingError):
             ens.clock(col, d1st=True)
 
-    def test_non_square_rectangles_by_enable_override(self):
-        rng = np.random.default_rng(35)
-        strip = rng.integers(0, 256, size=(9, 18))
-        chains = []
-        expected = []
-        for w in (7, 5, 3):
-            n = w * 9
-            m = (n + 1) // 2
-            chains.append((w, tuple(range(9)), m))
-            off = (9 - w) // 2
-            expected.append(select_desc(strip[off:off + w, 0:9].reshape(-1), m))
-        _, outs = ensemble9753_results(strip.T, chains=chains)
-        assert outs[0] == tuple(expected)
 
-    def test_override_validation(self):
-        with pytest.raises(ConfigError):
-            Ensemble9753(chains=[(9, (0, 2, 3), 5)])  # gap in the phases
-        with pytest.raises(ConfigError):
-            Ensemble9753(chains=[(4, (0, 1, 2, 3), 5)])  # even channel count
-        with pytest.raises(ConfigError):
-            Ensemble9753(ranks=(1, 2, 3))
-        with pytest.raises(ConfigError, match="at least one chain"):
-            Ensemble9753(chains=[])
-        with pytest.raises(ConfigError, match="at least one chain"):
-            ensemble9753_cycles(np.zeros((9, 9), dtype=np.int64), chains=[])
-
-
-def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, chains=None):
+def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, **kwargs):
     """Clock Ensemble9753 over a strip plus its drain, anchoring every full
     cadence: (emit cycles, quadruples, per-cycle enable flags, comparisons)."""
-    ens = Ensemble9753(ranks, data_bits=data_bits, chains=chains)
+    ens = Ensemble9753(ranks, data_bits=data_bits, **kwargs)
     n = len(cols)
     zero = np.zeros(9, dtype=np.int64)
     cycles, quads, enables = [], [], []
@@ -266,24 +240,24 @@ def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, chains=None):
 class TestBatch9753:
     """The batch path gives what clocking the object ensemble gives."""
 
-    @pytest.mark.parametrize("columns,bits,ranks,chains", [
+    @pytest.mark.parametrize("columns,bits,ranks,latency", [
         (0, 8, (41, 25, 13, 5), None),
         (5, 8, (41, 25, 13, 5), None),  # shorter than one cadence
         (27, 8, (41, 25, 13, 5), None),
         (31, 6, (1, 49, 13, 9), None),  # partial trailing cadence
         (20, 12, (81, 1, 25, 1), None),
-        (22, 8, (), [(7, tuple(range(9)), 32), (5, (2, 3, 4), 8),
-                     (3, tuple(range(9)), 14)]),  # non-square, all-phase
-        (19, 4, (), [(9, (4,), 5)]),  # one single-phase chain
-        (26, 10, (), [(1, (0, 1, 2, 3, 4, 5, 6, 7, 8), 5), (9, (6, 7, 8), 27),
-                      (3, (1, 2), 6), (5, (0,), 3)]),
+        (22, 8, (81, 49, 25, 9), 0),  # every chain's minimum, no latency
+        (19, 4, (1, 1, 1, 1), 2),  # every chain's maximum
+        (26, 10, (81, 49, 25, 9), 9),
     ])
-    def test_matches_the_clocked_ensemble(self, columns, bits, ranks, chains):
+    def test_matches_the_clocked_ensemble(self, columns, bits, ranks, latency):
+        # latency None leaves pipe_latency at its default
+        kwargs = {} if latency is None else {"pipe_latency": latency}
         rng = np.random.default_rng(columns * 100 + bits)
         cols = rng.integers(0, 1 << bits, size=(columns, 9))
         cycles, quads, enables, comparisons = clocked_9753(cols, ranks, bits,
-                                                           chains)
-        trace = ensemble9753_cycles(cols, ranks, data_bits=bits, chains=chains)
+                                                           **kwargs)
+        trace = ensemble9753_cycles(cols, ranks, data_bits=bits, **kwargs)
         assert np.flatnonzero(trace.dv).tolist() == cycles
         assert [tuple(q) for q in trace.result[trace.dv].tolist()] == quads
         assert not trace.result[~trace.dv].any()
@@ -293,7 +267,7 @@ class TestBatch9753:
         assert trace.d1st.tolist() == [t % 9 == 0 and t + 9 <= columns
                                        for t in range(len(trace.din))]
         assert ensemble9753_results(cols, ranks, data_bits=bits,
-                                    chains=chains) == (cycles, quads)
+                                    **kwargs) == (cycles, quads)
 
     def test_twelve_bit_strip_matches_the_oracle(self):
         rng = np.random.default_rng(36)

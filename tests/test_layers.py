@@ -1,6 +1,7 @@
 """Layer boundaries: the batch paths build no clocked object, the clocked
-engines are one chain class, every name the benchmark wraps exists, and the
-kernels keep the calling convention the benchmark counts by."""
+engines are one chain class, only core reaches the kernels, every name the
+benchmark wraps exists, and the kernels keep the calling convention the
+benchmark counts by."""
 
 import ast
 import importlib
@@ -91,7 +92,40 @@ def test_every_chain_record_has_one_batch_entry(monkeypatch):
     mc_stream_cycles(McParams(channels=3, columns=3, rank=5),
                      rng.integers(0, 256, size=(9, 3)))
     sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))
-    assert framed == [20, 9, 8]
+    # the 9753 strip is framed in ensembles, and each of its four gated
+    # chains in core: the middle w columns and rows of its three cadences
+    ensemble9753_cycles(rng.integers(0, 256, size=(27, 9)))
+    assert framed == [20, 9, 8, 27, 21, 15, 9]
+
+
+def _names(tree):
+    """Every name a module's code uses: variables, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+
+
+def test_only_core_reaches_the_kernels():
+    # every batch run goes through core._chain_trace, the one caller of the
+    # kernel; no other module names _kernels
+    package = Path(rankpipe.__file__).parent
+    runs = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem not in ("core", "_kernels"):
+            assert "_kernels" not in set(_names(tree)), path.name
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                runs += [(path.stem, fn.name) for call in ast.walk(fn)
+                         if isinstance(call, ast.Call) and
+                         {"chain_run", "sliding_run"} & set(_names(call.func))]
+    assert runs == [("core", "_chain_trace")]
 
 
 def _assigned(path: Path, name: str):
@@ -143,9 +177,11 @@ def test_kernel_calls_keep_the_benchmark_convention(monkeypatch):
             lambda: sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))):
         trace = run()
         assert kernel_calls(trace) == [trace.cycles]
-    # each gated 9753 chain runs in its own time: its enabled cycles
+    # each gated 9753 chain runs in its own time: its own record's run
+    # over the strip's three cadences
     trace = ensemble9753_cycles(rng.integers(0, 256, size=(27, 9)))
-    gated = [trace.cycles] + trace.enables.sum(axis=0).tolist()
+    gated = [McParams(w, w, m).cycles(3)
+             for w, m in zip((9, 7, 5, 3), (41, 25, 13, 5))]
     assert kernel_calls(trace) == gated
     report = run_filter(rng.integers(0, 256, size=(6, 7)), Rect(3, 3), 5)
     assert sum(kernel_calls(report)) == report.cycles

@@ -146,9 +146,9 @@ STRIP = np.zeros((18, 9), dtype=np.int64)
     lambda: FilterParams(8, np.float64(5), 3),
     lambda: McParams(channels=3.0, columns=2, rank=2),
     lambda: McParams(channels=3, columns=2, rank=2, pipe_latency=8.5),
-    lambda: Ensemble9753(chains=[(9, (0, 1.7), 5)]),
-    lambda: Ensemble9753(chains=[(9.0, (0, 1), 5)]),
-    lambda: ensemble9753_cycles(STRIP, chains=[(9, (0.0, 1), 5)]),
+    lambda: Ensemble9753(ranks=(41, 25, 13.0, 5)),
+    lambda: Ensemble9753(data_bits=8.0),
+    lambda: ensemble9753_cycles(STRIP, pipe_latency=np.float64(5)),
     lambda: ensemble9753_results(STRIP, ranks=(41.5, 25, 13, 5)),
     lambda: filter_image(np.arange(30).reshape(5, 6), Rect(3, 3), 2.5),
     lambda: sliding_window_results(3, 2.5, np.zeros((5, 3), np.int64)),
@@ -167,9 +167,11 @@ def test_chain_parameters_store_numpy_integers_as_int():
     for record in (p, mc):
         assert all(type(v) is int for v in vars(record).values())
     assert p.alignment == 27 and type(p.alignment) is int
-    ens = Ensemble9753(chains=[(np.int64(3), (np.int64(0), np.int8(1)), 2)])
-    assert ens.specs[0].phases == (0, 1)
-    assert all(type(ph) is int for ph in ens.specs[0].phases)
+    ens = Ensemble9753(ranks=(np.int64(41), np.uint8(25), np.int16(13),
+                              np.int8(5)), pipe_latency=np.int32(4))
+    assert [chain.params.rank for chain in ens.chains] == [41, 25, 13, 5]
+    for chain in ens.chains:
+        assert all(type(v) is int for v in vars(chain.params).values())
 
 
 def test_engine_takes_one_sample_per_clock():
