@@ -18,12 +18,7 @@ from .core import run_stream, stream_cycles
 from .ensembles import CADENCE, WIDTHS, ensemble9753_cycles, sliding_cycles
 from .imaging import Border, frame_rate, percentile_to_rank
 from .multichannel import mc_stream_cycles
-from .params import (
-    ConfigError,
-    FilterParams,
-    FramingError,
-    McParams,
-)
+from .params import ConfigError, FilterParams, FramingError
 
 DEFAULT_CLOCK_HZ = 275e6
 BLANK = -1  # trace cell left empty; samples are never negative
@@ -214,15 +209,15 @@ def cmd_trace(args) -> int:
             raise ConfigError(f"--window is required for {args.engine} traces")
         shape = imaging.parse_window(args.window)
         imaging.require_engine(shape, args.engine)
-        n = shape.width * shape.height
+        n = imaging.window_size(shape)
         rank = _resolve_rank(args, n)
         cols = _reshape_columns(values, shape.height)
+        params = imaging.engine_params(shape, n, rank, args.engine, bits)
         if args.engine == "multichannel":
-            params = McParams(channels=shape.height, columns=shape.width,
-                              rank=rank, data_bits=bits)
             trace = mc_stream_cycles(params, cols)
         else:
-            trace = sliding_cycles(shape.width, rank, cols, data_bits=bits)
+            trace = sliding_cycles(params.columns, params.rank, cols,
+                                   data_bits=params.data_bits)
         header, rows = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = []

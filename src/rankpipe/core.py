@@ -9,13 +9,14 @@ delay the raw stream so every stage sees a set exactly when the previous
 stage's partial median for it is ready.
 
 ``_FinderChain`` steps the B/2 ``Stage``s clock by clock and is the one
-reference for the cycle semantics.  Every clocked engine is that chain
-fed samples, columns, staggered markers or gated phases: ``Engine`` gives
-it its own data pipe, under ``FilterParams`` or ``McParams``, and the
-ensembles reuse it.  The batch runs go through ``_chain_trace``, the one
-entry of every chain record, the 9753 ensemble's gated chains included.
-It is the one caller of :mod:`rankpipe._kernels`, which computes every
-set's result at once, with the fixed cycle it matures at.
+reference for the cycle semantics.  ``Engine``, the one clocked engine of
+every chain record, owns a data pipe and ``set_cycles // cadence`` chains
+on it: one under ``FilterParams`` or ``McParams``, W with staggered
+markers under ``SlidingParams``.  The batch runs go through
+``_chain_trace``, the one entry of every chain record, the 9753
+ensemble's gated chains included.  It is the one caller of
+:mod:`rankpipe._kernels`, which computes every set's result at once,
+with the fixed cycle it matures at.
 The test suite checks the two against each other cycle-for-cycle.
 
 A batch run is one result per set: a ``StreamTrace`` keeps its framed
@@ -55,6 +56,9 @@ _ROOT = PartialMedian()
 
 def boundaries(pm: PartialMedian, data_bits: int) -> tuple[int, int, int]:
     """The three interior quarter boundaries (b1 < b2 < b3) of ``pm``'s range."""
+    if not isinstance(pm, PartialMedian):
+        raise ConfigError(f"boundaries need a PartialMedian, got "
+                          f"{type(pm).__name__}")
     q = quarter_width(data_bits, pm.bits_resolved)
     return pm.prefix + q, pm.prefix + 2 * q, pm.prefix + 3 * q
 
@@ -168,13 +172,6 @@ class Stage:
         return self._pipe.popleft()
 
 
-def _lanes(params) -> tuple[int, ...]:
-    """The shape of one clock's input: ``()`` under ``FilterParams``,
-    ``(channels,)`` under ``McParams`` and ``SlidingParams``."""
-    channels = getattr(params, "channels", None)
-    return () if channels is None else (channels,)
-
-
 class _DelayRing:
     """Circular (value, marker) history with fixed read offsets.
 
@@ -186,7 +183,7 @@ class _DelayRing:
 
     def __init__(self, params):
         self._cap = max(params.stages * params.pipe_delay, 1)
-        self._data = np.zeros((self._cap,) + _lanes(params), dtype=np.int64)
+        self._data = np.zeros((self._cap,) + params.lanes, dtype=np.int64)
         self._zero = self._data[0].copy()
         self._d1st = np.zeros(self._cap, dtype=bool)
 
@@ -202,12 +199,20 @@ class _DelayRing:
 
 
 def _column(params, din) -> np.ndarray:
-    """One clock's checked input, of shape ``_lanes(params)``."""
+    """One clock's checked input, of shape ``params.lanes``."""
     din = as_samples(din, params.data_bits)
-    if din.shape != _lanes(params):
+    if din.shape != params.lanes:
         raise ConfigError(f"one clock's input must have shape "
-                          f"{_lanes(params)}, got {din.shape}")
+                          f"{params.lanes}, got {din.shape}")
     return din
+
+
+def _marker(d1st) -> bool:
+    """One clock's checked first-data marker: a single flag."""
+    if np.ndim(d1st):
+        raise ConfigError(f"the first-data marker must be one flag, got "
+                          f"shape {np.shape(d1st)}")
+    return bool(d1st)
 
 
 class _FinderChain:
@@ -250,28 +255,41 @@ class _FinderChain:
         return sum(stage.comparisons for stage in self.stages)
 
 
-class Engine(_FinderChain):
-    """Clock-by-clock chain engine with its own data pipe.
+class Engine:
+    """Clock-by-clock engine of any chain record, with its own data pipe.
 
-    Consumes one ``(sample, first-marker)`` pair per ``clock`` call under
-    ``FilterParams``, or one K-sample column under ``McParams``, and emits
-    ``CycleOutput``; ``dv`` pulses exactly once per completed set, at
-    which cycle ``result`` carries the M-th largest and ``dout`` the set's
-    first raw sample or column.
+    Consumes one sample (``FilterParams``) or K-sample column and its
+    first-data marker per ``clock``, and emits ``CycleOutput``: ``dv``
+    pulses once per set, when ``result`` is its M-th largest and ``dout``
+    its first sample or column.  It steps one chain, or under
+    ``SlidingParams`` W whose markers lag 0..W-1 columns; ``last_chain``
+    is the one that matured on the last clock, -1 for none.
     """
 
     def __init__(self, params: FilterParams):
-        super().__init__(_record(params), _DelayRing(params))
+        p = self.params = _record(params)
+        self._ring = _DelayRing(p)
+        self.chains = [_FinderChain(p, self._ring, j)
+                       for j in range(p.set_cycles // p.cadence)]
         self._t = 0
+        self.last_chain = -1
 
     def clock(self, din, d1st: bool = False) -> CycleOutput:
         t = self._t
-        self._ring.push(t, _column(self.params, din), d1st)
-        result = self.step(t)
+        self._ring.push(t, _column(self.params, din), _marker(d1st))
+        outs = [chain.step(t) for chain in self.chains]
+        fired = [j for j, out in enumerate(outs) if out is not None]
+        if len(fired) > 1:
+            raise RuntimeError("two chains matured in the same cycle")
+        self.last_chain = fired[0] if fired else -1
         dout, _ = self._ring.read(t, self.params.alignment)
         self._t += 1
-        return CycleOutput(dv=result is not None, dout=dout.copy(),
-                           result=result or 0)
+        return CycleOutput(dv=bool(fired), dout=dout.copy(),
+                           result=outs[self.last_chain] if fired else 0)
+
+    @property
+    def comparisons(self) -> int:
+        return sum(chain.comparisons for chain in self.chains)
 
     @property
     def cycle(self) -> int:
@@ -359,9 +377,9 @@ def _framed(cols, data_bits: int, total: int) -> np.ndarray:
 
 def _chain_trace(params, cols, trace=StreamTrace) -> StreamTrace:
     """The one batch entry of every chain record: frame ``cols``, one input
-    of shape ``_lanes(params)`` per cycle, into the sets the record starts,
+    of shape ``params.lanes`` per cycle, into the sets the record starts,
     run the kernel through them plus the drain, and return a ``trace``."""
-    p, lanes = _record(params), _lanes(params)
+    p, lanes = _record(params), params.lanes
     cols = np.asarray(cols)
     if cols.ndim != 1 + len(lanes) or cols.shape[1:] != lanes:
         raise ConfigError(f"stream must have shape "

@@ -1,9 +1,10 @@
-"""Ensemble engines built from the one chain of :mod:`rankpipe.core`.
+"""Ensemble engines built from the one clocked engine of :mod:`rankpipe.core`.
 
 The sliding ensemble runs W identical W-channel chains over one shared data
 pipe; chain j's first-data markers are delayed j columns, so collectively
 the chains cover every window start and one result matures per clock after
-warm-up.
+warm-up: ``SlidingEnsemble`` is core's one clocked ``Engine`` under
+``SlidingParams``.
 
 The 9753 ensemble runs the paper's four concentric square chains, w x w for
 w in 9, 7, 5, 3, on a 9-clock column cadence.  Enable signals gate chain w
@@ -26,15 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Engine,
-    StreamTrace,
-    _chain_trace,
-    _column,
-    _DelayRing,
-    _FinderChain,
-    _framed,
-)
+from .core import Engine, StreamTrace, _chain_trace, _framed, _marker
 from .params import (
     ConfigError,
     FramingError,
@@ -74,43 +67,25 @@ def enable_schedule(w: int, phase: int) -> bool:
     return _enabled(_centered(w), phase)
 
 
-class SlidingEnsemble:
+class SlidingEnsemble(Engine):
     """Single-cycle W x W engine: one result per clock after warm-up.
 
     Feed one W-sample column per ``clock``; assert ``d1st`` every W columns
-    (the window cadence of the first chain).  Window starts are covered
-    round-robin by the staggered chains, so results emerge in window-start
-    order, one per clock.
+    (the window cadence of the first chain).  It is the ``Engine`` of
+    ``SlidingParams(W, W, rank)``: window starts are covered round-robin by
+    its W staggered chains, so results emerge in window-start order, one
+    per clock.
     """
 
     def __init__(self, window: int, rank: int, *, data_bits: int = 8,
                  pipe_latency: int = 5):
-        p = self.params = SlidingParams(window, window, rank, data_bits,
-                                        pipe_latency=pipe_latency)
-        self._ring = _DelayRing(p)
-        self.chains = [_FinderChain(p, self._ring, j) for j in range(window)]
-        self._t = 0
-        self.last_chain = -1
+        super().__init__(SlidingParams(window, window, rank, data_bits,
+                                       pipe_latency=pipe_latency))
 
     def clock(self, col, d1st: bool = False) -> int | None:
         """Returns the window result maturing this cycle, if any."""
-        t = self._t
-        self._ring.push(t, _column(self.params, col), d1st)
-        result = None
-        self.last_chain = -1
-        for j, chain in enumerate(self.chains):
-            out = chain.step(t)
-            if out is not None:
-                if result is not None:
-                    raise RuntimeError("two chains matured in the same cycle")
-                result = out
-                self.last_chain = j
-        self._t += 1
-        return result
-
-    @property
-    def cycle(self) -> int:
-        return self._t
+        out = super().clock(col, d1st)
+        return out.result if out.dv else None
 
     @property
     def alignment(self) -> int:
@@ -205,6 +180,7 @@ class Ensemble9753:
         col = as_samples(col, self.chains[0].params.data_bits)
         if col.shape != (CADENCE,):
             raise ConfigError(f"column must carry exactly {CADENCE} samples")
+        d1st = _marker(d1st)
         if self._phase is None:
             if not d1st:
                 return None  # columns before the first anchor are ignored

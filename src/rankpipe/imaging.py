@@ -20,7 +20,7 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -187,11 +187,16 @@ def percentile_to_rank(p: float, n: int) -> int:
 
 
 def frame_rate(freq_hz: float, img_w: int, img_h: int, n: int) -> float:
-    """Single-core frames per second: one sample per clock, N clocks per pixel."""
+    """Single-core frames per second: one sample per clock, N clocks per
+    pixel.  N may be a measured real number of cycles per result."""
     values = (freq_hz, img_w, img_h, n)
     if (not all(isinstance(v, Real) for v in values)
-            or not 0 < freq_hz < math.inf or min(img_w, img_h, n) <= 0):
+            or not (0 < freq_hz < math.inf and 0 < n < math.inf)
+            or min(img_w, img_h) <= 0):
         raise ConfigError("frame-rate arguments must be positive and finite")
+    if not isinstance(img_w, Integral) or not isinstance(img_h, Integral):
+        raise ConfigError(f"image sides must be integers, got {img_w!r} "
+                          f"x {img_h!r}")
     return freq_hz / (img_w * img_h * n)
 
 
@@ -409,7 +414,8 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     cycles, comparisons = filter_cost(params, rows, cols)
     return FilterReport(image=np.concatenate(pixels).reshape(rows, cols),
                         set_size=n, rank=rank, engine=engine, border=border,
-                        data_bits=bits, cycles=cycles, comparisons=comparisons)
+                        data_bits=params.data_bits, cycles=cycles,
+                        comparisons=comparisons)
 
 
 def filter_image(image, shape: WindowShape, rank: int, engine: str = "single",

@@ -19,7 +19,7 @@ def select_desc(data, rank: int):
     rank = _integral(rank, "rank values")
     try:
         items = sorted(data, reverse=True)
-    except TypeError:  # not iterable, or not comparable
+    except (TypeError, ValueError):  # not iterable, or items not comparable
         raise ConfigError(f"samples must be a sequence of comparable "
                           f"values, got {type(data).__name__}") from None
     if not 1 <= rank <= len(items):

@@ -6,6 +6,10 @@ entry point applies.  The clocked engines carry samples as int64
 (:func:`as_samples`), the batch paths at the sample dtype
 (:func:`narrowest_uint`).  All engines treat rank M = 1 as "find the
 maximum" and M = N as "find the minimum".
+
+The chain records validate once, in ``_ChainTiming``, and name the shape of
+one clock's input (``lanes``); :mod:`rankpipe.core` runs every record
+through one clocked engine and one batch entry.
 """
 
 from __future__ import annotations
@@ -139,7 +143,24 @@ def as_samples(data, data_bits: int) -> np.ndarray:
 class _ChainTiming:
     """The cycle contract of every engine, from ``set_cycles``: the clocks
     one set spends in a stage (N samples, or Cw columns).  A run starts
-    ``sets`` sets every ``cadence`` cycles from cycle 0."""
+    ``sets`` sets every ``cadence`` cycles from cycle 0.  It is the one
+    validator of every record: integer fields, each of ``_sizes`` at least
+    1, ``data_bits`` in range and padded to even, ``pipe_latency`` >= 0,
+    and 1 <= M <= N."""
+
+    def __post_init__(self):
+        _integer_fields(self)
+        if not 2 <= self.data_bits <= MAX_DATA_BITS:
+            raise ConfigError(
+                f"data_bits must be in [2, {MAX_DATA_BITS}], got {self.data_bits}"
+            )
+        object.__setattr__(self, "data_bits", padded_bits(self.data_bits))
+        if self.pipe_latency < 0:
+            raise ConfigError("pipe_latency must be non-negative")
+        for name in self._sizes:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        counter_width(self.set_size, self.rank)  # raises unless 1 <= M <= N
 
     @property
     def stages(self) -> int:
@@ -214,18 +235,8 @@ class FilterParams(_ChainTiming):
     rank: int
     pipe_latency: int = field(default=5, kw_only=True)
 
-    def __post_init__(self):
-        _integer_fields(self)
-        if not 2 <= self.data_bits <= MAX_DATA_BITS:
-            raise ConfigError(
-                f"data_bits must be in [2, {MAX_DATA_BITS}], got {self.data_bits}"
-            )
-        object.__setattr__(self, "data_bits", padded_bits(self.data_bits))
-        if self.pipe_latency < 0:
-            raise ConfigError("pipe_latency must be non-negative")
-        if self.set_size < 1:
-            raise ConfigError("set_size must be at least 1")
-        counter_width(self.set_size, self.rank)  # raises unless 1 <= M <= N
+    _sizes = ("set_size",)
+    lanes = ()  # the shape of one clock's input: a sample
 
     @property
     def set_cycles(self) -> int:
@@ -249,19 +260,11 @@ class McParams(_ChainTiming):
     data_bits: int = 8
     pipe_latency: int = field(default=5, kw_only=True)
 
-    def __post_init__(self):
-        _integer_fields(self)
-        if self.channels < 1:
-            raise ConfigError("channels must be at least 1")
-        if self.columns < 1:
-            raise ConfigError("columns must be at least 1")
-        base = FilterParams(
-            data_bits=self.data_bits,
-            set_size=self.channels * self.columns,
-            rank=self.rank,
-            pipe_latency=self.pipe_latency,
-        )
-        object.__setattr__(self, "data_bits", base.data_bits)
+    _sizes = ("channels", "columns")
+
+    @property
+    def lanes(self) -> tuple[int]:  # one clock's input: a column of K
+        return (self.channels,)
 
     @property
     def set_size(self) -> int:

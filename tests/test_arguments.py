@@ -28,6 +28,7 @@ from rankpipe import (
     enable_schedule,
     ensemble9753_cycles,
     filter_image_oracle,
+    frame_rate,
     incgen,
     mc_stream_cycles,
     parse_window,
@@ -67,6 +68,25 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
     pytest.param(lambda: Stage(8, 3.5, 1), id="stage-float-set-cycles"),
     pytest.param(lambda: boundaries(PartialMedian(), 8.0),
                  id="boundaries-float-bits"),
+    pytest.param(lambda: boundaries(None, 8), id="boundaries-none-pm"),
+    pytest.param(lambda: incgen(5, None, 8), id="incgen-none-pm"),
+    pytest.param(lambda: select_desc(np.array([[1, 2], [3, 4]]), 1),
+                 id="select-2d-data"),
+    # the first-data marker is one flag, not one per sample
+    pytest.param(lambda: Engine(FilterParams(8, 5, 3)).clock(
+        1, np.array([True, False])), id="engine-clock-marker-pair"),
+    pytest.param(lambda: Ensemble9753().clock(np.zeros(9, np.uint8),
+                                              np.array([True, False])),
+                 id="9753-clock-marker-pair"),
+    # image sides are integers; cycles per result may be measured reals
+    pytest.param(lambda: frame_rate(275e6, 10.5, 768, 25),
+                 id="frame-rate-fractional-width"),
+    pytest.param(lambda: frame_rate(275e6, 1024, 767.5, 25),
+                 id="frame-rate-fractional-height"),
+    pytest.param(lambda: frame_rate(275e6, 1024, 768, float("nan")),
+                 id="frame-rate-nan-cycles"),
+    pytest.param(lambda: frame_rate(275e6, 1024, 768, float("inf")),
+                 id="frame-rate-infinite-cycles"),
     pytest.param(lambda: incgen(5, PartialMedian(), 8.0),
                  id="incgen-float-bits"),
     pytest.param(lambda: PartialMedian().refined(0, 8.0),

@@ -13,11 +13,13 @@ from rankpipe import (
     FramingError,
     McParams,
     comparison_count,
+    core,
     run_stream,
     run_windows,
     stream_cycles,
 )
 from rankpipe.oracle import select_desc
+from rankpipe.params import SlidingParams
 
 
 def drive(engine, din, d1st):
@@ -204,7 +206,7 @@ class TestEngineObject:
             engine.clock(int(trace.din[t]), bool(trace.d1st[t]))
         result = int(trace.results[0])
         widths = []
-        for s, hold in enumerate(engine._holds):
+        for s, hold in enumerate(engine.chains[0]._holds):
             assert hold is not None
             assert hold.bits_resolved == 2 * (s + 1)
             width = 1 << (8 - hold.bits_resolved)
@@ -212,6 +214,33 @@ class TestEngineObject:
             widths.append(width)
         assert widths == sorted(widths, reverse=True)
         assert widths[-1] == 1
+
+
+@pytest.mark.parametrize("params,lanes", [
+    pytest.param(FilterParams(8, 5, 3), (), id="filter-l5"),
+    pytest.param(FilterParams(8, 5, 3, pipe_latency=0), (), id="filter-l0"),
+    pytest.param(McParams(3, 2, 4, 10), (3,), id="mc-l5"),
+    pytest.param(McParams(3, 2, 4, 10, pipe_latency=1), (3,), id="mc-l1"),
+    pytest.param(SlidingParams(3, 3, 5), (3,), id="sliding-l5"),
+    pytest.param(SlidingParams(5, 5, 13, 6, pipe_latency=0), (5,),
+                 id="sliding-l0"),
+])
+def test_the_clocked_engine_runs_every_chain_record(params, lanes):
+    # one Engine clocks any record, under SlidingParams its W staggered
+    # chains: every set of the batch entry fires on the same cycle with the
+    # same value, and dout then carries the set's first sample or column
+    rng = np.random.default_rng(params.set_size)
+    cols = rng.integers(0, 1 << params.data_bits,
+                        size=(4 * params.set_cycles,) + lanes)
+    trace = core._chain_trace(params, cols)
+    engine = Engine(params)
+    outs = [engine.clock(trace.din[t], bool(trace.d1st[t]))
+            for t in range(trace.cycles)]
+    fire = [t for t, out in enumerate(outs) if out.dv]
+    assert fire == trace.fire.tolist()
+    assert [outs[t].result for t in fire] == trace.values.tolist()
+    for t in fire:
+        assert np.array_equal(outs[t].dout, trace.dout[t])
 
 
 @st.composite

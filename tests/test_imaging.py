@@ -246,6 +246,13 @@ class TestFilterImage:
         assert report.cycles == img.size * 9 + p.drain_cycles
         assert report.comparisons == 3 * 9 * p.stages * img.size
 
+    @pytest.mark.parametrize("engine", ["single", "multichannel", "sliding"])
+    def test_the_report_names_the_width_the_engine_ran_at(self, engine):
+        # an odd width is padded up to the next even one by the record
+        img = np.arange(30).reshape(5, 6) % 8
+        report = run_filter(img, Rect(3, 3), 5, engine, data_bits=3)
+        assert report.data_bits == 4
+
     def test_threads_do_not_change_pixels(self):
         rng = np.random.default_rng(43)
         img = rng.integers(0, 256, size=(13, 11))

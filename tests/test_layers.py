@@ -18,6 +18,7 @@ from rankpipe import (
     McEngine,
     McParams,
     Rect,
+    SlidingEnsemble,
     _kernels,
     cli,
     core,
@@ -62,6 +63,21 @@ def test_batch_paths_build_no_clocked_object(monkeypatch, tmp_path):
 def test_the_clocked_engines_are_one_chain_class():
     assert all(type(chain) is Engine for chain in Ensemble9753().chains)
     assert [name for name in vars(McEngine) if not name.startswith("__")] == []
+    assert issubclass(SlidingEnsemble, Engine)
+    # only core builds the chains and their shared data pipe, and every
+    # record names its own input shape (``lanes``) instead of being sniffed
+    package = Path(rankpipe.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem != "core":
+            names = set(_names(tree))
+            assert not {"_FinderChain", "_DelayRing"} & names, path.name
+        sniffs = [call for call in ast.walk(tree)
+                  if isinstance(call, ast.Call)
+                  and getattr(call.func, "id", None) == "getattr"
+                  and len(call.args) > 1
+                  and getattr(call.args[1], "value", None) == "channels"]
+        assert sniffs == [], path.name
 
 
 def test_the_stage_decisions_and_the_kernel_are_written_once():

@@ -3,6 +3,7 @@ import pytest
 
 from rankpipe import (ConfigError, FilterParams, McParams, PartialMedian,
                       run_stream, select_desc)
+from rankpipe.params import SlidingParams
 from rankpipe._kernels import _search
 
 
@@ -106,6 +107,31 @@ def test_mc_params_inherit_every_invariant():
         McParams(channels=0, columns=5, rank=1)
     with pytest.raises(ConfigError):
         McParams(channels=3, columns=0, rank=1)
+
+
+# every record of a 3x3 window (N = 9), with the fields each one sizes
+_RECORDS = [
+    (FilterParams, dict(data_bits=8, set_size=9, rank=5), ("set_size",)),
+    (McParams, dict(channels=3, columns=3, rank=5), ("channels", "columns")),
+    (SlidingParams, dict(channels=3, columns=3, rank=5),
+     ("channels", "columns")),
+]
+_MALFORMED = [
+    pytest.param(record, fields, name, value,
+                 id=f"{record.__name__}-{name}-{value}")
+    for record, fields, sizes in _RECORDS
+    for name, value in ([(size, 0) for size in sizes]
+                        + [("data_bits", 1), ("data_bits", 17),
+                           ("pipe_latency", -1), ("rank", 0), ("rank", 10),
+                           ("rank", 5.0)])]
+
+
+@pytest.mark.parametrize("record,fields,name,value", _MALFORMED)
+def test_every_record_rejects_each_malformed_field(record, fields, name,
+                                                   value):
+    record(**fields)  # the well-formed record builds
+    with pytest.raises(ConfigError):
+        record(**{**fields, name: value})
 
 
 def test_partial_median_invariants():
