@@ -20,7 +20,6 @@ from .core import (
 )
 from .ensembles import (
     Ensemble9753,
-    SlidingEnsemble,
     enable_schedule,
     ensemble9753_cycles,
     ensemble9753_results,
@@ -41,11 +40,7 @@ from .imaging import (
     window_offsets,
     window_size,
 )
-from .multichannel import (
-    McEngine,
-    mc_stream_cycles,
-    run_windows,
-)
+from .multichannel import mc_stream_cycles, run_windows
 from .oracle import filter_image_oracle, select_desc
 from .params import (
     ConfigError,
@@ -54,6 +49,7 @@ from .params import (
     FramingError,
     McParams,
     PartialMedian,
+    SlidingParams,
 )
 
 __version__ = "0.1.0"
@@ -68,11 +64,10 @@ __all__ = [
     "Ensemble9753",
     "FilterParams",
     "FramingError",
-    "McEngine",
     "McParams",
     "PartialMedian",
     "Rect",
-    "SlidingEnsemble",
+    "SlidingParams",
     "Stage",
     "boundaries",
     "comparison_count",

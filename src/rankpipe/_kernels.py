@@ -32,9 +32,9 @@ depends only on its own samples, so the kernel
 2. returns each set's result at the sample dtype, with the sets' dv
    cycles and the record's comparison count.
 
-The clock-stepped object engines (``Engine``, ``McEngine``,
-``SlidingEnsemble``, ``Ensemble9753``) are the reference this kernel is
-tested against cycle for cycle.
+The clock-stepped object engines (``Engine`` under each record, and
+``Ensemble9753``) are the reference this kernel is tested against cycle
+for cycle.
 """
 
 import numpy as np

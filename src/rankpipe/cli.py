@@ -216,8 +216,7 @@ def cmd_trace(args) -> int:
         if args.engine == "multichannel":
             trace = mc_stream_cycles(params, cols)
         else:
-            trace = sliding_cycles(params.columns, params.rank, cols,
-                                   data_bits=params.data_bits)
+            trace = sliding_cycles(params, cols)
         header, rows = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = []

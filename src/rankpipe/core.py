@@ -41,6 +41,7 @@ from .params import (
     FramingError,
     PartialMedian,
     _ChainTiming,
+    _array,
     _integral,
     as_samples,
     check_samples,
@@ -60,6 +61,9 @@ def boundaries(pm: PartialMedian, data_bits: int) -> tuple[int, int, int]:
         raise ConfigError(f"boundaries need a PartialMedian, got "
                           f"{type(pm).__name__}")
     q = quarter_width(data_bits, pm.bits_resolved)
+    # a range of B-bit samples lies below 2**B, its unresolved low bits zero
+    if pm.prefix >> data_bits or pm.prefix % (4 * q):
+        raise ConfigError(f"{pm} is no range of {data_bits}-bit samples")
     return pm.prefix + q, pm.prefix + 2 * q, pm.prefix + 3 * q
 
 
@@ -72,6 +76,7 @@ def incgen(x: int, pm: PartialMedian, data_bits: int) -> tuple[bool, bool, bool]
     ordinary integers and increment consistently.
     """
     b1, b2, b3 = boundaries(pm, data_bits)
+    x = check_samples(x, data_bits)
     return x >= b3, x >= b2, x >= b1
 
 
@@ -82,6 +87,8 @@ def refine(msb3: int, msb2: int, msb1: int, check: bool = False) -> int:
     ``check=True`` any other combination raises as an internal-consistency
     diagnostic instead of being silently priority-resolved.
     """
+    msb3, msb2, msb1 = (_integral(msb, "accumulator MSBs")
+                        for msb in (msb3, msb2, msb1))
     if check and ((msb3 and not msb2) or (msb2 and not msb1)):
         raise ValueError(
             f"non-thermometer accumulator MSBs ({int(bool(msb3))}, "
@@ -112,6 +119,7 @@ class Stage:
     position, and an L-deep output delay modeling the pipeline registers.
     ``clock`` takes one sample (or column of K samples) per call and returns
     the partial median maturing ``latency`` cycles after a set's last input.
+    Every sample it counts must pass :func:`check_samples` at ``data_bits``.
     """
 
     def __init__(self, data_bits: int, set_cycles: int, rank: int,
@@ -136,7 +144,7 @@ class Stage:
     def _increments(self, x) -> tuple[int, int, int]:
         """Samples of ``x`` (one sample or one column) at or above each
         boundary, lowest boundary first."""
-        flags = incgen(np.asarray(x), self.pm, self.data_bits)
+        flags = incgen(x, self.pm, self.data_bits)
         self.comparisons += 3 * np.size(x)
         return tuple(int(np.count_nonzero(ge)) for ge in reversed(flags))
 
@@ -304,9 +312,11 @@ class StreamTrace:
     each set's result (one per chain for 9753), both at the sample dtype
     (:func:`rankpipe.params.narrowest_uint`); ``fire`` holds each set's dv
     cycle and ``starts`` slices the marker cycles.  ``delay`` is how many
-    cycles ``dout`` lags ``din``: the alignment, or None when no set was
-    anchored.  The per-cycle views ``d1st``, ``dv`` and ``result`` are
-    built when read, like ``dout``; ``results`` is ``values`` as int64.
+    cycles ``dout`` lags ``din``: a chain record's alignment, or the first
+    9753 quadruple's cycle (None without an anchor).  Under
+    ``SlidingParams`` dv cycle t matured on chain ``(t - delay) % W``.
+    The per-cycle views ``d1st``, ``dv`` and ``result`` are built when
+    read, like ``dout``; ``results`` is ``values`` as int64.
     """
 
     din: np.ndarray
@@ -375,12 +385,12 @@ def _framed(cols, data_bits: int, total: int) -> np.ndarray:
     return din
 
 
-def _chain_trace(params, cols, trace=StreamTrace) -> StreamTrace:
+def _chain_trace(params, cols) -> StreamTrace:
     """The one batch entry of every chain record: frame ``cols``, one input
     of shape ``params.lanes`` per cycle, into the sets the record starts,
-    run the kernel through them plus the drain, and return a ``trace``."""
+    run the kernel through them plus the drain, and return the trace."""
     p, lanes = _record(params), params.lanes
-    cols = np.asarray(cols)
+    cols = _array(cols)
     if cols.ndim != 1 + len(lanes) or cols.shape[1:] != lanes:
         raise ConfigError(f"stream must have shape "
                           f"(n,{''.join(f' {k}' for k in lanes)}), "
@@ -390,9 +400,9 @@ def _chain_trace(params, cols, trace=StreamTrace) -> StreamTrace:
     din = _framed(cols, p.data_bits, total)
     fire, comparisons, values = _kernels.chain_run(
         din.reshape(total, math.prod(lanes)), sets, p)
-    return trace(din=din, starts=slice(0, len(cols), p.set_cycles),
-                 fire=fire, values=values, comparisons=comparisons,
-                 delay=p.alignment)
+    return StreamTrace(din=din, starts=slice(0, len(cols), p.set_cycles),
+                       fire=fire, values=values, comparisons=comparisons,
+                       delay=p.alignment)
 
 
 def stream_cycles(params: FilterParams, data) -> StreamTrace:
@@ -409,6 +419,7 @@ def run_stream(params: FilterParams, data) -> np.ndarray:
     collected.
     """
     _record(params)
-    if np.size(data) == 0:
+    data = _array(data)
+    if data.size == 0:
         return np.zeros(0, dtype=np.int64)
     return stream_cycles(params, data).results

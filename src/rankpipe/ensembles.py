@@ -3,8 +3,9 @@
 The sliding ensemble runs W identical W-channel chains over one shared data
 pipe; chain j's first-data markers are delayed j columns, so collectively
 the chains cover every window start and one result matures per clock after
-warm-up: ``SlidingEnsemble`` is core's one clocked ``Engine`` under
-``SlidingParams``.
+warm-up.  It needs no class of its own: clocked, it is core's ``Engine``
+under ``SlidingParams(W, W, M)``, and ``sliding_cycles`` is core's
+``stream_cycles`` under this module's name.
 
 The 9753 ensemble runs the paper's four concentric square chains, w x w for
 w in 9, 7, 5, 3, on a 9-clock column cadence.  Enable signals gate chain w
@@ -14,10 +15,9 @@ only on its enabled phases, yielding the four concentric window results
 every 9 clocks.  Non-square and irregular windows are the single and
 multichannel engines' business.
 
-``sliding_cycles`` is core's one batch entry under ``SlidingParams``, and
-``ensemble9753_cycles`` runs each gated chain through that entry; neither
-builds a clocked object, and the clocked ``SlidingEnsemble`` and
-``Ensemble9753`` are their reference.
+``ensemble9753_cycles`` runs each gated chain through core's one batch
+entry and builds no clocked object; the clocked ``Ensemble9753`` is its
+reference.  Its chains run at the records' default pipe latency.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Engine, StreamTrace, _chain_trace, _framed, _marker
+from .core import stream_cycles as sliding_cycles
 from .params import (
     ConfigError,
     FramingError,
     McParams,
     SlidingParams,
+    _array,
     _integral,
     as_samples,
 )
@@ -67,84 +69,26 @@ def enable_schedule(w: int, phase: int) -> bool:
     return _enabled(_centered(w), phase)
 
 
-class SlidingEnsemble(Engine):
-    """Single-cycle W x W engine: one result per clock after warm-up.
-
-    Feed one W-sample column per ``clock``; assert ``d1st`` every W columns
-    (the window cadence of the first chain).  It is the ``Engine`` of
-    ``SlidingParams(W, W, rank)``: window starts are covered round-robin by
-    its W staggered chains, so results emerge in window-start order, one
-    per clock.
-    """
-
-    def __init__(self, window: int, rank: int, *, data_bits: int = 8,
-                 pipe_latency: int = 5):
-        super().__init__(SlidingParams(window, window, rank, data_bits,
-                                       pipe_latency=pipe_latency))
-
-    def clock(self, col, d1st: bool = False) -> int | None:
-        """Returns the window result maturing this cycle, if any."""
-        out = super().clock(col, d1st)
-        return out.result if out.dv else None
-
-    @property
-    def alignment(self) -> int:
-        """Cycles from a window's first column to its result."""
-        return self.params.alignment
-
-
-@dataclass(frozen=True)
-class SlidingTrace(StreamTrace):
-    """A batch sliding run, drain included: one result per window start,
-    in start order, with markers every W columns."""
-
-    @property
-    def chain(self) -> np.ndarray:
-        """The chain each cycle's result matured on, -1 off dv: window i
-        matures at cycle ``alignment + i``, on chain ``i % W``."""
-        chain = np.full(len(self.din), -1)
-        chain[self.fire] = (self.fire - self.delay) % self.din.shape[1]
-        return chain
-
-    @property
-    def alignment(self) -> int:
-        """Cycles from a window's first column to its result."""
-        return self.delay
-
-
-def sliding_cycles(window: int, rank: int, cols, *, data_bits: int = 8,
-                   pipe_latency: int = 5) -> SlidingTrace:
-    """Batch-run a sliding ensemble over ``(n, W)`` columns.
-
-    Markers are asserted every W columns; enough zero drain columns are
-    appended to flush every window that was started, including the garbage
-    tails past the strip edge (callers keep the first ``n - W + 1`` results).
-    The chains run under ``SlidingParams(window, window, rank, data_bits)``.
-    """
-    p = SlidingParams(window, window, rank, data_bits,
-                      pipe_latency=pipe_latency)
-    if np.size(cols) == 0:
-        raise ConfigError("sliding runs need at least one column")
-    return _chain_trace(p, cols, SlidingTrace)
-
-
-def sliding_window_results(window: int, rank: int, cols, **kwargs) -> np.ndarray:
+def sliding_window_results(params: SlidingParams, cols) -> np.ndarray:
     """Results of every full W-wide window of a column strip, in start order."""
-    cols = np.asarray(cols)
-    if cols.ndim and len(cols) < _integral(window, "window sides"):
+    if not isinstance(params, SlidingParams):
+        raise ConfigError(f"sliding windows need a SlidingParams, got "
+                          f"{type(params).__name__}")
+    cols = _array(cols)
+    if cols.ndim and len(cols) < params.columns:
         return np.zeros(0, dtype=np.int64)
-    trace = sliding_cycles(window, rank, cols, **kwargs)
-    return trace.results[:len(cols) - window + 1]
+    trace = sliding_cycles(params, cols)
+    return trace.results[:len(cols) - params.columns + 1]
 
 
-def _chain_specs(ranks, data_bits: int, pipe_latency: int) -> list[McParams]:
+def _chain_specs(ranks, data_bits: int) -> list[McParams]:
     """The records of a 9753 ensemble's four chains: chain w of
     ``WIDTHS`` is ``McParams(w, w, m_w)`` for ``ranks`` (m9, m7, m5, m3)."""
     try:
         m9, m7, m5, m3 = ranks
     except (TypeError, ValueError):  # not iterable, or not four items
         raise ConfigError("ranks must list (m9, m7, m5, m3)") from None
-    return [McParams(w, w, rank, data_bits, pipe_latency=pipe_latency)
+    return [McParams(w, w, rank, data_bits)
             for w, rank in zip(WIDTHS, (m9, m7, m5, m3))]
 
 
@@ -166,10 +110,8 @@ class Ensemble9753:
     in steady state.
     """
 
-    def __init__(self, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                 pipe_latency: int = 5):
-        self.chains = [Engine(p) for p in
-                       _chain_specs(ranks, data_bits, pipe_latency)]
+    def __init__(self, ranks=(41, 25, 13, 5), *, data_bits: int = 8):
+        self.chains = [Engine(p) for p in _chain_specs(ranks, data_bits)]
         self._queues = [deque() for _ in self.chains]
         self._phase: int | None = None
         self._live = False
@@ -234,8 +176,8 @@ class Trace9753(StreamTrace):
         return np.column_stack(flags) & (self.delay is not None)
 
 
-def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                        pipe_latency: int = 5) -> Trace9753:
+def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *,
+                        data_bits: int = 8) -> Trace9753:
     """Batch-run full cadences of a 9-row column strip plus the drain.
 
     Gives what clocking :class:`Ensemble9753` gives.  A gated chain lives in
@@ -244,10 +186,10 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
     maps back to cycle ``9 * (g // w) + (9 - w) // 2 + g % w``.  The k-th
     quadruple emerges with the last of the chains' k-th results.
     """
-    cols = np.asarray(cols)
+    cols = _array(cols)
     if cols.ndim != 2 or cols.shape[1] != CADENCE:
         raise ConfigError(f"column strip must have shape (n, {CADENCE})")
-    chains = _chain_specs(ranks, data_bits, pipe_latency)
+    chains = _chain_specs(ranks, data_bits)
     n = len(cols)
     din = _framed(cols, chains[0].data_bits, n + _drain_columns(chains))
     anchors = n // CADENCE  # every full cadence
@@ -268,14 +210,12 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
                      delay=int(fire[0]) if anchors else None)
 
 
-def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8,
-                         pipe_latency: int = 5):
+def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8):
     """Run full cadences of a 9-row column strip; returns (cycles, quadruples).
 
     ``cols`` has shape (n, 9); only window positions with all 9 columns of
     data present are anchored.  ``cycles[i]`` is the clock at which
     ``quadruples[i]`` emerged.
     """
-    trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits,
-                                pipe_latency=pipe_latency)
+    trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits)
     return trace.fire.tolist(), [tuple(q) for q in trace.results.tolist()]

@@ -319,9 +319,7 @@ def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
     block = frame[y0 + sy:y0 + sy + rows + side - 1, x0 + sx:x0 + sx + span]
     # strip r, column c, row k is block[r + k, c]
     strips = np.lib.stride_tricks.sliding_window_view(block, side, axis=0)
-    values = sliding_cycles(side, params.rank, strips.reshape(-1, side),
-                            data_bits=params.data_bits,
-                            pipe_latency=params.pipe_latency).values
+    values = sliding_cycles(params, strips.reshape(-1, side)).values
     pixels = values[:rows * span].reshape(rows, span)
     return pixels[:, :cols].astype(np.int64).reshape(-1)
 
@@ -347,16 +345,15 @@ def require_engine(shape: WindowShape, engine: str) -> None:
 
 
 def engine_params(shape: WindowShape, n: int, rank: int, engine: str,
-                  bits: int, *, pipe_latency: int = 5):
+                  bits: int):
     """The parameter record ``engine`` filters ``shape`` of ``n`` offsets
     with; the record derives its counter width from ``n`` and ``rank``."""
     require_engine(shape, engine)
     if engine == "single":
-        return FilterParams(data_bits=bits, set_size=n, rank=rank,
-                            pipe_latency=pipe_latency)
+        return FilterParams(data_bits=bits, set_size=n, rank=rank)
     record = SlidingParams if engine == "sliding" else McParams
     return record(channels=shape.height, columns=shape.width, rank=rank,
-                  data_bits=bits, pipe_latency=pipe_latency)
+                  data_bits=bits)
 
 
 def filter_cost(params, rows: int, cols: int) -> tuple[int, int]:
@@ -371,7 +368,7 @@ def filter_cost(params, rows: int, cols: int) -> tuple[int, int]:
 
 def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
                border: Border = Border.CLAMP, *, data_bits: int | None = None,
-               pipe_latency: int = 5, threads: int = 1) -> FilterReport:
+               threads: int = 1) -> FilterReport:
     """Rank-filter an image and report the simulated cycle accounting.
 
     Output pixel (x, y) is the rank-th largest of the window anchored
@@ -394,8 +391,7 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     n = len(offsets)
     rank = _integral(rank, "rank values")
     bits = data_bits if data_bits is not None else infer_data_bits(image)
-    params = engine_params(shape, n, rank, engine, bits,
-                           pipe_latency=pipe_latency)
+    params = engine_params(shape, n, rank, engine, bits)
     samples = check_samples(image, params.data_bits).astype(
         narrowest_uint(params.data_bits), copy=False)
     frame, shifts = _padded(samples, offsets)

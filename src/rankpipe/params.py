@@ -114,6 +114,14 @@ def narrowest_uint(bits: int) -> np.dtype:
     return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}")
 
 
+def _array(data) -> np.ndarray:
+    """``data`` as an array, refusing rows of unequal length."""
+    try:
+        return np.asarray(data)
+    except ValueError:  # numpy's refusal of a ragged sequence
+        raise ConfigError("sample rows must all be one length") from None
+
+
 def check_samples(data, data_bits: int) -> np.ndarray:
     """``data`` as an array of its own dtype, once every sample is checked
     to be an integer in ``[0, 2**data_bits)``; floats are rejected, never
@@ -121,7 +129,7 @@ def check_samples(data, data_bits: int) -> np.ndarray:
     already keeps is not scanned for.  Callers cast the checked samples
     where they store them: to int64 (:func:`as_samples`), or to the sample
     dtype (:func:`narrowest_uint`) on the batch paths."""
-    data = np.asarray(data)
+    data = _array(data)
     if data.size == 0:
         return data
     if data.dtype.kind not in "iu":
@@ -289,8 +297,9 @@ class SlidingParams(McParams):
             raise ConfigError("sliding ensembles support odd window sides only")
 
     def starts(self, columns: int) -> int:
-        """Window starts over ``columns`` columns: whole cadences of W."""
-        columns = _count(columns, "column counts")
+        """Window starts over ``columns`` > 0 columns: whole cadences of W."""
+        if not _count(columns, "column counts"):
+            raise ConfigError("sliding runs need at least one column")
         return -(-columns // self.columns) * self.columns
 
     def comparisons(self, sets: int) -> int:

@@ -17,6 +17,7 @@ from rankpipe import (
     McParams,
     PartialMedian,
     Rect,
+    SlidingParams,
     Stage,
     boundaries,
     cli,
@@ -146,10 +147,10 @@ def test_07_multichannel_9x11_and_degenerate_single_channel():
 def test_08_sliding_9x64_strip_one_result_per_clock():
     rng = np.random.default_rng(8)
     strip = rng.integers(0, 256, size=(9, 64))
-    trace = sliding_cycles(9, 48, strip.T)
+    trace = sliding_cycles(SlidingParams(9, 9, 48), strip.T)
     n_starts = 64 - 9 + 1
     dv_at = np.flatnonzero(trace.dv)
-    assert dv_at[0] == trace.alignment
+    assert dv_at[0] == trace.delay
     assert set(np.diff(dv_at).tolist()) == {1}, "output rate below 1/clock"
     got = trace.results[:n_starts]
     expected = [select_desc(strip[:, c:c + 9].reshape(-1).tolist(), 48)

@@ -15,11 +15,10 @@ from rankpipe import (
     Engine,
     Ensemble9753,
     FilterParams,
-    McEngine,
     McParams,
     PartialMedian,
     Rect,
-    SlidingEnsemble,
+    SlidingParams,
     Stage,
     boundaries,
     comparison_count,
@@ -33,6 +32,7 @@ from rankpipe import (
     mc_stream_cycles,
     parse_window,
     percentile_to_rank,
+    refine,
     run_filter,
     run_stream,
     select_desc,
@@ -42,6 +42,7 @@ from rankpipe import (
 )
 
 IMAGE = np.arange(12).reshape(3, 4)
+SLIDING = SlidingParams(3, 3, 5)
 STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
 
 
@@ -70,6 +71,22 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
                  id="boundaries-float-bits"),
     pytest.param(lambda: boundaries(None, 8), id="boundaries-none-pm"),
     pytest.param(lambda: incgen(5, None, 8), id="incgen-none-pm"),
+    # a range past the samples' width, or with unresolved bits set
+    pytest.param(lambda: boundaries(PartialMedian(300, 2), 8),
+                 id="boundaries-prefix-past-width"),
+    pytest.param(lambda: boundaries(PartialMedian(3, 2), 8),
+                 id="boundaries-unresolved-bits-set"),
+    # a stage counts only samples that fit its width, as every entry does
+    pytest.param(lambda: Stage(8, 3, 1).clock(256, True, PartialMedian()),
+                 id="stage-clock-past-width"),
+    pytest.param(lambda: Stage(8, 3, 1).clock(-1, True, PartialMedian()),
+                 id="stage-clock-negative"),
+    pytest.param(lambda: Stage(8, 3, 1).clock("a", True, PartialMedian()),
+                 id="stage-clock-str"),
+    pytest.param(lambda: incgen("a", PartialMedian(), 8), id="incgen-str"),
+    pytest.param(lambda: incgen(None, PartialMedian(), 8), id="incgen-none"),
+    pytest.param(lambda: refine(None, None, None), id="refine-none-msbs"),
+    pytest.param(lambda: refine("a", 0, 0), id="refine-str-msb"),
     pytest.param(lambda: select_desc(np.array([[1, 2], [3, 4]]), 1),
                  id="select-2d-data"),
     # the first-data marker is one flag, not one per sample
@@ -137,12 +154,12 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
     pytest.param(lambda: Engine(None), id="engine-none-params"),
     pytest.param(lambda: comparison_count(None, 1),
                  id="comparisons-none-params"),
-    pytest.param(lambda: sliding_window_results(3, 5, 5),
+    pytest.param(lambda: sliding_window_results(SLIDING, 5),
                  id="sliding-results-scalar-strip"),
-    pytest.param(lambda: sliding_window_results("3", 5, np.zeros((4, 3))),
+    pytest.param(lambda: sliding_window_results("3", np.zeros((4, 3))),
                  id="sliding-results-str-window"),
-    # too short for a window of 3, but 3.0 is no window side
-    pytest.param(lambda: sliding_window_results(3.0, 5, np.zeros((2, 3))),
+    # too short for a window of 3, but 3.0 is no window record
+    pytest.param(lambda: sliding_window_results(3.0, np.zeros((2, 3))),
                  id="sliding-results-float-window"),
     # the stream shape each chain record's one batch entry checks
     pytest.param(lambda: stream_cycles(FilterParams(8, 5, 3),
@@ -156,16 +173,30 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
     pytest.param(lambda: mc_stream_cycles(McParams(3, 3, 5),
                                           np.zeros((9, 4), np.uint8)),
                  id="columns-too-wide"),
-    pytest.param(lambda: sliding_cycles(3, 5, np.zeros((6, 4), np.uint8)),
+    pytest.param(lambda: sliding_cycles(SLIDING, np.zeros((6, 4), np.uint8)),
                  id="sliding-too-wide"),
-    pytest.param(lambda: sliding_cycles(3, 5, np.zeros(6, np.uint8)),
+    pytest.param(lambda: sliding_cycles(SLIDING, np.zeros(6, np.uint8)),
                  id="sliding-1d"),
-    pytest.param(lambda: sliding_cycles(3, 5, np.zeros((0, 3), np.uint8)),
+    pytest.param(lambda: sliding_cycles(SLIDING, np.zeros((0, 3), np.uint8)),
                  id="sliding-empty"),
-    pytest.param(lambda: SlidingEnsemble(3, 5).clock([1, 2]),
+    pytest.param(lambda: SLIDING.starts(0), id="sliding-no-window-starts"),
+    pytest.param(lambda: Engine(SLIDING).clock([1, 2]),
                  id="sliding-clock-short-column"),
-    pytest.param(lambda: McEngine(McParams(3, 3, 5)).clock(1),
+    pytest.param(lambda: Engine(McParams(3, 3, 5)).clock(1),
                  id="columns-clock-scalar"),
+    # rows of unequal length, which numpy refuses with a bare ValueError
+    pytest.param(lambda: stream_cycles(McParams(3, 2, 2), [[1, 2, 3], [1, 2]]),
+                 id="columns-ragged"),
+    pytest.param(lambda: sliding_cycles(SLIDING, [[1, 2, 3], [1, 2]]),
+                 id="sliding-ragged"),
+    pytest.param(lambda: sliding_window_results(SLIDING, [[1, 2, 3], [1]]),
+                 id="sliding-results-ragged"),
+    pytest.param(lambda: ensemble9753_cycles([[0] * 9, [0] * 8]),
+                 id="9753-ragged"),
+    pytest.param(lambda: run_stream(FilterParams(8, 2, 1), [[1, 2], [1]]),
+                 id="run-stream-ragged"),
+    pytest.param(lambda: Engine(McParams(2, 1, 1)).clock([[1], [1, 2]]),
+                 id="columns-clock-ragged"),
 ])
 def test_malformed_calls_raise_config_error(call):
     tracemalloc.start()
@@ -180,7 +211,7 @@ def test_malformed_calls_raise_config_error(call):
 
 @pytest.mark.parametrize("strip", [[], np.zeros((2, 3), np.uint8)])
 def test_a_strip_shorter_than_the_window_has_no_results(strip):
-    assert sliding_window_results(3, 5, strip).tolist() == []
+    assert sliding_window_results(SLIDING, strip).tolist() == []
 
 
 def test_the_byte_bound_counts_the_drain_not_the_input(monkeypatch):

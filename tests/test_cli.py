@@ -14,10 +14,9 @@ from rankpipe import (
     Ensemble9753,
     Engine,
     FilterParams,
-    McEngine,
     McParams,
     Rect,
-    SlidingEnsemble,
+    SlidingParams,
     cli,
     imaging,
     pgm,
@@ -462,50 +461,30 @@ def trace_header(channels, tail):
 
 
 def clocked_stream_csv(engine, values, window, rank) -> bytes:
-    """A per-clock trace rendered row by row from a clocked object engine.
+    """A per-clock trace rendered row by row from the clocked engine of the
+    engine's record.
 
     ``window`` is the set size for the single engine, else (width, height).
     """
     bits = infer_data_bits(values)
     if engine == "single":
         p = FilterParams(data_bits=bits, set_size=window, rank=rank)
-        eng, cols, period = Engine(p), values.reshape(-1, 1), window
-        total = len(cols) + p.drain_cycles
-
-        def step(col, d1st):
-            out = eng.clock(int(col[0]), d1st)
-            return out.dv, out.result, [out.dout]
-    elif engine == "multichannel":
-        width, height = window
-        p = McParams(channels=height, columns=width, rank=rank, data_bits=bits)
-        eng, cols, period = McEngine(p), values.reshape(-1, height), width
-        total = len(cols) + p.drain_cycles
-
-        def step(col, d1st):
-            out = eng.clock(col, d1st)
-            return out.dv, out.result, out.dout.tolist()
+        channels = 1
     else:
-        width = window[0]
-        eng = SlidingEnsemble(width, rank, data_bits=bits)
-        cols, period = values.reshape(-1, width), width
-        last_anchor = (len(cols) - 1) // width * width
-        total = last_anchor + width + eng.alignment
-
-        def step(col, d1st):
-            t = eng.cycle
-            result = eng.clock(col, d1st)
-            late = t - eng.alignment
-            dout = cols[late].tolist() if 0 <= late < len(cols) else zero
-            return result is not None, result, dout
-    n, channels = cols.shape
-    zero = [0] * channels
+        width, channels = window
+        record = SlidingParams if engine == "sliding" else McParams
+        p = record(channels=channels, columns=width, rank=rank, data_bits=bits)
+    eng = Engine(p)
+    cols = values.reshape((-1,) + p.lanes)
+    n = len(cols)
     rows = []
-    for t in range(total):
-        col = cols[t] if t < n else np.zeros(channels, dtype=np.int64)
-        d1st = t < n and t % period == 0
-        dv, result, dout = step(col, d1st)
-        rows.append([t, int(d1st), *col.tolist(), int(dv), *dout,
-                     int(result) if dv else ""])
+    for t in range(p.cycles(p.starts(n))):
+        col = cols[t] if t < n else np.zeros(p.lanes, dtype=np.int64)
+        d1st = t < n and t % p.set_cycles == 0
+        out = eng.clock(col, d1st)
+        rows.append([t, int(d1st), *np.ravel(col).tolist(), int(out.dv),
+                     *np.ravel(out.dout).tolist(),
+                     int(out.result) if out.dv else ""])
     return render_csv(trace_header(channels, ["result"]), rows)
 
 

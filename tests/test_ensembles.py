@@ -6,9 +6,10 @@ import pytest
 
 from rankpipe import (
     ConfigError,
+    Engine,
     Ensemble9753,
     FramingError,
-    SlidingEnsemble,
+    SlidingParams,
     enable_schedule,
     ensemble9753_cycles,
     ensemble9753_results,
@@ -51,30 +52,33 @@ def oracle_sliding(strip, w, m):
 class TestSliding:
     def test_constant_strip(self):
         strip = np.full((3, 12), 9, dtype=np.int64)
-        out = sliding_window_results(3, 5, strip.T)
+        out = sliding_window_results(SlidingParams(3, 3, 5), strip.T)
         assert out.tolist() == [9] * 10
 
     def test_matches_oracle_per_start(self):
         rng = np.random.default_rng(20)
         strip = rng.integers(0, 256, size=(5, 24))
-        out = sliding_window_results(5, 13, strip.T)
+        out = sliding_window_results(SlidingParams(5, 5, 13), strip.T)
         assert out.tolist() == oracle_sliding(strip, 5, 13)
 
     def test_one_result_per_clock_after_warmup(self):
         rng = np.random.default_rng(21)
         strip = rng.integers(0, 256, size=(3, 17))
-        trace = sliding_cycles(3, 4, strip.T)
+        trace = sliding_cycles(SlidingParams(3, 3, 4), strip.T)
         dv_at = np.flatnonzero(trace.dv)
-        assert dv_at[0] == trace.alignment
+        assert dv_at[0] == trace.delay
         assert set(np.diff(dv_at).tolist()) == {1}
 
     def test_round_robin_chain_rotation(self):
         rng = np.random.default_rng(22)
         strip = rng.integers(0, 256, size=(3, 12))
-        trace = sliding_cycles(3, 1, strip.T)
-        dv_at = np.flatnonzero(trace.dv)
-        chains = trace.chain[dv_at]
-        assert (chains == np.arange(len(chains)) % 3).all()
+        p = SlidingParams(3, 3, 1)
+        trace = sliding_cycles(p, strip.T)
+        engine = Engine(p)
+        chains = [engine.last_chain for t in range(trace.cycles)
+                  if engine.clock(trace.din[t], bool(trace.d1st[t])).dv]
+        assert chains == [i % 3 for i in range(len(chains))]
+        assert chains == ((trace.fire - trace.delay) % 3).tolist()
 
     def test_object_ensemble_matches_batch_kernel(self):
         rng = np.random.default_rng(23)
@@ -82,15 +86,16 @@ class TestSliding:
             for latency, length in ((0, 2 * window + 1), (2, 3 * window - 1)):
                 strip = rng.integers(0, 256, size=(window, length))
                 rank = int(rng.integers(1, window * window + 1))
-                trace = sliding_cycles(window, rank, strip.T,
-                                       pipe_latency=latency)
-                ens = SlidingEnsemble(window, rank, pipe_latency=latency)
+                p = SlidingParams(window, window, rank, pipe_latency=latency)
+                trace = sliding_cycles(p, strip.T)
+                ens = Engine(p)
                 for t in range(len(trace.dv)):
                     out = ens.clock(trace.din[t], bool(trace.d1st[t]))
-                    assert (out is not None) == trace.dv[t]
-                    if out is not None:
-                        assert out == trace.result[t]
-                        assert ens.last_chain == trace.chain[t]
+                    assert out.dv == trace.dv[t]
+                    if out.dv:
+                        assert out.result == trace.result[t]
+                        # window i matures at delay + i, on chain i % W
+                        assert ens.last_chain == (t - trace.delay) % window
                 # the batch run counts the first stage once per column,
                 # for all chains, where each clocked chain counts its own
                 own_first = sum(c.stages[0].comparisons for c in ens.chains)
@@ -99,7 +104,7 @@ class TestSliding:
                     + 3 * window * trace.cycles)
 
     def test_chains_share_one_data_pipe(self):
-        ens = SlidingEnsemble(5, 12)
+        ens = Engine(SlidingParams(5, 5, 12))
         assert all(chain._ring is ens._ring for chain in ens.chains)
         offsets = [chain._offset for chain in ens.chains]
         assert offsets == list(range(5))
@@ -108,7 +113,7 @@ class TestSliding:
         # every chain's stage-s data tap reads the same delayed columns;
         # only the marker taps (offset + stagger) differ
         rng = np.random.default_rng(24)
-        ens = SlidingEnsemble(3, 2)
+        ens = Engine(SlidingParams(3, 3, 2))
         reads = []
         original = ens._ring.read
 
@@ -134,7 +139,7 @@ class TestSliding:
 
     def test_even_window_rejected(self):
         with pytest.raises(ConfigError):
-            SlidingEnsemble(4, 2)
+            Engine(SlidingParams(4, 4, 2))
 
     @pytest.mark.parametrize("rank", [1, 145])
     def test_17x17_derives_its_widths(self, rank):
@@ -142,16 +147,18 @@ class TestSliding:
         rng = np.random.default_rng(25 + rank)
         strip = rng.integers(0, 256, size=(17, 20))
         want = oracle_sliding(strip, 17, rank)
-        assert sliding_window_results(17, rank, strip.T).tolist() == want
-        trace = sliding_cycles(17, rank, strip.T)
-        ens = SlidingEnsemble(17, rank)
-        got = [ens.clock(trace.din[t], bool(trace.d1st[t]))
-               for t in range(trace.cycles)]
-        assert got[ens.alignment:ens.alignment + len(want)] == want
+        p = SlidingParams(17, 17, rank)
+        assert sliding_window_results(p, strip.T).tolist() == want
+        trace = sliding_cycles(p, strip.T)
+        ens = Engine(p)
+        outs = [ens.clock(trace.din[t], bool(trace.d1st[t]))
+                for t in range(trace.cycles)]
+        got = outs[p.alignment:p.alignment + len(want)]
+        assert [out.result if out.dv else None for out in got] == want
 
     def test_windows_within_8_bits_keep_the_reference_widths(self):
-        for ens in (SlidingEnsemble(3, 5), SlidingEnsemble(15, 113)):
-            assert ens.params.counter_bits == 8
+        for p in (SlidingParams(3, 3, 5), SlidingParams(15, 15, 113)):
+            assert Engine(p).params.counter_bits == 8
 
 
 def oracle_9753(strip, anchor, ranks=(41, 25, 13, 5)):
@@ -219,10 +226,10 @@ class Test9753:
             ens.clock(col, d1st=True)
 
 
-def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, **kwargs):
+def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8):
     """Clock Ensemble9753 over a strip plus its drain, anchoring every full
     cadence: (emit cycles, quadruples, per-cycle enable flags, comparisons)."""
-    ens = Ensemble9753(ranks, data_bits=data_bits, **kwargs)
+    ens = Ensemble9753(ranks, data_bits=data_bits)
     n = len(cols)
     zero = np.zeros(9, dtype=np.int64)
     cycles, quads, enables = [], [], []
@@ -240,24 +247,21 @@ def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8, **kwargs):
 class TestBatch9753:
     """The batch path gives what clocking the object ensemble gives."""
 
-    @pytest.mark.parametrize("columns,bits,ranks,latency", [
-        (0, 8, (41, 25, 13, 5), None),
-        (5, 8, (41, 25, 13, 5), None),  # shorter than one cadence
-        (27, 8, (41, 25, 13, 5), None),
-        (31, 6, (1, 49, 13, 9), None),  # partial trailing cadence
-        (20, 12, (81, 1, 25, 1), None),
-        (22, 8, (81, 49, 25, 9), 0),  # every chain's minimum, no latency
-        (19, 4, (1, 1, 1, 1), 2),  # every chain's maximum
-        (26, 10, (81, 49, 25, 9), 9),
+    @pytest.mark.parametrize("columns,bits,ranks", [
+        (0, 8, (41, 25, 13, 5)),
+        (5, 8, (41, 25, 13, 5)),  # shorter than one cadence
+        (27, 8, (41, 25, 13, 5)),
+        (31, 6, (1, 49, 13, 9)),  # partial trailing cadence
+        (20, 12, (81, 1, 25, 1)),
+        (22, 8, (81, 49, 25, 9)),  # every chain's minimum
+        (19, 4, (1, 1, 1, 1)),  # every chain's maximum
+        (26, 10, (81, 49, 25, 9)),
     ])
-    def test_matches_the_clocked_ensemble(self, columns, bits, ranks, latency):
-        # latency None leaves pipe_latency at its default
-        kwargs = {} if latency is None else {"pipe_latency": latency}
+    def test_matches_the_clocked_ensemble(self, columns, bits, ranks):
         rng = np.random.default_rng(columns * 100 + bits)
         cols = rng.integers(0, 1 << bits, size=(columns, 9))
-        cycles, quads, enables, comparisons = clocked_9753(cols, ranks, bits,
-                                                           **kwargs)
-        trace = ensemble9753_cycles(cols, ranks, data_bits=bits, **kwargs)
+        cycles, quads, enables, comparisons = clocked_9753(cols, ranks, bits)
+        trace = ensemble9753_cycles(cols, ranks, data_bits=bits)
         assert np.flatnonzero(trace.dv).tolist() == cycles
         assert [tuple(q) for q in trace.result[trace.dv].tolist()] == quads
         assert not trace.result[~trace.dv].any()
@@ -266,8 +270,8 @@ class TestBatch9753:
         assert len(trace.din) == len(enables)
         assert trace.d1st.tolist() == [t % 9 == 0 and t + 9 <= columns
                                        for t in range(len(trace.din))]
-        assert ensemble9753_results(cols, ranks, data_bits=bits,
-                                    **kwargs) == (cycles, quads)
+        assert ensemble9753_results(cols, ranks,
+                                    data_bits=bits) == (cycles, quads)
 
     def test_twelve_bit_strip_matches_the_oracle(self):
         rng = np.random.default_rng(36)
@@ -292,25 +296,26 @@ class TestSlidingRecordCache:
     def test_a_float_equal_to_a_cached_rank_is_still_rejected(self, rank):
         # 5.0 == 5, yet must not reach the record of 5, before or after a
         # run of 5
-        want = sliding_cycles(3, 5, self.COLS).results.tolist()
-        assert SlidingEnsemble(3, 5).params.rank == 5
+        want = sliding_cycles(SlidingParams(3, 3, 5),
+                              self.COLS).results.tolist()
+        assert Engine(SlidingParams(3, 3, 5)).params.rank == 5
         with pytest.raises(ConfigError, match="integers"):
-            sliding_cycles(3, rank, self.COLS)
+            SlidingParams(3, 3, rank)
         with pytest.raises(ConfigError, match="integers"):
-            SlidingEnsemble(3, rank)
-        with pytest.raises(ConfigError, match="integers"):
-            sliding_cycles(3, 5, self.COLS, pipe_latency=float(5))
-        assert sliding_cycles(3, 5, self.COLS).results.tolist() == want
+            SlidingParams(3, 3, 5, pipe_latency=float(5))
+        assert sliding_cycles(SlidingParams(3, 3, 5),
+                              self.COLS).results.tolist() == want
 
     def test_integer_types_give_the_same_record(self):
         # bools are integers to the records (operator.index), as before
         for rank in (np.int64(1), True, np.array(1)):
-            assert (SlidingEnsemble(3, rank).params
-                    == SlidingEnsemble(3, 1).params)
-        assert SlidingEnsemble(3, 5).params.counter_bits == 8
+            assert SlidingParams(3, 3, rank) == SlidingParams(3, 3, 1)
+        assert SlidingParams(3, 3, 5).counter_bits == 8
 
     def test_unhashable_arguments_get_the_records_own_checks(self):
         with pytest.raises(ConfigError, match="integers"):
-            sliding_cycles(3, [5], self.COLS)
-        assert (sliding_cycles(3, np.array(5), self.COLS).results.tolist()
-                == sliding_cycles(3, 5, self.COLS).results.tolist())
+            SlidingParams(3, 3, [5])
+        assert (sliding_cycles(SlidingParams(3, 3, np.array(5)),
+                               self.COLS).results.tolist()
+                == sliding_cycles(SlidingParams(3, 3, 5),
+                                  self.COLS).results.tolist())

@@ -18,9 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from rankpipe import (
     Engine,
     FilterParams,
-    McEngine,
     McParams,
-    SlidingEnsemble,
     _kernels,
     refine,
 )
@@ -53,8 +51,7 @@ def _clock(engine, cols, d1st):
     dv = np.zeros(len(d1st), dtype=bool)
     res = np.zeros(len(d1st), dtype=np.int64)
     for t, (col, f) in enumerate(zip(cols, d1st)):
-        out = engine.clock(col if isinstance(engine, McEngine) else col[0],
-                           bool(f))
+        out = engine.clock(col.reshape(engine.params.lanes), bool(f))
         dv[t], res[t] = out.dv, out.result
     return dv, res
 
@@ -80,7 +77,7 @@ def _random_chain(rng, latency):
     k = int(rng.integers(1, 4))
     p = McParams(channels=k, columns=n, rank=int(rng.integers(1, n * k + 1)),
                  data_bits=bits, pipe_latency=latency)
-    return p, McEngine(p), k, n
+    return p, Engine(p), k, n
 
 
 def test_chain_run_matches_the_object_engines_on_back_to_back_sets():
@@ -127,7 +124,8 @@ def test_sliding_run_matches_the_ensemble_window_for_window():
         window = (3, 5)[case % 2]
         latency = (0, 2)[case // 2 % 2]
         rank = int(rng.integers(1, window * window + 1))
-        ens = SlidingEnsemble(window, rank, pipe_latency=latency)
+        p = SlidingParams(window, window, rank, pipe_latency=latency)
+        ens = Engine(p)
         starts = window * int(rng.integers(1, 5))
         cols = _drained(rng, 8, window, starts - 1, window + latency)
         d1st = np.zeros(len(cols), dtype=bool)
@@ -135,11 +133,11 @@ def test_sliding_run_matches_the_ensemble_window_for_window():
         fire, comparisons, dv, res = _sliding(cols, starts, 8, rank, latency)
         for t in range(len(cols)):
             out = ens.clock(cols[t], bool(d1st[t]))
-            assert dv[t] == (out is not None)
-            if out is not None:
-                assert res[t] == out
+            assert dv[t] == out.dv
+            if out.dv:
+                assert res[t] == out.result
                 # window i matures at alignment + i, on chain i % W
-                assert ens.last_chain == (t - ens.alignment) % window
+                assert ens.last_chain == (t - p.alignment) % window
         assert fire.tolist() == np.flatnonzero(dv).tolist()
         # the first stage's comparisons are made once per column and
         # shared, where each object chain makes its own

@@ -5,6 +5,7 @@ benchmark counts by."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,9 @@ from rankpipe import (
     Engine,
     Ensemble9753,
     FilterParams,
-    McEngine,
     McParams,
     Rect,
-    SlidingEnsemble,
+    SlidingParams,
     _kernels,
     cli,
     core,
@@ -45,7 +45,7 @@ def test_batch_paths_build_no_clocked_object(monkeypatch, tmp_path):
                   rng.integers(0, 256, size=20))
     mc_stream_cycles(McParams(channels=3, columns=3, rank=5),
                      rng.integers(0, 256, size=(9, 3)))
-    sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))
+    sliding_cycles(SlidingParams(3, 3, 5), rng.integers(0, 256, size=(8, 3)))
     ensemble9753_cycles(rng.integers(0, 256, size=(27, 9)))
     image = rng.integers(0, 256, size=(6, 7))
     for engine in ("single", "multichannel", "sliding"):
@@ -61,9 +61,16 @@ def test_batch_paths_build_no_clocked_object(monkeypatch, tmp_path):
 
 
 def test_the_clocked_engines_are_one_chain_class():
+    # every record clocks through Engine itself: no subclass adapts its
+    # constructor or clock, and the batch entry returns one trace type
     assert all(type(chain) is Engine for chain in Ensemble9753().chains)
-    assert [name for name in vars(McEngine) if not name.startswith("__")] == []
-    assert issubclass(SlidingEnsemble, Engine)
+    for path in Path(rankpipe.__file__).parent.glob("*.py"):
+        if path.stem != "__init__":
+            importlib.import_module(f"rankpipe.{path.stem}")
+    assert Engine.__subclasses__() == []
+    assert "SlidingParams" in rankpipe.__all__
+    assert not {"McEngine", "SlidingEnsemble"} & set(rankpipe.__all__)
+    assert "trace" not in inspect.signature(core._chain_trace).parameters
     # only core builds the chains and their shared data pipe, and every
     # record names its own input shape (``lanes``) instead of being sniffed
     package = Path(rankpipe.__file__).parent
@@ -107,7 +114,7 @@ def test_every_chain_record_has_one_batch_entry(monkeypatch):
                   rng.integers(0, 256, size=20))
     mc_stream_cycles(McParams(channels=3, columns=3, rank=5),
                      rng.integers(0, 256, size=(9, 3)))
-    sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))
+    sliding_cycles(SlidingParams(3, 3, 5), rng.integers(0, 256, size=(8, 3)))
     # the 9753 strip is framed in ensembles, and each of its four gated
     # chains in core: the middle w columns and rows of its three cadences
     ensemble9753_cycles(rng.integers(0, 256, size=(27, 9)))
@@ -190,7 +197,8 @@ def test_kernel_calls_keep_the_benchmark_convention(monkeypatch):
                                   rng.integers(0, 256, size=20)),
             lambda: mc_stream_cycles(McParams(channels=3, columns=3, rank=5),
                                      rng.integers(0, 256, size=(9, 3))),
-            lambda: sliding_cycles(3, 5, rng.integers(0, 256, size=(8, 3)))):
+            lambda: sliding_cycles(SlidingParams(3, 3, 5),
+                                   rng.integers(0, 256, size=(8, 3)))):
         trace = run()
         assert kernel_calls(trace) == [trace.cycles]
     # each gated 9753 chain runs in its own time: its own record's run

@@ -13,7 +13,6 @@ from rankpipe import (
     Engine,
     FilterParams,
     FramingError,
-    McEngine,
     McParams,
     PartialMedian,
     Stage,
@@ -136,7 +135,7 @@ class TestMcEngine:
     def test_one_channel_object_engine_is_cycle_identical_to_engine(self):
         rng = np.random.default_rng(17)
         n = 5
-        mc = McEngine(McParams(channels=1, columns=n, rank=2, data_bits=6))
+        mc = Engine(McParams(channels=1, columns=n, rank=2, data_bits=6))
         sc = Engine(FilterParams(data_bits=6, set_size=n, rank=2))
         assert mc.params.alignment == sc.params.alignment
         data = rng.integers(0, 64, size=n * 3 + sc.params.drain_cycles)
@@ -155,7 +154,7 @@ class TestMcEngine:
         p = McParams(channels=5, columns=4, rank=7)
         cols = rng.integers(0, 256, size=(4 * 3, 5))
         trace = mc_stream_cycles(p, cols)
-        engine = McEngine(p)
+        engine = Engine(p)
         for t in range(trace.cycles):
             out = engine.clock(trace.din[t], bool(trace.d1st[t]))
             assert out.dv == trace.dv[t]
@@ -173,7 +172,7 @@ class TestMcEngine:
 
     def test_column_shape_is_validated(self):
         p = McParams(channels=3, columns=2, rank=1)
-        engine = McEngine(p)
+        engine = Engine(p)
         with pytest.raises(ConfigError):
             engine.clock([1, 2], True)
         with pytest.raises(FramingError):

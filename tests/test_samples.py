@@ -12,10 +12,9 @@ from rankpipe import (
     Engine,
     Ensemble9753,
     FilterParams,
-    McEngine,
     McParams,
     Rect,
-    SlidingEnsemble,
+    SlidingParams,
     ensemble9753_cycles,
     ensemble9753_results,
     filter_image,
@@ -32,6 +31,7 @@ from rankpipe.params import as_samples
 
 P = FilterParams(data_bits=8, set_size=3, rank=2)
 MC = McParams(channels=3, columns=2, rank=2)
+SLIDING = SlidingParams(channels=3, columns=3, rank=5)
 
 
 def test_as_samples_accepts_every_integer_dtype():
@@ -70,9 +70,9 @@ def test_run_windows_rejects_floats():
 
 def test_sliding_rejects_floats():
     with pytest.raises(ConfigError, match="integers"):
-        sliding_window_results(3, 5, np.full((4, 3), 2.5))
+        sliding_window_results(SLIDING, np.full((4, 3), 2.5))
     with pytest.raises(ConfigError, match="integers"):
-        sliding_cycles(3, 5, np.full((4, 3), 2.5))
+        sliding_cycles(SLIDING, np.full((4, 3), 2.5))
 
 
 def test_9753_rejects_floats():
@@ -106,8 +106,8 @@ def test_run_filter_takes_unsigned_images():
 @pytest.mark.parametrize("make,sample", [
     (lambda: Engine(P), 1.5),
     (lambda: Engine(P), np.float64(2.0)),
-    (lambda: McEngine(MC), [1.5, 2.0, 3.0]),
-    (lambda: SlidingEnsemble(3, 5), [1.5, 2.0, 3.0]),
+    (lambda: Engine(MC), [1.5, 2.0, 3.0]),
+    (lambda: Engine(SLIDING), [1.5, 2.0, 3.0]),
     (lambda: Ensemble9753(), [1.5] * 9),
 ])
 def test_object_engines_reject_floats(make, sample):
@@ -148,11 +148,12 @@ STRIP = np.zeros((18, 9), dtype=np.int64)
     lambda: McParams(channels=3, columns=2, rank=2, pipe_latency=8.5),
     lambda: Ensemble9753(ranks=(41, 25, 13.0, 5)),
     lambda: Ensemble9753(data_bits=8.0),
-    lambda: ensemble9753_cycles(STRIP, pipe_latency=np.float64(5)),
+    lambda: ensemble9753_cycles(STRIP, data_bits=np.float64(8)),
     lambda: ensemble9753_results(STRIP, ranks=(41.5, 25, 13, 5)),
     lambda: filter_image(np.arange(30).reshape(5, 6), Rect(3, 3), 2.5),
-    lambda: sliding_window_results(3, 2.5, np.zeros((5, 3), np.int64)),
-    lambda: SlidingEnsemble(3, 5, pipe_latency=2.0),
+    lambda: sliding_window_results(SlidingParams(3, 3, 2.5),
+                                   np.zeros((5, 3), np.int64)),
+    lambda: SlidingParams(3, 3, 5, pipe_latency=2.0),
 ])
 def test_chain_parameters_reject_non_integers(make):
     with pytest.raises(ConfigError, match="integers"):
@@ -168,7 +169,7 @@ def test_chain_parameters_store_numpy_integers_as_int():
         assert all(type(v) is int for v in vars(record).values())
     assert p.alignment == 27 and type(p.alignment) is int
     ens = Ensemble9753(ranks=(np.int64(41), np.uint8(25), np.int16(13),
-                              np.int8(5)), pipe_latency=np.int32(4))
+                              np.int8(5)), data_bits=np.int32(8))
     assert [chain.params.rank for chain in ens.chains] == [41, 25, 13, 5]
     for chain in ens.chains:
         assert all(type(v) is int for v in vars(chain.params).values())
@@ -185,7 +186,7 @@ def test_empty_float_input_still_runs():
     assert stream_cycles(P, empty).cycles == P.drain_cycles
     assert run_windows(MC, empty).tolist() == []
     assert mc_stream_cycles(MC, empty.reshape(0, 3)).cycles == MC.drain_cycles
-    assert sliding_window_results(3, 5, empty.reshape(0, 3)).tolist() == []
+    assert sliding_window_results(SLIDING, empty.reshape(0, 3)).tolist() == []
     assert not ensemble9753_cycles(empty.reshape(0, 9)).dv.any()
 
 
@@ -208,15 +209,14 @@ def traces(bits):
     mc = McParams(channels=3, columns=4, rank=6, data_bits=bits)
     single = stream_cycles(p, rng.integers(0, 1 << bits, size=20))
     multi = mc_stream_cycles(mc, rng.integers(0, 1 << bits, size=(12, 3)))
-    sliding = sliding_cycles(3, 4, rng.integers(0, 1 << bits, size=(8, 3)),
-                             data_bits=bits)
+    sw = SlidingParams(channels=3, columns=3, rank=4, data_bits=bits)
+    sliding = sliding_cycles(sw, rng.integers(0, 1 << bits, size=(8, 3)))
     e9753 = ensemble9753_cycles(rng.integers(0, 1 << bits, size=(20, 9)),
                                 data_bits=bits)
     short = ensemble9753_cycles(rng.integers(0, 1 << bits, size=(5, 9)),
                                 data_bits=bits)
     return [(single, p.alignment), (multi, mc.alignment),
-            (sliding, McParams(channels=3, columns=3, rank=4,
-                               data_bits=bits).alignment),
+            (sliding, sw.alignment),
             (e9753, int(np.flatnonzero(e9753.dv)[0])), (short, None)]
 
 
@@ -241,8 +241,8 @@ def test_public_results_are_int64(bits):
     assert run_windows(mc, rng.integers(0, top, size=(4, 3))).dtype \
         == np.int64
     assert sliding_window_results(
-        3, 5, rng.integers(0, top, size=(6, 3)),
-        data_bits=bits).dtype == np.int64
+        SlidingParams(3, 3, 5, data_bits=bits),
+        rng.integers(0, top, size=(6, 3))).dtype == np.int64
     image = rng.integers(0, top, size=(5, 6)).astype(np.uint16)
     for engine in ("single", "multichannel", "sliding"):
         report = run_filter(image, Rect(3, 3), 5, engine=engine)

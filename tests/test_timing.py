@@ -14,7 +14,7 @@ from rankpipe import (
     FramingError,
     McParams,
     Rect,
-    SlidingEnsemble,
+    SlidingParams,
     comparison_count,
     imaging,
     mc_stream_cycles,
@@ -24,7 +24,6 @@ from rankpipe import (
     sliding_cycles,
     stream_cycles,
 )
-from rankpipe.params import SlidingParams
 
 
 def _random_record(rng, kind, latency):
@@ -52,8 +51,7 @@ def _batch_trace(p, rng, sets):
         # every column count in the last cadence starts the same windows
         columns = sets - int(rng.integers(0, p.columns))
         cols = rng.integers(0, top, size=(columns, p.columns))
-        return sliding_cycles(p.columns, p.rank, cols, data_bits=p.data_bits,
-                              pipe_latency=p.pipe_latency)
+        return sliding_cycles(p, cols)
     if isinstance(p, McParams):
         cols = rng.integers(0, top, size=(sets * p.columns, p.channels))
         return mc_stream_cycles(p, cols)
@@ -63,17 +61,14 @@ def _batch_trace(p, rng, sets):
 def _clocked_comparisons(p, trace):
     """Comparisons of the clocked engine fed the trace's input; the sliding
     chains' first stages count each column once, as the shared stage does."""
-    if isinstance(p, SlidingParams):
-        ens = SlidingEnsemble(p.columns, p.rank, data_bits=p.data_bits,
-                              pipe_latency=p.pipe_latency)
-        for col, d1st in zip(trace.din, trace.d1st):
-            ens.clock(col, bool(d1st))
-        own_first = sum(chain.stages[0].comparisons for chain in ens.chains)
-        return (sum(chain.comparisons for chain in ens.chains) - own_first
-                + 3 * p.channels * trace.cycles)
     engine = Engine(p)
     for din, d1st in zip(trace.din, trace.d1st):
         engine.clock(din, bool(d1st))
+    if isinstance(p, SlidingParams):
+        own_first = sum(chain.stages[0].comparisons
+                        for chain in engine.chains)
+        return (engine.comparisons - own_first
+                + 3 * p.channels * trace.cycles)
     return engine.comparisons
 
 
@@ -163,8 +158,8 @@ def test_sliding_runs_start_whole_cadences(window):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: sliding_cycles(4, 2, np.zeros((8, 4), np.int64)),
-    lambda: SlidingEnsemble(4, 2),
+    lambda: SlidingParams(channels=4, columns=4, rank=2),
+    lambda: SlidingParams(channels=5, columns=3, rank=2),
     lambda: SlidingParams(channels=3, columns=5, rank=2)])
 def test_sliding_windows_must_be_odd_squares(make):
     with pytest.raises(ConfigError, match="odd window sides"):
@@ -204,8 +199,8 @@ def test_the_image_report_is_the_band_traces_less_the_seams(
     assert len(traces) == min(threads, rows)
     if engine == "sliding":
         side = shape.width
-        strip = sliding_cycles(side, 4, np.zeros((cols + side - 1, side),
-                                                 np.int64))
+        strip = sliding_cycles(SlidingParams(side, side, 4),
+                               np.zeros((cols + side - 1, side), np.int64))
         assert report.cycles == rows * strip.cycles
         assert report.comparisons == rows * strip.comparisons
         return

@@ -13,6 +13,7 @@ from rankpipe import (
     FilterParams,
     McParams,
     Rect,
+    SlidingParams,
     ensemble9753_cycles,
     ensemble9753_results,
     filter_image_oracle,
@@ -29,6 +30,7 @@ from rankpipe.oracle import select_desc
 
 P = FilterParams(data_bits=8, set_size=5, rank=2)
 MC = McParams(channels=3, columns=4, rank=6)
+SLIDING = SlidingParams(channels=3, columns=3, rank=4)
 
 
 def _samples(shape, seed=3):
@@ -47,7 +49,7 @@ def _samples(shape, seed=3):
                  lambda t: t % 4 == 0 and t < 12, id="multichannel"),
     pytest.param(lambda: mc_stream_cycles(MC, np.zeros((0, 3), np.int64)),
                  lambda t: False, id="multichannel-no-sets"),
-    pytest.param(lambda: sliding_cycles(3, 4, _samples((8, 3))),
+    pytest.param(lambda: sliding_cycles(SLIDING, _samples((8, 3))),
                  lambda t: t % 3 == 0 and t < 8, id="sliding"),
     pytest.param(lambda: ensemble9753_cycles(_samples((31, 9))),
                  lambda t: t % 9 == 0 and t + 9 <= 31, id="9753"),
@@ -104,7 +106,7 @@ def test_results_only_paths_build_no_cycle_view(monkeypatch):
     assert run_windows(MC, cols).tolist() == [
         select_desc(cols[i:i + 4].reshape(-1), 6) for i in range(0, 12, 4)]
     strip = _samples((8, 3))
-    assert sliding_window_results(3, 4, strip).tolist() == [
+    assert sliding_window_results(SLIDING, strip).tolist() == [
         select_desc(strip[i:i + 3].reshape(-1), 4) for i in range(6)]
     cols = _samples((31, 9))
     assert ensemble9753_results(cols) == _clocked_9753(cols)
