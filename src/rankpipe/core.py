@@ -1,5 +1,5 @@
-"""The streaming percentile chain: stages, the one clocked chain class,
-and the batch framing that every chain engine shares.
+"""The streaming percentile chain: stages, the one clocked engine, and
+the batch framing that every chain engine shares.
 
 A chain of B/2 refinement stages narrows the surviving value range by a
 factor of four per stage: each stage counts how many samples of a data set
@@ -8,16 +8,17 @@ two more result bits once the whole set has passed through.  Data pipes
 delay the raw stream so every stage sees a set exactly when the previous
 stage's partial median for it is ready.
 
-``_FinderChain`` steps the B/2 ``Stage``s clock by clock and is the one
-reference for the cycle semantics.  ``Engine``, the one clocked engine of
-every chain record, owns a data pipe and ``set_cycles // cadence`` chains
-on it: one under ``FilterParams`` or ``McParams``, W with staggered
-markers under ``SlidingParams``.  The batch runs go through
+``Engine``, the one clocked engine of every chain record and the one
+reference for the cycle semantics, owns a data pipe and
+``set_cycles // cadence`` chains of B/2 ``Stage``s on it, stepping them
+clock by clock: one chain under ``FilterParams`` or ``McParams``, W with
+staggered markers under ``SlidingParams``.  Each ``Stage`` takes the
+record too, and sizes its counters from it.  The batch runs go through
 ``_chain_trace``, the one entry of every chain record, the 9753
 ensemble's gated chains included.  It is the one caller of
-:mod:`rankpipe._kernels`, which computes every set's result at once,
-with the fixed cycle it matures at.
-The test suite checks the two against each other cycle-for-cycle.
+:mod:`rankpipe._kernels`, which computes every set's result at once, with
+the fixed cycle it matures at.  The test suite checks the two against
+each other cycle-for-cycle.
 
 A batch run is one result per set: a ``StreamTrace`` keeps its framed
 input at the sample dtype (uint8 up to 8 bits, uint16 up to 16), each
@@ -46,7 +47,6 @@ from .params import (
     as_samples,
     check_samples,
     counter_preset,
-    counter_width,
     narrowest_uint,
     priority,
     quarter_width,
@@ -111,40 +111,51 @@ def comparison_count(params: FilterParams, num_sets: int) -> int:
     return _record(params).comparisons(num_sets)
 
 
-class Stage:
-    """One 2-bit refinement stage.
+def _column(params, din) -> np.ndarray:
+    """One clock's checked input, of shape ``params.lanes``."""
+    din = as_samples(din, params.data_bits)
+    if din.shape != params.lanes:
+        raise ConfigError(f"one clock's input must have shape "
+                          f"{params.lanes}, got {din.shape}")
+    return din
 
-    Holds three preset accumulators, sized per set for N = ``set_cycles``
-    times the samples of its first input (:func:`counter_width`), the set
+
+def _marker(d1st) -> bool:
+    """One clock's checked first-data marker: a single flag."""
+    if np.ndim(d1st):
+        raise ConfigError(f"the first-data marker must be one flag, got "
+                          f"shape {np.shape(d1st)}")
+    return bool(d1st)
+
+
+class Stage:
+    """One 2-bit refinement stage of a chain record's chain.
+
+    Takes its record as :class:`Engine` does and holds three accumulators
+    of the record's :attr:`counter_bits`, preset once for its rank, the set
     position, and an L-deep output delay modeling the pipeline registers.
-    ``clock`` takes one sample (or column of K samples) per call and returns
-    the partial median maturing ``latency`` cycles after a set's last input.
-    Every sample it counts must pass :func:`check_samples` at ``data_bits``.
+    ``clock`` takes one input per call, of shape ``params.lanes`` and
+    checked by :func:`_column` whenever it is counted, and returns the
+    partial median maturing L cycles after a set's last input; ``held``
+    keeps the last one, the register the next stage latches.
     """
 
-    def __init__(self, data_bits: int, set_cycles: int, rank: int,
-                 latency: int = 5):
-        if _integral(set_cycles, "set_cycles values") < 1:
-            raise ConfigError("set_cycles must be at least 1")
-        if _integral(rank, "rank values") < 1:
-            raise ConfigError(f"rank must be at least 1, got {rank}")
-        if _integral(latency, "latency values") < 0:
-            raise ConfigError("latency must be non-negative")
-        self.data_bits = data_bits
-        self.set_cycles = set_cycles
-        self.rank = rank
-        self.latency = latency
+    def __init__(self, params):
+        p = self.params = _record(params)
+        self.preset = counter_preset(p.rank, p.counter_bits)
+        self._mask, self._msb = (1 << p.counter_bits) - 1, self.preset + p.rank
         self.pm = _ROOT  # latched partial median of the running set
         self.qc1 = self.qc2 = self.qc3 = 0
         self.position = 0  # inputs of the running set so far; 0 when idle
         self.comparisons = 0
-        self._pipe = deque([None] * latency)  # the L output registers
+        self.held: PartialMedian | None = None
+        self._pipe = deque([None] * p.pipe_latency)  # the L output registers
         self._cycle = 0
 
     def _increments(self, x) -> tuple[int, int, int]:
         """Samples of ``x`` (one sample or one column) at or above each
         boundary, lowest boundary first."""
-        flags = incgen(x, self.pm, self.data_bits)
+        flags = incgen(x, self.pm, self.params.data_bits)
         self.comparisons += 3 * np.size(x)
         return tuple(int(np.count_nonzero(ge)) for ge in reversed(flags))
 
@@ -160,24 +171,24 @@ class Stage:
             if pm_in is None:
                 raise FramingError("first-data marker before any partial "
                                    f"median on cycle {t}")
-            bits = counter_width(self.set_cycles * np.size(x), self.rank)
-            self.preset = counter_preset(self.rank, bits)
-            self._mask, self._msb = (1 << bits) - 1, self.preset + self.rank
             self.pm = pm_in
             self.qc1 = self.qc2 = self.qc3 = self.preset
         if d1st or self.position:
-            inc1, inc2, inc3 = self._increments(x)
+            inc1, inc2, inc3 = self._increments(_column(self.params, x))
             self.qc1 = (self.qc1 + inc1) & self._mask
             self.qc2 = (self.qc2 + inc2) & self._mask
             self.qc3 = (self.qc3 + inc3) & self._mask
             self.position += 1
-            if self.position == self.set_cycles:
+            if self.position == self.params.set_cycles:
                 two = refine(self.qc3 & self._msb, self.qc2 & self._msb,
                              self.qc1 & self._msb, check=True)
-                out = self.pm.refined(two, self.data_bits)
+                out = self.pm.refined(two, self.params.data_bits)
                 self.position = 0
         self._pipe.append(out)
-        return self._pipe.popleft()
+        out = self._pipe.popleft()
+        if out is not None:
+            self.held = out
+        return out
 
 
 class _DelayRing:
@@ -206,86 +217,47 @@ class _DelayRing:
         return self._data[i], bool(self._d1st[i])
 
 
-def _column(params, din) -> np.ndarray:
-    """One clock's checked input, of shape ``params.lanes``."""
-    din = as_samples(din, params.data_bits)
-    if din.shape != params.lanes:
-        raise ConfigError(f"one clock's input must have shape "
-                          f"{params.lanes}, got {din.shape}")
-    return din
-
-
-def _marker(d1st) -> bool:
-    """One clock's checked first-data marker: a single flag."""
-    if np.ndim(d1st):
-        raise ConfigError(f"the first-data marker must be one flag, got "
-                          f"shape {np.shape(d1st)}")
-    return bool(d1st)
-
-
-class _FinderChain:
-    """The B/2 stages of one chain, reading a caller-owned delay ring.
-
-    ``d1st_offset`` staggers the chain's view of the first-data markers,
-    which is how a sliding ensemble makes identical chains interpret the
-    shared stream as shifted windows.
-    """
-
-    def __init__(self, params, ring: _DelayRing, d1st_offset: int = 0):
-        p = self.params = params
-        self.stages = [Stage(p.data_bits, p.set_cycles, p.rank, p.pipe_latency)
-                       for _ in range(p.stages)]
-        self._ring = ring
-        self._offset = d1st_offset
-        self._holds: list[PartialMedian | None] = [None] * p.stages
-
-    def step(self, t: int) -> int | None:
-        """Advance every stage through cycle ``t`` of the ring; returns the
-        fully resolved result maturing this cycle, if any."""
-        result = None
-        for s in reversed(range(len(self.stages))):
-            tap = s * self.params.pipe_delay
-            x = self._ring.read(t, tap)[0]
-            f = self._ring.read(t, tap + self._offset)[1]
-            pm_in = _ROOT if s == 0 else self._holds[s - 1]
-            try:
-                out = self.stages[s].clock(x, f, pm_in)
-            except FramingError as err:
-                raise FramingError(f"stage {s}: {err}") from None
-            if out is not None:
-                self._holds[s] = out
-                if s == len(self.stages) - 1:
-                    result = out.prefix
-        return result
-
-    @property
-    def comparisons(self) -> int:
-        return sum(stage.comparisons for stage in self.stages)
-
-
 class Engine:
     """Clock-by-clock engine of any chain record, with its own data pipe.
 
     Consumes one sample (``FilterParams``) or K-sample column and its
     first-data marker per ``clock``, and emits ``CycleOutput``: ``dv``
     pulses once per set, when ``result`` is its M-th largest and ``dout``
-    its first sample or column.  It steps one chain, or under
-    ``SlidingParams`` W whose markers lag 0..W-1 columns; ``last_chain``
-    is the one that matured on the last clock, -1 for none.
+    its first sample or column.  ``chains[j]`` is chain j's B/2
+    ``Stage``s, reading markers j columns late: one chain, or under
+    ``SlidingParams`` W.  ``last_chain`` is the one that matured on the
+    last clock, -1 for none.
     """
 
     def __init__(self, params: FilterParams):
         p = self.params = _record(params)
         self._ring = _DelayRing(p)
-        self.chains = [_FinderChain(p, self._ring, j)
-                       for j in range(p.set_cycles // p.cadence)]
+        self.chains = [[Stage(p) for _ in range(p.stages)]
+                       for _ in range(p.set_cycles // p.cadence)]
         self._t = 0
         self.last_chain = -1
+
+    def _step(self, stages: list[Stage], lag: int, t: int) -> int | None:
+        """Advance one chain's stages through cycle ``t`` of the ring, its
+        markers read ``lag`` columns late; returns the fully resolved
+        result maturing this cycle, if any."""
+        outs = []  # last stage first
+        for s in reversed(range(len(stages))):
+            tap = s * self.params.pipe_delay
+            x = self._ring.read(t, tap)[0]
+            f = self._ring.read(t, tap + lag)[1]
+            pm_in = stages[s - 1].held if s else _ROOT
+            try:
+                outs.append(stages[s].clock(x, f, pm_in))
+            except FramingError as err:
+                raise FramingError(f"stage {s}: {err}") from None
+        return None if outs[0] is None else outs[0].prefix
 
     def clock(self, din, d1st: bool = False) -> CycleOutput:
         t = self._t
         self._ring.push(t, _column(self.params, din), _marker(d1st))
-        outs = [chain.step(t) for chain in self.chains]
+        outs = [self._step(stages, j, t)
+                for j, stages in enumerate(self.chains)]
         fired = [j for j, out in enumerate(outs) if out is not None]
         if len(fired) > 1:
             raise RuntimeError("two chains matured in the same cycle")
@@ -297,7 +269,8 @@ class Engine:
 
     @property
     def comparisons(self) -> int:
-        return sum(chain.comparisons for chain in self.chains)
+        return sum(stage.comparisons for stages in self.chains
+                   for stage in stages)
 
     @property
     def cycle(self) -> int:

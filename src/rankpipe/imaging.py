@@ -33,6 +33,7 @@ from .params import (
     FilterParams,
     McParams,
     SlidingParams,
+    _array,
     _integral,
     check_samples,
     narrowest_uint,
@@ -221,7 +222,7 @@ class FilterReport:
 def infer_data_bits(image) -> int:
     """Smallest even sample width holding every pixel (at least 2 bits).
     Non-integer images raise :func:`rankpipe.params.check_samples`' error."""
-    image = np.asarray(image)
+    image = _array(image)
     if image.dtype.kind not in "iu":
         check_samples(image, MAX_DATA_BITS)
     peak = int(image.max(initial=0))
@@ -380,7 +381,7 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     band of anchors is one engine call, on ``threads`` threads; the report
     does not depend on ``threads`` (:func:`filter_cost`).
     """
-    image = np.asarray(image)
+    image = _array(image)
     if image.ndim != 2 or image.size == 0:
         raise ConfigError("images must be non-empty 2-D arrays")
     border = Border(border)

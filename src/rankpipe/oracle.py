@@ -22,6 +22,8 @@ def select_desc(data, rank: int):
     except (TypeError, ValueError):  # not iterable, or items not comparable
         raise ConfigError(f"samples must be a sequence of comparable "
                           f"values, got {type(data).__name__}") from None
+    if any(isinstance(item, (list, tuple, np.ndarray)) for item in items):
+        raise ConfigError("samples must be single values, not rows")
     if not 1 <= rank <= len(items):
         raise ConfigError(f"rank {rank} outside [1, {len(items)}]")
     return items[rank - 1]
@@ -47,7 +49,10 @@ def filter_image_oracle(image, shape, rank: int,
     """Per-pixel sort-based rank filtering; definitionally correct reference.
     Raises ``ConfigError`` where :func:`rankpipe.imaging.run_filter` does,
     with its messages, in its order, from checks of its own."""
-    image = np.asarray(image)
+    try:
+        image = np.asarray(image)
+    except ValueError:  # numpy's refusal of a ragged sequence
+        raise ConfigError("sample rows must all be one length") from None
     if image.ndim != 2 or image.size == 0:
         raise ConfigError("images must be non-empty 2-D arrays")
     border = Border(border)

@@ -63,13 +63,13 @@ def test_01_oracle_equivalence_10000_random_sets():
 def test_02_two_stage_worked_example():
     # a set whose count(>=192) < M <= count(>=128): 13 values in [128, 191]
     data = [131 + 4 * k for k in range(13)] + [5 * k % 64 for k in range(12)]
-    stage1 = Stage(8, 25, 13)
+    stage1 = Stage(FilterParams(8, 25, 13))
     outs = []
     for i, x in enumerate(data):
         out = stage1.clock(x, i == 0, PartialMedian())
         if out is not None:
             outs.append(out)
-    for _ in range(stage1.latency):
+    for _ in range(stage1.params.pipe_latency):
         out = stage1.clock(0, False, None)
         if out is not None:
             outs.append(out)

@@ -29,6 +29,7 @@ from rankpipe import (
     filter_image_oracle,
     frame_rate,
     incgen,
+    infer_data_bits,
     mc_stream_cycles,
     parse_window,
     percentile_to_rank,
@@ -58,15 +59,19 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
     pytest.param(lambda: counter_preset(5, 0), id="preset-zero-width"),
     pytest.param(lambda: counter_preset(5, 1.5), id="preset-float-width"),
     pytest.param(lambda: counter_preset(2.5, 8), id="preset-float-rank"),
-    pytest.param(lambda: Stage(8.0, 5, 3).clock(3, True, PartialMedian()),
+    pytest.param(lambda: Stage(FilterParams(8.0, 5, 3)),
                  id="stage-float-bits"),
     # a stage that could never emit a partial median
-    pytest.param(lambda: Stage(8, 0, 1), id="stage-zero-set-cycles"),
-    pytest.param(lambda: Stage(8, 3, 1, latency=-1),
+    pytest.param(lambda: Stage(FilterParams(8, 0, 1)),
+                 id="stage-zero-set-cycles"),
+    pytest.param(lambda: Stage(FilterParams(8, 3, 1, pipe_latency=-1)),
                  id="stage-negative-latency"),
-    pytest.param(lambda: Stage(8, 3, 1, latency=1.5),
+    pytest.param(lambda: Stage(FilterParams(8, 3, 1, pipe_latency=1.5)),
                  id="stage-float-latency"),
-    pytest.param(lambda: Stage(8, 3.5, 1), id="stage-float-set-cycles"),
+    pytest.param(lambda: Stage(FilterParams(8, 3.5, 1)),
+                 id="stage-float-set-cycles"),
+    # a stage takes its chain record, as Engine does
+    pytest.param(lambda: Stage(8), id="stage-no-record"),
     pytest.param(lambda: boundaries(PartialMedian(), 8.0),
                  id="boundaries-float-bits"),
     pytest.param(lambda: boundaries(None, 8), id="boundaries-none-pm"),
@@ -77,18 +82,22 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
     pytest.param(lambda: boundaries(PartialMedian(3, 2), 8),
                  id="boundaries-unresolved-bits-set"),
     # a stage counts only samples that fit its width, as every entry does
-    pytest.param(lambda: Stage(8, 3, 1).clock(256, True, PartialMedian()),
-                 id="stage-clock-past-width"),
-    pytest.param(lambda: Stage(8, 3, 1).clock(-1, True, PartialMedian()),
-                 id="stage-clock-negative"),
-    pytest.param(lambda: Stage(8, 3, 1).clock("a", True, PartialMedian()),
-                 id="stage-clock-str"),
+    pytest.param(lambda: Stage(FilterParams(8, 3, 1)).clock(
+        256, True, PartialMedian()), id="stage-clock-past-width"),
+    pytest.param(lambda: Stage(FilterParams(8, 3, 1)).clock(
+        -1, True, PartialMedian()), id="stage-clock-negative"),
+    pytest.param(lambda: Stage(FilterParams(8, 3, 1)).clock(
+        "a", True, PartialMedian()), id="stage-clock-str"),
     pytest.param(lambda: incgen("a", PartialMedian(), 8), id="incgen-str"),
     pytest.param(lambda: incgen(None, PartialMedian(), 8), id="incgen-none"),
     pytest.param(lambda: refine(None, None, None), id="refine-none-msbs"),
     pytest.param(lambda: refine("a", 0, 0), id="refine-str-msb"),
     pytest.param(lambda: select_desc(np.array([[1, 2], [3, 4]]), 1),
                  id="select-2d-data"),
+    # nested lists are rows, not samples, whether ragged or not
+    pytest.param(lambda: select_desc([[1, 2], [1]], 1),
+                 id="select-ragged-rows"),
+    pytest.param(lambda: select_desc([[5], [7]], 1), id="select-nested-rows"),
     # the first-data marker is one flag, not one per sample
     pytest.param(lambda: Engine(FilterParams(8, 5, 3)).clock(
         1, np.array([True, False])), id="engine-clock-marker-pair"),
@@ -197,6 +206,14 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
                  id="run-stream-ragged"),
     pytest.param(lambda: Engine(McParams(2, 1, 1)).clock([[1], [1, 2]]),
                  id="columns-clock-ragged"),
+    pytest.param(lambda: Stage(McParams(2, 1, 1)).clock(
+        [[1], [1, 2]], True, PartialMedian()), id="stage-clock-ragged-columns"),
+    pytest.param(lambda: run_filter([[1, 2], [1]], Rect(1, 1), 1),
+                 id="filter-ragged-image"),
+    pytest.param(lambda: filter_image_oracle([[1, 2], [1]], Rect(1, 1), 1),
+                 id="oracle-ragged-image"),
+    pytest.param(lambda: infer_data_bits([[1, 2], [1]]),
+                 id="infer-bits-ragged-image"),
 ])
 def test_malformed_calls_raise_config_error(call):
     tracemalloc.start()

@@ -206,7 +206,7 @@ class TestEngineObject:
             engine.clock(int(trace.din[t]), bool(trace.d1st[t]))
         result = int(trace.results[0])
         widths = []
-        for s, hold in enumerate(engine.chains[0]._holds):
+        for s, hold in enumerate(stage.held for stage in engine.chains[0]):
             assert hold is not None
             assert hold.bits_resolved == 2 * (s + 1)
             width = 1 << (8 - hold.bits_resolved)

@@ -98,16 +98,27 @@ class TestSliding:
                         assert ens.last_chain == (t - trace.delay) % window
                 # the batch run counts the first stage once per column,
                 # for all chains, where each clocked chain counts its own
-                own_first = sum(c.stages[0].comparisons for c in ens.chains)
+                own_first = sum(c[0].comparisons for c in ens.chains)
                 assert trace.comparisons == (
-                    sum(c.comparisons for c in ens.chains) - own_first
-                    + 3 * window * trace.cycles)
+                    ens.comparisons - own_first + 3 * window * trace.cycles)
 
     def test_chains_share_one_data_pipe(self):
+        # every chain reads the engine's one ring: each stage's data tap,
+        # and, for chain j, its marker j columns later; then the dout tap
         ens = Engine(SlidingParams(5, 5, 12))
-        assert all(chain._ring is ens._ring for chain in ens.chains)
-        offsets = [chain._offset for chain in ens.chains]
-        assert offsets == list(range(5))
+        reads = []
+        original = ens._ring.read
+
+        def spy(t, offset):
+            reads.append(offset)
+            return original(t, offset)
+
+        ens._ring.read = spy
+        ens.clock(np.zeros(5, np.uint8), True)
+        p = ens.params
+        taps = [s * p.pipe_delay for s in reversed(range(p.stages))]
+        assert reads == [offset for lag in range(5) for tap in taps
+                         for offset in (tap, tap + lag)] + [p.alignment]
 
     def test_instrumented_pipe_reads_see_identical_data(self):
         # every chain's stage-s data tap reads the same delayed columns;

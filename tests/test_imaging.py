@@ -454,6 +454,15 @@ def test_images_that_are_not_integers_are_config_errors(image, run):
         infer_data_bits(image)
 
 
+@pytest.mark.parametrize("run", [run_filter, filter_image,
+                                 filter_image_oracle])
+def test_ragged_images_are_config_errors(run):
+    with pytest.raises(ConfigError, match="^sample rows must all be one"):
+        run([[1, 2], [1]], Rect(1, 1), 1)
+    with pytest.raises(ConfigError, match="^sample rows must all be one"):
+        infer_data_bits([[1, 2], [1]])
+
+
 def padded_by_np_pad(samples, offsets):
     """The clamp frame as ``np.pad(mode="edge")`` builds it, every offset
     clipped to +-max(size - 1, N) first."""

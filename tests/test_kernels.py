@@ -141,10 +141,9 @@ def test_sliding_run_matches_the_ensemble_window_for_window():
         assert fire.tolist() == np.flatnonzero(dv).tolist()
         # the first stage's comparisons are made once per column and
         # shared, where each object chain makes its own
-        own_first = sum(c.stages[0].comparisons for c in ens.chains)
+        own_first = sum(c[0].comparisons for c in ens.chains)
         shared_first = 3 * window * len(cols)
-        assert comparisons == (sum(c.comparisons for c in ens.chains)
-                               - own_first + shared_first)
+        assert comparisons == ens.comparisons - own_first + shared_first
 
 
 def _int64_search(cols, step, sets, set_cycles, data_bits, rank,

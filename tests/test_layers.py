@@ -19,6 +19,7 @@ from rankpipe import (
     McParams,
     Rect,
     SlidingParams,
+    Stage,
     _kernels,
     cli,
     core,
@@ -71,6 +72,10 @@ def test_the_clocked_engines_are_one_chain_class():
     assert "SlidingParams" in rankpipe.__all__
     assert not {"McEngine", "SlidingEnsemble"} & set(rankpipe.__all__)
     assert "trace" not in inspect.signature(core._chain_trace).parameters
+    # a Stage takes its record as Engine does, and Engine steps its lists
+    # of Stages itself
+    assert list(inspect.signature(Stage).parameters) == ["params"]
+    assert not hasattr(core, "_FinderChain")
     # only core builds the chains and their shared data pipe, and every
     # record names its own input shape (``lanes``) instead of being sniffed
     package = Path(rankpipe.__file__).parent
@@ -78,7 +83,7 @@ def test_the_clocked_engines_are_one_chain_class():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.stem != "core":
             names = set(_names(tree))
-            assert not {"_FinderChain", "_DelayRing"} & names, path.name
+            assert "_DelayRing" not in names, path.name
         sniffs = [call for call in ast.walk(tree)
                   if isinstance(call, ast.Call)
                   and getattr(call.func, "id", None) == "getattr"

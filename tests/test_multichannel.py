@@ -27,7 +27,7 @@ ROOT = PartialMedian()
 
 def mc_incgen(col, pm, data_bits):
     """Column increments ``(inc3, inc2, inc1)`` of a stage latched on ``pm``."""
-    stage = Stage(data_bits, 1, 1)
+    stage = Stage(McParams(len(col), 1, 1, data_bits))
     stage.pm = pm
     inc1, inc2, inc3 = stage._increments(np.asarray(col))
     return inc3, inc2, inc1

@@ -10,6 +10,7 @@ from rankpipe import (
     Engine,
     FilterParams,
     FramingError,
+    McParams,
     PartialMedian,
     Stage,
     boundaries,
@@ -43,7 +44,7 @@ def worked_example_set():
 
 def test_stage1_resolves_the_128_to_191_range():
     data = worked_example_set()
-    stage = Stage(8, 25, 13)
+    stage = Stage(FilterParams(8, 25, 13))
     outs = run_set(stage, data, ROOT)
     assert len(outs) == 1
     _, pm = outs[0]
@@ -55,7 +56,7 @@ def test_stage2_narrows_to_a_16_wide_range():
     data = worked_example_set()
     med = select_desc(data, 13)
     pm1 = PartialMedian(128, 2)
-    stage2 = Stage(8, 25, 13)
+    stage2 = Stage(FilterParams(8, 25, 13))
     outs = run_set(stage2, data, pm1)
     (_, pm2), = outs
     assert pm2.bits_resolved == 4
@@ -63,7 +64,7 @@ def test_stage2_narrows_to_a_16_wide_range():
 
 
 def test_single_sample_set_resolves_subrange_zero():
-    stage = Stage(8, 1, 1)
+    stage = Stage(FilterParams(8, 1, 1))
     outs = run_set(stage, [0], ROOT)
     (_, pm), = outs
     assert pm == PartialMedian(0, 2)
@@ -71,14 +72,14 @@ def test_single_sample_set_resolves_subrange_zero():
 
 def test_emission_comes_exactly_latency_cycles_after_the_last_sample():
     for latency in (0, 1, 5):
-        stage = Stage(8, 4, 2, latency=latency)
+        stage = Stage(FilterParams(8, 4, 2, pipe_latency=latency))
         outs = run_set(stage, [9, 200, 13, 77], ROOT)
         (cycle, _), = outs
         assert cycle == 3 + latency
 
 
 def test_marker_mid_set_is_a_framing_error():
-    stage = Stage(8, 5, 2)
+    stage = Stage(FilterParams(8, 5, 2))
     stage.clock(10, True, ROOT)
     stage.clock(20, False, ROOT)
     with pytest.raises(FramingError, match="set position 2 on cycle 2$"):
@@ -95,7 +96,7 @@ def test_an_engine_framing_error_names_the_stage_and_the_cycle():
 
 
 def test_marker_without_partial_median_is_a_framing_error():
-    stage = Stage(8, 5, 2)
+    stage = Stage(FilterParams(8, 5, 2))
     with pytest.raises(FramingError):
         stage.clock(10, True, None)
 
@@ -103,7 +104,7 @@ def test_marker_without_partial_median_is_a_framing_error():
 def test_counters_track_preset_plus_running_counts():
     rng = random.Random(5)
     data = [rng.randrange(256) for _ in range(20)]
-    stage = Stage(8, 20, 7)
+    stage = Stage(FilterParams(8, 20, 7))
     b1, b2, b3 = boundaries(ROOT, 8)
     for i, x in enumerate(data):
         stage.clock(x, i == 0, ROOT)
@@ -124,7 +125,7 @@ def test_pm_out_is_one_of_the_four_quarters_of_pm_in():
         width = 1 << (8 - res)
         pm_in = PartialMedian(rng.randrange(1 << res) * width, res)
         data = [rng.randrange(256) for _ in range(11)]
-        stage = Stage(8, 11, rng.randint(1, 11))
+        stage = Stage(FilterParams(8, 11, rng.randint(1, 11)))
         (_, pm_out), = run_set(stage, data, pm_in)
         assert pm_out.bits_resolved == res + 2
         quarter = (pm_out.prefix - pm_in.prefix) // (width // 4)
@@ -133,7 +134,7 @@ def test_pm_out_is_one_of_the_four_quarters_of_pm_in():
 
 
 def test_back_to_back_sets_reuse_the_stage():
-    stage = Stage(8, 3, 1)
+    stage = Stage(FilterParams(8, 3, 1))
     outs = []
     data = [1, 2, 3, 200, 100, 50, 9, 9, 9]
     for i, x in enumerate(data):
@@ -156,27 +157,44 @@ WIDE_SETS = [[200] * 200 + [10] * 100,
 
 @pytest.mark.parametrize("data", WIDE_SETS, ids=["two-values", "three-values"])
 def test_a_stage_sizes_its_counters_for_the_set(data):
-    (_, pm), = run_set(Stage(8, 300, 1), data, ROOT)
+    (_, pm), = run_set(Stage(FilterParams(8, 300, 1)), data, ROOT)
     assert pm == PartialMedian(192, 2)
 
 
 @pytest.mark.parametrize("data", WIDE_SETS, ids=["two-values", "three-values"])
 def test_a_column_stage_counts_every_sample_of_its_columns(data):
     columns = [data[i:i + 3] for i in range(0, len(data), 3)]
-    (_, pm), = run_set(Stage(8, 100, 1), columns, ROOT)
+    (_, pm), = run_set(Stage(McParams(3, 100, 1)), columns, ROOT)
     assert pm == PartialMedian(192, 2)
 
 
 def test_a_rank_past_the_set_raises_at_the_sets_first_input():
+    # the record refuses it before any stage is built
     with pytest.raises(ConfigError, match="M=5 N=3"):
-        Stage(8, 3, 5).clock(7, True, ROOT)
+        Stage(FilterParams(8, 3, 5))
     # 3-sample columns make N = 9; the 5th largest of 0..8, 4, is in the
     # bottom quarter
-    (_, pm), = run_set(Stage(8, 3, 5), [[0, 3, 6], [1, 4, 7], [2, 5, 8]], ROOT)
+    (_, pm), = run_set(Stage(McParams(3, 3, 5)),
+                       [[0, 3, 6], [1, 4, 7], [2, 5, 8]], ROOT)
     assert pm == PartialMedian(0, 2)
 
 
 @pytest.mark.parametrize("rank", [0, -1])
 def test_a_rank_below_one_raises_when_the_stage_is_built(rank):
     with pytest.raises(ConfigError):
-        Stage(8, 5, rank)
+        Stage(FilterParams(8, 5, rank))
+
+
+@pytest.mark.parametrize("params,first,other", [
+    pytest.param(FilterParams(8, 255, 1, pipe_latency=0), 255, [255, 255],
+                 id="sample-then-column"),
+    pytest.param(McParams(2, 255, 1, pipe_latency=0), [255, 255], [255],
+                 id="column-then-short-column"),
+])
+def test_a_counted_input_of_another_shape_raises(params, first, other):
+    # counters sized for N samples would wrap on more; the stage refuses
+    # every counted input that is not one clock's shape instead
+    stage = Stage(params)
+    stage.clock(first, True, ROOT)
+    with pytest.raises(ConfigError, match="one clock's input must have shape"):
+        stage.clock(other, False, None)

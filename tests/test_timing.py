@@ -65,8 +65,7 @@ def _clocked_comparisons(p, trace):
     for din, d1st in zip(trace.din, trace.d1st):
         engine.clock(din, bool(d1st))
     if isinstance(p, SlidingParams):
-        own_first = sum(chain.stages[0].comparisons
-                        for chain in engine.chains)
+        own_first = sum(chain[0].comparisons for chain in engine.chains)
         return (engine.comparisons - own_first
                 + 3 * p.channels * trace.cycles)
     return engine.comparisons
