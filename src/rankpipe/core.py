@@ -112,8 +112,8 @@ def comparison_count(params: FilterParams, num_sets: int) -> int:
 
 
 def _column(params, din) -> np.ndarray:
-    """One clock's checked input, of shape ``params.lanes``."""
-    din = as_samples(din, params.data_bits)
+    """``din`` as an array, once its shape is checked to be ``params.lanes``."""
+    din = _array(din)
     if din.shape != params.lanes:
         raise ConfigError(f"one clock's input must have shape "
                           f"{params.lanes}, got {din.shape}")
@@ -134,8 +134,8 @@ class Stage:
     Takes its record as :class:`Engine` does and holds three accumulators
     of the record's :attr:`counter_bits`, preset once for its rank, the set
     position, and an L-deep output delay modeling the pipeline registers.
-    ``clock`` takes one input per call, of shape ``params.lanes`` and
-    checked by :func:`_column` whenever it is counted, and returns the
+    ``clock`` takes one input per call, its shape checked by
+    :func:`_column` whenever it is counted, and returns the
     partial median maturing L cycles after a set's last input; ``held``
     keeps the last one, the register the next stage latches.
     """
@@ -255,6 +255,7 @@ class Engine:
 
     def clock(self, din, d1st: bool = False) -> CycleOutput:
         t = self._t
+        din = as_samples(din, self.params.data_bits)
         self._ring.push(t, _column(self.params, din), _marker(d1st))
         outs = [self._step(stages, j, t)
                 for j, stages in enumerate(self.chains)]

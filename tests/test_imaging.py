@@ -454,13 +454,13 @@ def test_images_that_are_not_integers_are_config_errors(image, run):
         infer_data_bits(image)
 
 
-@pytest.mark.parametrize("run", [run_filter, filter_image,
-                                 filter_image_oracle])
-def test_ragged_images_are_config_errors(run):
+@pytest.mark.parametrize("run,args", [
+    pytest.param(run, (Rect(1, 1), 1), id=run.__name__)
+    for run in (run_filter, filter_image, filter_image_oracle)]
+    + [pytest.param(infer_data_bits, (), id="infer_data_bits")])
+def test_ragged_images_are_config_errors(run, args):
     with pytest.raises(ConfigError, match="^sample rows must all be one"):
-        run([[1, 2], [1]], Rect(1, 1), 1)
-    with pytest.raises(ConfigError, match="^sample rows must all be one"):
-        infer_data_bits([[1, 2], [1]])
+        run([[1, 2], [1]], *args)
 
 
 def padded_by_np_pad(samples, offsets):

@@ -76,14 +76,20 @@ def test_the_clocked_engines_are_one_chain_class():
     # of Stages itself
     assert list(inspect.signature(Stage).parameters) == ["params"]
     assert not hasattr(core, "_FinderChain")
-    # only core builds the chains and their shared data pipe, and every
-    # record names its own input shape (``lanes``) instead of being sniffed
+    # only core builds the chains, their Stages and their shared data pipe,
+    # and every record names its own input shape (``lanes``) instead of
+    # being sniffed
     package = Path(rankpipe.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.stem != "core":
             names = set(_names(tree))
-            assert "_DelayRing" not in names, path.name
+            assert not {"_FinderChain", "_DelayRing"} & names, path.name
+            stages = [call for call in ast.walk(tree)
+                      if isinstance(call, ast.Call)
+                      and "Stage" in (getattr(call.func, "id", None),
+                                      getattr(call.func, "attr", None))]
+            assert stages == [], path.name
         sniffs = [call for call in ast.walk(tree)
                   if isinstance(call, ast.Call)
                   and getattr(call.func, "id", None) == "getattr"
