@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from .params import ConfigError, FilterParams, FramingError
 
 DEFAULT_CLOCK_HZ = 275e6
 BLANK = -1  # trace cell left empty; samples are never negative
-_CHUNK_ROWS = 1024  # trace rows rendered per write
+_CHUNK_ROWS = 1024  # trace rows written per translate
 
 
 class CheckFailure(Exception):
@@ -135,61 +136,105 @@ def _reshape_columns(values, channels: int) -> np.ndarray:
     return values.reshape(-1, channels)
 
 
-def _cells(top: int) -> np.ndarray:
-    """The text of every cell up to ``top``, one ``V{D + 1}`` item each (D
-    digits): item v + 1 holds v's digits right-aligned, NUL for leading
-    zeros, then a comma; item 0, BLANK, is all NUL and the comma."""
-    width = len(str(top))
-    table = np.zeros((top + 2, width + 1), dtype=np.uint8)
-    table[:, width] = ord(",")
-    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
-    for k in range(width):
-        place = 10 ** k
-        column = np.tile(np.repeat(digits, place), top // (10 * place) + 1)
-        column[:place if k else 0] = 0  # values below place have no digit k
-        table[1:, width - 1 - k] = column[:top + 1]
-    return table.view(f"V{width + 1}").ravel()
+def _cells(values) -> np.ndarray:
+    """The CSV cell of each of ``values``: its digits right-aligned behind
+    NUL padding, then a comma; BLANK's cell is the comma alone.  Every cell
+    has the smallest power-of-two width (2, 4, 8, 16, ...) that holds the
+    widest value and its comma, and up to 8 bytes is an unsigned integer:
+    the items numpy copies and fills fastest."""
+    values = np.asarray(values)
+    top = int(values.max(initial=0))
+    digits = len(str(top))
+    width = 1 << digits.bit_length()
+    text = np.zeros(values.shape + (width,), np.uint8)
+    text[..., -1] = ord(",")
+    # the narrowest integers that hold the values divide fastest
+    rest = values.astype(np.min_scalar_type(
+        top if values.min(initial=0) >= 0 else -top - 1))
+    shown = 0  # the units digit shows for every value but BLANK
+    for place in range(width - 2, width - 2 - digits, -1):
+        high = rest // 10
+        text[..., place] = (rest - 10 * high + ord("0")) * (rest >= shown)
+        rest, shown = high, 1  # a higher digit shows below a nonzero rest
+    return text.view(f"u{width}" if width <= 8 else f"V{width}")[..., 0]
 
 
-def _write_trace(path, header, rows) -> None:
-    """Write ``header`` and the int64 ``rows`` table as CSV, BLANK cells empty.
+def _per_cycle(cells) -> np.ndarray:
+    """``cells`` of shape (cycles, ...) as one item per cycle, that cycle's
+    cells side by side: one record field, copied in one pass."""
+    if cells.ndim == 1:
+        return cells
+    cells = cells.reshape(len(cells), math.prod(cells.shape[1:]))
+    return cells.view(f"V{cells.itemsize * cells.shape[1]}")[:, 0]
 
-    Each block of rows is looked up in one :func:`_cells` table, its last
-    comma turned into a newline and its NUL padding dropped in one
-    ``translate``.  No cell is below BLANK: samples are non-negative.
+
+def _write_trace(path, header, text) -> None:
+    """Write ``header`` and the per-cycle ``text`` records as CSV lines.
+
+    Each record's last comma becomes a newline, and each block of
+    ``_CHUNK_ROWS`` records loses its NUL padding in one ``translate``.
     """
-    cells = _cells(max(int(rows.max(initial=0)), 0))
+    lines = text.view(np.uint8).reshape(len(text), text.itemsize)
+    lines[:, -1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            block = rows[start:start + _CHUNK_ROWS]
-            text = cells[block - BLANK].view(np.uint8).reshape(len(block), -1)
-            text[:, -1] = ord("\n")
-            fh.write(text.tobytes().translate(None, b"\0"))
+        for start in range(0, len(lines), _CHUNK_ROWS):
+            block = lines[start:start + _CHUNK_ROWS]
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
-def _trace_table(trace, channels: int, tail_header, *tail):
-    """Header and ``(cycles, columns)`` table of a per-clock trace: cycle, d1st,
-    din, dv, dout, the results (BLANK off dv rows), then ``tail``."""
+def _trace_text(trace, channels: int, tail_header, flags=None):
+    """Header and text of a per-clock trace: one record of :func:`_cells`
+    per cycle holding cycle, d1st, din, dv, dout, the results (BLANK off dv
+    rows), then the ``(cycles, k)`` bool ``flags`` as 0 or 1, if given,
+    filled column by column from the trace's own arrays."""
     header = (["cycle", "d1st"] + [f"din{k}" for k in range(channels)]
               + ["dv"] + [f"dout{k}" for k in range(channels)]
               + list(tail_header))
-    result = np.full((trace.cycles,) + trace.values.shape[1:], BLANK)
-    result[trace.fire] = trace.values
-    return header, np.column_stack([np.arange(trace.cycles), trace.d1st,
-                                    trace.din, trace.dv, trace.dout, result,
-                                    *tail])
+    cycles, delay = trace.cycles, trace.delay
+    bits = _cells([0, 1])
+    cycle = _cells(np.arange(cycles))
+    # every cycle's samples, then the zeros dout shows before its delay
+    din = _per_cycle(_cells(np.concatenate(
+        [trace.din, np.zeros((1,) + trace.din.shape[1:], trace.din.dtype)])))
+    # each set's results, then the BLANK ones of every cycle without dv
+    results = _per_cycle(_cells(np.concatenate(
+        [trace.values, np.full((1,) + trace.values.shape[1:], BLANK)])))
+    fields = [("cycle", cycle.dtype), ("d1st", bits.dtype),
+              ("din", din.dtype), ("dv", bits.dtype), ("dout", din.dtype),
+              ("result", results.dtype)]
+    if flags is not None:
+        flags = _per_cycle(_cells(flags))
+        fields.append(("flags", flags.dtype))
+    text = np.empty(cycles, fields)
+    text["cycle"] = cycle
+    text["d1st"] = bits[0]
+    text["d1st"][trace.starts] = bits[1]
+    text["din"] = din[:-1]
+    text["dv"] = bits[0]
+    text["dv"][trace.fire] = bits[1]
+    text["dout"] = din[-1]
+    if delay is not None:  # dout is din delayed
+        text["dout"][delay:] = din[:max(cycles - delay, 0)]
+    text["result"] = results[-1]
+    text["result"][trace.fire] = results[:-1]
+    if flags is not None:
+        text["flags"] = flags
+    return header, text
 
 
 def _trace_stream(trace, channels: int):
-    return _trace_table(trace, channels, ["result"])
+    """Header and per-cycle text of a chain record's trace."""
+    return _trace_text(trace, channels, ["result"])
 
 
 def _trace_9753(cols, ranks, data_bits: int = 8):
+    """Header and per-cycle text of a 9753 run over ``cols``: four result
+    columns, then the enables of the three gated chains."""
     trace = ensemble9753_cycles(cols, ranks, data_bits=data_bits)
     names = ([f"result{w}" for w in WIDTHS]
              + [f"en{w}" for w in WIDTHS[1:]])
-    return _trace_table(trace, CADENCE, names, trace.enables)
+    return _trace_text(trace, CADENCE, names, trace.enables)
 
 
 def cmd_trace(args) -> int:
@@ -203,7 +248,7 @@ def cmd_trace(args) -> int:
         params = FilterParams(data_bits=bits, set_size=args.set_size,
                               rank=rank)
         trace = stream_cycles(params, values)
-        header, rows = _trace_stream(trace, 1)
+        header, text = _trace_stream(trace, 1)
     elif args.engine in ("multichannel", "sliding"):
         if args.window is None:
             raise ConfigError(f"--window is required for {args.engine} traces")
@@ -217,7 +262,7 @@ def cmd_trace(args) -> int:
             trace = mc_stream_cycles(params, cols)
         else:
             trace = sliding_cycles(params, cols)
-        header, rows = _trace_stream(trace, shape.height)
+        header, text = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = []
         for token in args.ranks.split(","):
@@ -229,9 +274,9 @@ def cmd_trace(args) -> int:
         if len(ranks) != 4:
             raise ConfigError("--ranks must list four values m9,m7,m5,m3")
         cols = _reshape_columns(values, CADENCE)
-        header, rows = _trace_9753(cols, ranks, bits)
-    _write_trace(args.output, header, rows)
-    print(f"wrote {len(rows)} cycles to {args.output}")
+        header, text = _trace_9753(cols, ranks, bits)
+    _write_trace(args.output, header, text)
+    print(f"wrote {len(text)} cycles to {args.output}")
     return 0
 
 

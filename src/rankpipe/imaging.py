@@ -130,6 +130,14 @@ def window_offsets(shape: WindowShape) -> list[tuple[int, int]]:
 
 
 def window_size(shape: WindowShape) -> int:
+    """N, the number of offsets of a shape: w·h for a rectangle and
+    2r(r+1) + 1 for a diamond of radius r, in closed form; only a custom
+    list is enumerated."""
+    if isinstance(shape, Rect):
+        return shape.width * shape.height
+    if isinstance(shape, Diamond):
+        r = (shape.diameter - 1) // 2
+        return 2 * r * (r + 1) + 1
     return len(window_offsets(shape))
 
 
@@ -179,7 +187,8 @@ def format_window(shape: WindowShape) -> str:
 
 def percentile_to_rank(p: float, n: int) -> int:
     """Rank M = ceil(p * N) clamped to [1, N]; p = 0.5 selects the median."""
-    if not isinstance(p, Real) or not 0 < p <= 1:
+    # bool is a Real, and True would read as the 100th percentile
+    if isinstance(p, bool) or not isinstance(p, Real) or not 0 < p <= 1:
         raise ConfigError(f"percentile must lie in (0, 1], got {p!r}")
     n = _integral(n, "set sizes")
     if n < 1:

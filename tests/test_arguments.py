@@ -54,6 +54,7 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
     pytest.param(lambda: percentile_to_rank(0.5, "9"), id="percentile-str-n"),
     pytest.param(lambda: percentile_to_rank(0.5, 2.5),
                  id="percentile-float-n"),
+    pytest.param(lambda: percentile_to_rank(True, 9), id="percentile-bool"),
     pytest.param(lambda: enable_schedule(3, 4.5), id="schedule-float-phase"),
     pytest.param(lambda: enable_schedule(3.0, 4), id="schedule-float-width"),
     pytest.param(lambda: counter_preset(5, 0), id="preset-zero-width"),

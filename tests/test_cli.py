@@ -3,6 +3,7 @@ and trace determinism."""
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rankpipe import (
     SlidingParams,
     cli,
     imaging,
+    mc_stream_cycles,
     pgm,
     stream_cycles,
 )
@@ -619,11 +621,35 @@ class TestTraceBytes:
         got = self.trace(capsys, tmp_path, values,
                          ["--set-size", "9", "--rank", "5"])
         p = FilterParams(data_bits=2, set_size=9, rank=5)
-        header, rows = cli._trace_stream(stream_cycles(p, values), 1)
-        assert len(rows) == p.cycles(12_000) > 100_000
+        trace = stream_cycles(p, values)
+        header, text = cli._trace_stream(trace, 1)
+        assert len(text) == p.cycles(12_000) > 100_000
+        # the int table of the trace's per-cycle views, BLANK off dv rows
+        result = np.where(trace.dv, trace.result.astype(int), cli.BLANK)
+        rows = np.column_stack([np.arange(trace.cycles), trace.d1st,
+                                trace.din, trace.dv, trace.dout, result])
         assert got == percent_rendered(header, rows)
         assert got.endswith(b"\n%d,0,0,1,%d,%d\n" % (
             len(rows) - 1, values[-9], rows[-1, -1]))
+
+    def test_a_trace_renders_in_less_memory_than_an_int64_table(
+            self, tmp_path):
+        # a 9-channel 8-bit trace of 22 columns: its text records take 88
+        # bytes a cycle, where one int64 table of every column took 176
+        p = McParams(channels=9, columns=9, rank=41, data_bits=8)
+        cols = np.random.default_rng(114).integers(0, 256,
+                                                   size=(11_112 * 9, 9))
+        trace = mc_stream_cycles(p, cols)
+        assert trace.cycles > 100_000
+        tracemalloc.start()
+        try:
+            header, text = cli._trace_stream(trace, 9)
+            cli._write_trace(tmp_path / "t.csv", header, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(header) == 22
+        assert peak < trace.cycles * len(header) * 8
 
     @pytest.mark.parametrize("ranks,message", [
         ("41,x,13,5", "--ranks takes integers, got 'x'"),
@@ -652,13 +678,14 @@ class TestTraceBytes:
 
 
 @given(rows=st.integers(0, 3000), columns=st.integers(1, 30),
-       digits=st.integers(1, 7), blank=st.sampled_from([0.0, 0.2, 1.0]),
+       digits=st.integers(1, 18), blank=st.sampled_from([0.0, 0.2, 1.0]),
        chunk=st.sampled_from(["one", "rows", "rows - 1", "rows + 1"]),
        seed=st.integers(0, 2**32 - 1))
 def test_the_writer_renders_like_a_percent_template(
         tmp_path_factory, rows, columns, digits, blank, chunk, seed):
-    """Every cell of 1 to ``digits`` digits, or BLANK in any column, renders
-    as a ``%d`` template does, however the rows are cut into blocks."""
+    """Every cell of 1 to ``digits`` digits (2- to 32-byte cells), or BLANK
+    in any column, renders as a ``%d`` template does, however the rows are
+    cut into blocks."""
     rng = np.random.default_rng(seed)
     widths = rng.integers(1, digits + 1, size=(rows, columns))
     table = rng.integers(0, 10 ** widths)
@@ -666,12 +693,17 @@ def test_the_writer_renders_like_a_percent_template(
     table[rng.random((rows, columns)) < blank] = cli.BLANK
     table[::7, 0] = table[::5, -1] = cli.BLANK
     header = [f"c{k}" for k in range(columns)]
+    # one record field of cells per column, as the trace lays out its own
+    cells = [cli._cells(column) for column in table.T]
+    text = np.empty(rows, [(name, c.dtype) for name, c in zip(header, cells)])
+    for name, c in zip(header, cells):
+        text[name] = c
     path = tmp_path_factory.getbasetemp() / "percent.csv"
     block = max(1, {"one": 1, "rows": rows, "rows - 1": rows - 1,
                     "rows + 1": rows + 1}[chunk])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_CHUNK_ROWS", block)
-        cli._write_trace(path, header, table)
+        cli._write_trace(path, header, text)
     assert path.read_bytes() == percent_rendered(header, table)
 
 
@@ -690,6 +722,24 @@ class TestBench:
                             ("3x7", 16.6), ("diamond5", 26.8),
                             ("diamond7", 13.9)]:
             assert abs(rates[window] - fps) <= 0.1, (window, rates[window])
+
+    @pytest.mark.parametrize("window,n", [("99999x99999", 99999 ** 2),
+                                          ("diamond99999", 4999900001)])
+    def test_a_huge_window_prints_its_row(self, capsys, window, n):
+        # the row reads the record and the closed-form window size; no
+        # offset list is built
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["bench", "--window", window,
+                                              "--simulate"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        row = out.splitlines()[-1].split()
+        assert row[:3] == [window, str(n), str(n)]
+        assert float(row[4]) > n  # cycles per result, the drain included
+        assert peak < 1 << 20
 
     def test_sliding_reports_one_cycle_per_result(self, capsys):
         code, out, _ = run_cli(capsys, ["bench", "--clock", "250e6",

@@ -1,6 +1,8 @@
 """Window geometry, border policies, the image driver, and the frame-rate
 calculator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -39,6 +41,25 @@ class TestWindowOffsets:
         offsets = window_offsets(shape)
         assert len(offsets) == n == window_size(shape)
         assert len(set(offsets)) == n
+
+    def test_closed_form_sizes_count_the_offsets(self):
+        shapes = ([Rect(w, h) for w in range(1, 7) for h in range(1, 7)]
+                  + [Diamond(d) for d in range(1, 22, 2)])
+        for shape in shapes:
+            assert window_size(shape) == len(window_offsets(shape)), shape
+
+    @pytest.mark.parametrize("shape,n", [
+        (Rect(99999, 99999), 99999 ** 2),
+        (Diamond(99999), 2 * 49999 * 50000 + 1)])
+    def test_a_huge_window_is_sized_without_its_offsets(self, shape, n):
+        # enumerating would build billions of (dx, dy) tuples
+        tracemalloc.start()
+        try:
+            assert window_size(shape) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_row_major_scan_order(self):
         assert window_offsets(Rect(3, 3)) == [
