@@ -1,6 +1,11 @@
 """Command-line surface: image filtering, stream rank finding, per-cycle
 trace export, and frame-rate benchmarking.
 
+``rank`` and ``trace`` read their decimal streams with :func:`_read_values`
+(a file's bytes go straight to the numpy parser), and both print through
+one text writer: :func:`_cells` renders values as NUL-padded CSV cells and
+:func:`_lines` turns each record into a line without the padding.
+
 Exit codes: 0 on success, 1 for validation or I/O problems, 2 when a
 ``--check`` cross-verification against the sort oracle fails.
 """
@@ -31,20 +36,33 @@ class CheckFailure(Exception):
 
 
 def _read_values(path: str | None) -> np.ndarray:
+    """The samples of a whitespace-separated decimal stream: the file at
+    ``path`` or, when None, stdin.
+
+    A file is read as bytes and parsed by ``pgm._decimal_samples`` without
+    decoding; only when that declines is it decoded as UTF-8 (raising as a
+    text-mode read does) for the exact per-token parser.  Stdin is read as
+    text, whatever its encoding, and any non-ASCII character becomes "?",
+    which sends the text to the per-token parser.
+    """
     if path is None:
         text = sys.stdin.read()
+        data = text.encode("ascii", "replace")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    # any non-ASCII character becomes "?", which sends the text to int()
-    values = pgm._decimal_samples(text.encode("ascii", "replace"))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = None
+    values = pgm._decimal_samples(data)
     if values is not None:
         return values
+    if text is None:
+        text = data.decode("utf-8")
+    tokens = text.split()
     try:
-        return np.array(text.split(), dtype=np.int64)
+        return np.array(tokens, dtype=np.int64)
     except ValueError as exc:
         raise ConfigError("bad sample in the input stream: "
-                          f"{pgm._bad_token(text.split())}") from exc
+                          f"{pgm._bad_token(tokens)}") from exc
     except OverflowError as exc:
         raise ConfigError("samples in the input stream must be below 2**63"
                           ) from exc
@@ -107,6 +125,8 @@ def cmd_filter(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    """Print the rank-th largest of each ``--set-size`` set of the stream,
+    one line per set; with ``--check``, compare each with the oracle."""
     values = _read_values(args.input)
     if args.set_size < 1:
         raise ConfigError("--set-size must be positive")
@@ -115,8 +135,8 @@ def cmd_rank(args) -> int:
             else args.data_bits)
     params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
     results = run_stream(params, values)
-    if len(results):
-        print("\n".join(map(str, results.tolist())))
+    for block in _lines(_cells(results)):  # one decimal line per result
+        sys.stdout.write(block.decode("ascii"))
     if args.check:
         for i, value in enumerate(results):
             group = values[i * args.set_size:(i + 1) * args.set_size]
@@ -168,19 +188,21 @@ def _per_cycle(cells) -> np.ndarray:
     return cells.view(f"V{cells.itemsize * cells.shape[1]}")[:, 0]
 
 
-def _write_trace(path, header, text) -> None:
-    """Write ``header`` and the per-cycle ``text`` records as CSV lines.
-
-    Each record's last comma becomes a newline, and each block of
-    ``_CHUNK_ROWS`` records loses its NUL padding in one ``translate``.
-    """
+def _lines(text):
+    """The records of ``text`` (any items of :func:`_cells`) as lines,
+    ``_CHUNK_ROWS`` at a time: each record's last comma becomes a newline,
+    then each block loses its NUL padding in one ``translate``."""
     lines = text.view(np.uint8).reshape(len(text), text.itemsize)
     lines[:, -1] = ord("\n")
+    for start in range(0, len(lines), _CHUNK_ROWS):
+        yield lines[start:start + _CHUNK_ROWS].tobytes().translate(None, b"\0")
+
+
+def _write_trace(path, header, text) -> None:
+    """Write ``header`` and the per-cycle ``text`` records as CSV lines."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        for start in range(0, len(lines), _CHUNK_ROWS):
-            block = lines[start:start + _CHUNK_ROWS]
-            fh.write(block.tobytes().translate(None, b"\0"))
+        fh.writelines(_lines(text))
 
 
 def _trace_text(trace, channels: int, tail_header, flags=None):

@@ -60,10 +60,7 @@ def boundaries(pm: PartialMedian, data_bits: int) -> tuple[int, int, int]:
     if not isinstance(pm, PartialMedian):
         raise ConfigError(f"boundaries need a PartialMedian, got "
                           f"{type(pm).__name__}")
-    q = quarter_width(data_bits, pm.bits_resolved)
-    # a range of B-bit samples lies below 2**B, its unresolved low bits zero
-    if pm.prefix >> data_bits or pm.prefix % (4 * q):
-        raise ConfigError(f"{pm} is no range of {data_bits}-bit samples")
+    q = pm._quarter(data_bits)
     return pm.prefix + q, pm.prefix + 2 * q, pm.prefix + 3 * q
 
 
@@ -87,7 +84,9 @@ def refine(msb3: int, msb2: int, msb1: int, check: bool = False) -> int:
     ``check=True`` any other combination raises as an internal-consistency
     diagnostic instead of being silently priority-resolved.
     """
-    msb3, msb2, msb1 = (_integral(msb, "accumulator MSBs")
+    # the MSBs are flags: a bool is one, as any integer is
+    msb3, msb2, msb1 = (_integral(int(msb) if isinstance(msb, bool) else msb,
+                                  "accumulator MSBs")
                         for msb in (msb3, msb2, msb1))
     if check and ((msb3 and not msb2) or (msb2 and not msb1)):
         raise ValueError(

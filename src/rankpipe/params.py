@@ -32,7 +32,9 @@ class FramingError(RuntimeError):
 
 def _integral(value, what: str) -> int:
     """``value`` as an int (numpy integers included); floats are rejected,
-    never truncated."""
+    never truncated, and so are bools, never read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be integers, not bools, got {value}")
     try:
         return operator.index(value)
     except TypeError:
@@ -329,9 +331,18 @@ class PartialMedian:
         if self.prefix < 0:
             raise ConfigError("prefix must be non-negative")
 
+    def _quarter(self, data_bits: int) -> int:
+        """The quarter width of this range of ``data_bits``-bit samples,
+        once it is checked to be one: below 2**B, its unresolved low bits
+        zero."""
+        q = quarter_width(data_bits, self.bits_resolved)
+        if self.prefix >> data_bits or self.prefix % (4 * q):
+            raise ConfigError(f"{self} is no range of {data_bits}-bit samples")
+        return q
+
     def refined(self, quarter: int, data_bits: int) -> "PartialMedian":
         """Narrow to one of the four quarters (0..3) of this range."""
-        q = quarter_width(data_bits, self.bits_resolved)
+        q = self._quarter(data_bits)
         if not 0 <= _integral(quarter, "quarters") <= 3:
             raise ConfigError(f"quarter must be in 0..3, got {quarter}")
         return PartialMedian(self.prefix + quarter * q, self.bits_resolved + 2)

@@ -6,12 +6,13 @@ are one byte up to maxval 255 and big-endian two bytes above, per the
 Netpbm convention; maxval is capped at 65535.
 
 ASCII samples (the P2 raster here, and the ``rankpipe rank``/``trace``
-input streams in :mod:`rankpipe.cli`) are parsed by ``_decimal_samples``
-in one numpy pass when the text holds only ASCII digits and ASCII
-whitespace and every value is below 10**18.  Any other text (signs,
-underscores, non-ASCII digits or spaces, decimal points, longer values)
-makes it return None, and the caller's exact per-token ``int()`` parser
-then decides, with its own error messages.
+input streams in :mod:`rankpipe.cli`) are parsed from their undecoded
+bytes by ``_decimal_samples`` in one numpy pass when the text holds only
+ASCII digits and ASCII whitespace and every value is below 10**18; the
+pass is given the count of digit runs, so its result is allocated once.
+Any other text (signs, underscores, non-ASCII digits or spaces, decimal
+points, longer values) makes it return None, and the caller's exact
+per-token ``int()`` parser then decides, with its own error messages.
 """
 
 from __future__ import annotations
@@ -38,15 +39,18 @@ def bits_for_maxval(maxval: int) -> int:
 def _decimal_samples(data: bytes) -> np.ndarray | None:
     """int64 samples of whitespace-separated decimal ``data``, or None when
     the text holds anything but ASCII digits and the six ASCII whitespace
-    bytes, holds a value of 10**18 or more, or is whitespace only."""
+    bytes or holds a value of 10**18 or more.  Whitespace-only text has
+    no samples."""
     raw = np.frombuffer(data, dtype=np.uint8)
     digit = (raw - 48) < 10
     if not (digit | ((raw - 9) < 5) | (raw == 32)).all():
         return None
     tokens = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[:1].sum())
-    values = np.fromstring(data, dtype=np.int64, sep=" ")
-    # whitespace-only text parses as [0], so the token count must agree
-    if len(values) != tokens or values.max(initial=0) >= _FAST_LIMIT:
+    # the count allocates the result once; it must be exact, since numpy
+    # leaves the items past the text's last value unset.  Each digit run
+    # is one value here, and whitespace-only text reads as no values.
+    values = np.fromstring(data, dtype=np.int64, sep=" ", count=tokens)
+    if values.max(initial=0) >= _FAST_LIMIT:
         return None
     return values
 

@@ -3,6 +3,7 @@ call below raises ``ConfigError``, never a bare ``TypeError`` or
 ``ValueError``, never returns a truncated answer, and never allocates a
 megabyte first."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from rankpipe import (
     Border,
     ConfigError,
     Custom,
+    Diamond,
     Engine,
     Ensemble9753,
     FilterParams,
@@ -124,6 +126,18 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
                  id="refined-quarter-4"),
     pytest.param(lambda: PartialMedian().refined(-1, 8),
                  id="refined-quarter-minus-1"),
+    # refined checks its range as boundaries does
+    pytest.param(lambda: PartialMedian(3, 2).refined(1, 8),
+                 id="refined-unresolved-bits-set"),
+    pytest.param(lambda: PartialMedian(256, 2).refined(0, 8),
+                 id="refined-prefix-past-width"),
+    # a bool is a flag, never a count, though operator.index takes it
+    pytest.param(lambda: Rect(True, 3), id="rect-bool-width"),
+    pytest.param(lambda: Rect(3, False), id="rect-bool-height"),
+    pytest.param(lambda: Diamond(True), id="diamond-bool-diameter"),
+    pytest.param(lambda: run_filter(IMAGE, Rect(1, 1), 1, threads=True),
+                 id="filter-bool-threads"),
+    pytest.param(lambda: PartialMedian(True, 0), id="partial-bool-prefix"),
     pytest.param(lambda: Custom(((1, 2, 3),)), id="custom-triple"),
     pytest.param(lambda: Custom((1, 2)), id="custom-flat-pair"),
     pytest.param(lambda: Custom(5), id="custom-int"),
@@ -225,6 +239,24 @@ def test_malformed_calls_raise_config_error(call):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before anything run-sized is allocated
+
+
+@pytest.mark.parametrize("record,name", [
+    pytest.param(record, f.name, id=f"{type(record).__name__}-{f.name}")
+    for record in (FilterParams(8, 5, 3), McParams(3, 3, 5), SLIDING)
+    for f in dataclasses.fields(record)])
+@pytest.mark.parametrize("flag", [True, False])
+def test_every_chain_record_field_refuses_a_bool(record, name, flag):
+    with pytest.raises(ConfigError, match="not bools"):
+        dataclasses.replace(record, **{name: flag})
+
+
+def test_flags_still_take_bools():
+    # refine's MSBs and the first-data marker are flags, not counts
+    assert refine(False, True, True) == refine(0, 1, 1) == 2
+    engine = Engine(FilterParams(2, 1, 1, pipe_latency=0))
+    assert engine.clock(3, True) == Engine(
+        FilterParams(2, 1, 1, pipe_latency=0)).clock(3, 1)
 
 
 @pytest.mark.parametrize("strip", [[], np.zeros((2, 3), np.uint8)])

@@ -318,9 +318,11 @@ class TestSlidingRecordCache:
                               self.COLS).results.tolist() == want
 
     def test_integer_types_give_the_same_record(self):
-        # bools are integers to the records (operator.index), as before
-        for rank in (np.int64(1), True, np.array(1)):
+        for rank in (np.int64(1), np.array(1)):
             assert SlidingParams(3, 3, rank) == SlidingParams(3, 3, 1)
+        # a bool is a flag, not a count, though operator.index takes it
+        with pytest.raises(ConfigError, match="not bools"):
+            SlidingParams(3, 3, True)
         assert SlidingParams(3, 3, 5).counter_bits == 8
 
     def test_unhashable_arguments_get_the_records_own_checks(self):

@@ -1,7 +1,9 @@
 """Decimal text parsing: the numpy fast path for ``rank``/``trace`` input and
-P2 rasters against the per-token parsers it replaced, and the vectorised P2
-writer against the per-sample writer."""
+P2 rasters against the per-token parsers it replaced, the vectorised P2
+writer against the per-sample writer, and ``rank``'s output against the
+per-result join it replaced."""
 
+import contextlib
 import io
 import os
 import sys
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankpipe import cli
+from rankpipe.oracle import select_desc
 from rankpipe.params import ConfigError
 from rankpipe.pgm import PgmError, read_pgm_bytes, write_pgm_bytes
 
@@ -148,6 +151,87 @@ def test_stdin_with_lone_surrogates_matches_the_per_token_parser(text):
     # stdin decoded with surrogateescape can hold characters UTF-8 cannot
     # encode; the stream parser must report them as bad samples, as int() does
     assert outcome(via_stdin, text) == outcome(reference_read_values, text)
+
+
+@contextlib.contextmanager
+def file_of(data):
+    """The path of a temporary file holding the bytes ``data``."""
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        yield path
+    finally:
+        os.unlink(path)
+
+
+def text_mode_read(data):
+    """What the stream parser did with a file before it read bytes: a
+    text-mode UTF-8 read, then the per-token parser."""
+    with file_of(data) as path, open(path, encoding="utf-8") as fh:
+        return reference_read_values(fh.read())
+
+
+def via_file_bytes(data):
+    with file_of(data) as path:
+        return cli._read_values(path)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"1 2 \xff 4", id="bad-start-byte"),
+    pytest.param(b"\xff", id="bad-byte-alone"),
+    pytest.param(b"1 2 3\xe2\x82", id="truncated-at-end"),
+    pytest.param(b"7 \xc3(", id="bad-continuation"),
+    pytest.param(b"1 \xed\xa0\x80 2", id="encoded-surrogate"),
+    pytest.param(b"1\r\n" * 5000 + b"\x80", id="past-8-KB-of-crlf"),
+    pytest.param(b"\xef\xbb\xbf1 2", id="byte-order-mark"),
+    pytest.param("1 \u0663 \u00a0 2".encode("utf-8"), id="valid-non-ascii")])
+def test_file_bytes_fail_as_a_text_mode_read_does(data):
+    # invalid UTF-8 raises the decoder's own error, naming the same byte
+    # offset; valid non-ASCII text reaches the per-token parser
+    assert outcome(via_file_bytes, data) == outcome(text_mode_read, data)
+
+
+def joined_results(values, set_size, rank):
+    """``rank``'s stdout as the per-result join printed it: each set's
+    rank-th largest on its own line, nothing for no sets."""
+    results = [select_desc(values[i:i + set_size], rank)
+               for i in range(0, len(values), set_size)]
+    return "\n".join(map(str, results)) + "\n" if results else ""
+
+
+@st.composite
+def sample_sets(draw):
+    """B-bit samples (2 <= B <= 16) in whole sets of one size, 0 and
+    2**B - 1 among them whenever there are two samples or more."""
+    bits = draw(st.integers(2, 16))
+    set_size = draw(st.integers(1, 9))
+    values = draw(st.lists(st.integers(0, (1 << bits) - 1),
+                           max_size=40 * set_size))
+    values = values[:len(values) - len(values) % set_size]
+    if len(values) >= 2:
+        values[:2] = [0, (1 << bits) - 1]
+    rank = draw(st.integers(1, set_size))
+    return bits, set_size, rank, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sample_sets(), stdin=st.booleans())
+@example(case=(16, 1, 1, []), stdin=False)
+@example(case=(16, 1, 1, [0]), stdin=False)
+@example(case=(16, 3, 2, [0, 65535, 7]), stdin=True)
+@example(case=(2, 2, 1, [3, 0]), stdin=False)
+def test_rank_prints_as_the_per_result_join_did(case, stdin):
+    bits, set_size, rank, values = case
+    text = " ".join(map(str, values)) + "\n"
+    argv = ["rank", "--set-size", str(set_size), "--rank", str(rank),
+            "--data-bits", str(bits)]
+    out = io.StringIO()
+    with file_of(text.encode("ascii")) as path, \
+            mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out):
+        assert cli.main(argv if stdin else argv[:1] + [path] + argv[1:]) == 0
+    assert out.getvalue() == joined_results(values, set_size, rank)
 
 
 @settings(max_examples=300, deadline=None)
