@@ -1,7 +1,7 @@
 """The set-parallel batch kernel for the refinement-stage chains.
 
 ``chain_run`` is the hot path behind the one batch entry,
-``core._chain_trace``: every ``FilterParams``, ``McParams`` and
+``core.stream_cycles``: every ``FilterParams``, ``McParams`` and
 ``SlidingParams`` run, the 9753 ensemble's four gated chains included.
 ``sliding_run`` is the same function, a name kept for the benchmark's
 span table.  It gives one result per set, with the cycle each one matures

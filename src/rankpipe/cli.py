@@ -126,7 +126,7 @@ def cmd_filter(args) -> int:
 
 def cmd_rank(args) -> int:
     """Print the rank-th largest of each ``--set-size`` set of the stream,
-    one line per set; with ``--check``, compare each with the oracle."""
+    one line per set; with ``--check``, compare them with the oracle's."""
     values = _read_values(args.input)
     if args.set_size < 1:
         raise ConfigError("--set-size must be positive")
@@ -138,13 +138,13 @@ def cmd_rank(args) -> int:
     for block in _lines(_cells(results)):  # one decimal line per result
         sys.stdout.write(block.decode("ascii"))
     if args.check:
-        for i, value in enumerate(results):
-            group = values[i * args.set_size:(i + 1) * args.set_size]
-            expected = oracle.select_desc(group, rank)
-            if int(value) != expected:
-                raise CheckFailure(
-                    f"set {i}: engine said {int(value)}, oracle says {expected}"
-                )
+        expected = oracle.select_desc_rows(
+            values.reshape(-1, args.set_size), rank)
+        wrong = np.flatnonzero(results != expected)
+        if len(wrong):
+            i = wrong[0]
+            raise CheckFailure(f"set {i}: engine said {results[i]}, "
+                               f"oracle says {expected[i]}")
     return 0
 
 
@@ -259,7 +259,18 @@ def _trace_9753(cols, ranks, data_bits: int = 8):
     return _trace_text(trace, CADENCE, names, trace.enables)
 
 
+# the options each trace engine ignores, and so refuses
+_TRACE_IGNORES = {"single": ("window", "ranks"),
+                  "multichannel": ("set_size", "ranks"),
+                  "sliding": ("set_size", "ranks"),
+                  "9753": ("set_size", "window", "rank", "percentile")}
+
+
 def cmd_trace(args) -> int:
+    for name in _TRACE_IGNORES[args.engine]:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply "
+                              f"to {args.engine} traces")
     values = _read_values(args.input)
     bits = (imaging.infer_data_bits(values) if args.data_bits is None
             else args.data_bits)
@@ -287,7 +298,8 @@ def cmd_trace(args) -> int:
         header, text = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = []
-        for token in args.ranks.split(","):
+        spec = "41,25,13,5" if args.ranks is None else args.ranks
+        for token in spec.split(","):
             try:
                 ranks.append(int(token))
             except ValueError as exc:
@@ -306,9 +318,10 @@ _STANDARD_WINDOWS = ("3x3", "5x5", "3x5", "3x7", "diamond5", "diamond7")
 
 
 def cmd_bench(args) -> int:
+    """Each window's frame rates at ``--image-dims``, read from its record."""
     width, height = _parse_dims(args.image_dims)
-    sim_w, sim_h = _parse_dims(args.sim_dims)
-    frame_rate(args.clock, width, height, 1)  # checks the clock before output
+    fps = functools.partial(frame_rate, args.clock, width, height)
+    fps(1)  # checks the clock before output
     shapes = [imaging.parse_window(spec)
               for spec in args.window or _STANDARD_WINDOWS]
     if not args.window:  # the standard windows the engine can filter
@@ -319,22 +332,16 @@ def cmd_bench(args) -> int:
         rank = percentile_to_rank(0.5, n)
         params = imaging.engine_params(shape, n, rank, args.engine, 8)
         cpr = params.cadence
-        fps = frame_rate(args.clock, width, height, cpr)
-        line = (f"{imaging.format_window(shape):<10} {n:>4} {cpr:>8} "
-                f"{fps:>9.2f}")
-        if args.simulate:
-            cycles, _ = imaging.filter_cost(params, sim_h, sim_w)
-            measured = cycles / (sim_h * sim_w)
-            fps = frame_rate(args.clock, width, height, measured)
-            line += f" {measured:>10.3f} {fps:>10.2f}"
-        rows.append(line)
+        cycles, _ = imaging.filter_cost(params, height, width)
+        measured = cycles / (height * width)
+        rows.append(f"{imaging.format_window(shape):<10} {n:>4} {cpr:>8} "
+                    f"{fps(cpr):>9.2f} {measured:>10.3f} "
+                    f"{fps(measured):>10.2f}")
     print(f"operating frequency: {args.clock / 1e6:.1f} MHz")
     print(f"image size: {width} x {height}")
     print(f"engine: {args.engine}")
-    header = f"{'window':<10} {'N':>4} {'cyc/res':>8} {'fps':>9}"
-    if args.simulate:
-        header += f" {'measured':>10} {'fps(meas)':>10}"
-    print("\n".join([header] + rows))
+    print(f"{'window':<10} {'N':>4} {'cyc/res':>8} {'fps':>9} "
+          f"{'measured':>10} {'fps(meas)':>10}", *rows, sep="\n")
     return 0
 
 
@@ -385,13 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rank_args(p_trace)
     p_trace.add_argument("--window", default=None,
                          help="WxH for multichannel, WxW for sliding")
-    p_trace.add_argument("--ranks", default="41,25,13,5",
-                         help="9753 per-chain ranks m9,m7,m5,m3")
+    p_trace.add_argument("--ranks", default=None,
+                         help="9753 per-chain ranks m9,m7,m5,m3 "
+                              "(default 41,25,13,5)")
     p_trace.add_argument("--data-bits", type=int, default=None)
     p_trace.set_defaults(func=cmd_trace)
 
-    p_bench = sub.add_parser("bench", help="frame-rate table and simulation "
-                                           "benchmarks")
+    p_bench = sub.add_parser("bench", help="frame-rate table of a frame, "
+                                           "formula and simulated cycles")
     p_bench.add_argument("--image-dims", default="1024x768")
     p_bench.add_argument("--window", action="append", default=None,
                          help="window spec; repeatable (default: the standard "
@@ -399,11 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--clock", type=float, default=DEFAULT_CLOCK_HZ)
     p_bench.add_argument("--engine", default="single",
                          choices=["single", "multichannel", "sliding"])
-    p_bench.add_argument("--simulate", action="store_true",
-                         help="add the cycles/result of filtering a "
-                              "--sim-dims frame, read from the engine's "
-                              "record; no pixel is filtered")
-    p_bench.add_argument("--sim-dims", default="64x48")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

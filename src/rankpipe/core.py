@@ -14,7 +14,7 @@ reference for the cycle semantics, owns a data pipe and
 clock by clock: one chain under ``FilterParams`` or ``McParams``, W with
 staggered markers under ``SlidingParams``.  Each ``Stage`` takes the
 record too, and sizes its counters from it.  The batch runs go through
-``_chain_trace``, the one entry of every chain record, the 9753
+``stream_cycles``, the one entry of every chain record, the 9753
 ensemble's gated chains included.  It is the one caller of
 :mod:`rankpipe._kernels`, which computes every set's result at once, with
 the fixed cycle it matures at.  The test suite checks the two against
@@ -38,7 +38,6 @@ from . import _kernels
 from .params import (
     ConfigError,
     CycleOutput,
-    FilterParams,
     FramingError,
     PartialMedian,
     _ChainTiming,
@@ -105,8 +104,10 @@ def _record(params):
     return params
 
 
-def comparison_count(params: FilterParams, num_sets: int) -> int:
-    """Exact boundary comparisons for ``num_sets`` sets: 3 * N * (B/2) each."""
+def comparison_count(params: _ChainTiming, num_sets: int) -> int:
+    """Exact boundary comparisons for ``num_sets`` sets: 3 * N * (B/2) each,
+    except under ``SlidingParams``, whose W chains share a first stage that
+    compares each column of the run once (``SlidingParams.comparisons``)."""
     return _record(params).comparisons(num_sets)
 
 
@@ -228,7 +229,7 @@ class Engine:
     last clock, -1 for none.
     """
 
-    def __init__(self, params: FilterParams):
+    def __init__(self, params: _ChainTiming):
         p = self.params = _record(params)
         self._ring = _DelayRing(p)
         self.chains = [[Stage(p) for _ in range(p.stages)]
@@ -358,12 +359,12 @@ def _framed(cols, data_bits: int, total: int) -> np.ndarray:
     return din
 
 
-def _chain_trace(params, cols) -> StreamTrace:
-    """The one batch entry of every chain record: frame ``cols``, one input
+def stream_cycles(params: _ChainTiming, data) -> StreamTrace:
+    """The one batch entry of every chain record: frame ``data``, one input
     of shape ``params.lanes`` per cycle, into the sets the record starts,
     run the kernel through them plus the drain, and return the trace."""
     p, lanes = _record(params), params.lanes
-    cols = _array(cols)
+    cols = _array(data)
     if cols.ndim != 1 + len(lanes) or cols.shape[1:] != lanes:
         raise ConfigError(f"stream must have shape "
                           f"(n,{''.join(f' {k}' for k in lanes)}), "
@@ -378,13 +379,7 @@ def _chain_trace(params, cols) -> StreamTrace:
                        delay=p.alignment)
 
 
-def stream_cycles(params: FilterParams, data) -> StreamTrace:
-    """Frame ``data`` (samples, or ``(n, K)`` columns) into back-to-back
-    sets, run the engine through them plus the drain; return the trace."""
-    return _chain_trace(params, data)
-
-
-def run_stream(params: FilterParams, data) -> np.ndarray:
+def run_stream(params: _ChainTiming, data) -> np.ndarray:
     """One result per set of ``set_size`` samples: the rank-th largest of each.
 
     ``data`` length must be a multiple of the set length; sets are streamed

@@ -15,9 +15,9 @@ only on its enabled phases, yielding the four concentric window results
 every 9 clocks.  Non-square and irregular windows are the single and
 multichannel engines' business.
 
-``ensemble9753_cycles`` runs each gated chain through core's one batch
-entry and builds no clocked object; the clocked ``Ensemble9753`` is its
-reference.  Its chains run at the records' default pipe latency.
+``ensemble9753_cycles`` runs each gated chain through ``stream_cycles``,
+core's one batch entry, and builds no clocked object; the clocked
+``Ensemble9753`` is its reference, at the records' default pipe latency.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Engine, StreamTrace, _chain_trace, _framed, _marker
-from .core import stream_cycles as sliding_cycles
+from .core import Engine, StreamTrace, _framed, _marker, stream_cycles
 from .params import (
     ConfigError,
     FramingError,
@@ -39,6 +38,7 @@ from .params import (
     as_samples,
 )
 
+sliding_cycles = stream_cycles
 CADENCE = 9  # fixed column cadence of the 9753 variant
 WIDTHS = (9, 7, 5, 3)  # the 9753 chains' window sides, widest first
 
@@ -197,7 +197,7 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *,
     fires, values, comparisons = [], [], 0
     for p in chains:
         w, on = p.channels, _centered(p.channels)
-        trace = _chain_trace(p, windows[:, on, on].reshape(-1, w))
+        trace = stream_cycles(p, windows[:, on, on].reshape(-1, w))
         g = trace.fire
         fires.append(CADENCE * (g // w) + on.start + g % w)
         values.append(trace.values)

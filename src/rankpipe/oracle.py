@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .imaging import Border, Custom, Diamond, Rect
-from .params import MAX_DATA_BITS, ConfigError, _integral
+from .params import MAX_DATA_BITS, ConfigError, _array, _integral
 
 
 def select_desc(data, rank: int):
@@ -27,6 +27,19 @@ def select_desc(data, rank: int):
     if not 1 <= rank <= len(items):
         raise ConfigError(f"rank {rank} outside [1, {len(items)}]")
     return items[rank - 1]
+
+
+def select_desc_rows(sets, rank: int) -> np.ndarray:
+    """The rank-th largest value of every row of the 2-D ``sets``: one full
+    sort of all the rows at once, read at position rank-1 from the top."""
+    rank = _integral(rank, "rank values")
+    sets = _array(sets)
+    if sets.ndim != 2:
+        raise ConfigError(f"sets must be a 2-D array, one set per row, got "
+                          f"shape {sets.shape}")
+    if not 1 <= rank <= sets.shape[1]:
+        raise ConfigError(f"rank {rank} outside [1, {sets.shape[1]}]")
+    return np.sort(sets, axis=1)[:, sets.shape[1] - rank]
 
 
 def _own_offsets(shape):

@@ -209,8 +209,8 @@ def test_10_frame_rate_table_and_measured_cycles(capsys):
     params = FilterParams(data_bits=8, set_size=n, rank=13)
     rep = run_filter(image, shape, 13, data_bits=8)
     assert 0 <= rep.cycles - image.size * n <= params.drain_cycles
-    assert cli.main(["bench", "--window", "5x5", "--simulate",
-                     "--sim-dims", "64x48"]) == 0
+    assert cli.main(["bench", "--window", "5x5", "--image-dims",
+                     "64x48"]) == 0
     out = capsys.readouterr().out
     row = [l for l in out.splitlines() if l.startswith("5x5")][0]
     measured = float(row.split()[4])

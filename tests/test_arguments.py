@@ -1,7 +1,11 @@
 """Public entry points that cannot misread their arguments: each malformed
 call below raises ``ConfigError``, never a bare ``TypeError`` or
 ``ValueError``, never returns a truncated answer, and never allocates a
-megabyte first."""
+megabyte first.
+
+Every name of ``rankpipe.__all__`` has a row but three.  ``CycleOutput`` is
+an output record: what a clocked engine returns, which no caller builds.
+``FramingError`` and ``ConfigError`` are exceptions, raised and not called."""
 
 import dataclasses
 import tracemalloc
@@ -28,6 +32,8 @@ from rankpipe import (
     counter_preset,
     enable_schedule,
     ensemble9753_cycles,
+    ensemble9753_results,
+    filter_image,
     filter_image_oracle,
     frame_rate,
     incgen,
@@ -38,11 +44,16 @@ from rankpipe import (
     refine,
     run_filter,
     run_stream,
+    run_windows,
     select_desc,
     sliding_cycles,
     sliding_window_results,
     stream_cycles,
+    window_offsets,
+    window_size,
 )
+from rankpipe.oracle import select_desc_rows
+from rankpipe.pgm import read_pgm
 
 IMAGE = np.arange(12).reshape(3, 4)
 SLIDING = SlidingParams(3, 3, 5)
@@ -229,6 +240,31 @@ STRIP = np.zeros((18, 9), np.uint8)  # two cadences of 9753 columns
                  id="oracle-ragged-image"),
     pytest.param(lambda: infer_data_bits([[1, 2], [1]]),
                  id="infer-bits-ragged-image"),
+    pytest.param(lambda: ensemble9753_results(STRIP, ranks=(41, 25, 13)),
+                 id="9753-results-three-ranks"),
+    pytest.param(lambda: ensemble9753_results(np.zeros((18, 8), np.uint8)),
+                 id="9753-results-narrow-strip"),
+    pytest.param(lambda: filter_image(IMAGE, Rect(3, 3), 5, threads=0),
+                 id="filter-image-zero-threads"),
+    pytest.param(lambda: filter_image(IMAGE, Rect(3, 3), 10),
+                 id="filter-image-rank-past-window"),
+    pytest.param(lambda: run_windows(None, np.zeros((9, 3), np.uint8)),
+                 id="run-windows-none-params"),
+    pytest.param(lambda: run_windows(McParams(3, 3, 5),
+                                     np.zeros((9, 4), np.uint8)),
+                 id="run-windows-too-wide"),
+    pytest.param(lambda: Border("wrap"), id="border-unknown"),
+    pytest.param(lambda: window_offsets("3x3"), id="offsets-spec-str"),
+    pytest.param(lambda: window_size(None), id="window-size-none"),
+    # the oracle's all-rows selection refuses what select_desc refuses
+    pytest.param(lambda: select_desc_rows([1, 2, 3], 1),
+                 id="select-rows-1d"),
+    pytest.param(lambda: select_desc_rows([[1, 2], [1]], 1),
+                 id="select-rows-ragged"),
+    pytest.param(lambda: select_desc_rows(np.zeros((2, 3), np.int64), 4),
+                 id="select-rows-rank-past-set"),
+    pytest.param(lambda: select_desc_rows(np.zeros((2, 3), np.int64), 1.5),
+                 id="select-rows-float-rank"),
 ])
 def test_malformed_calls_raise_config_error(call):
     tracemalloc.start()
@@ -239,6 +275,16 @@ def test_malformed_calls_raise_config_error(call):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # refused before anything run-sized is allocated
+
+
+def test_a_missing_custom_window_file_fails_as_a_missing_image_does(
+        tmp_path):
+    # not a malformed call: the CLI reports either OSError with exit 1
+    missing = tmp_path / "nonexistent"
+    with pytest.raises(FileNotFoundError):
+        parse_window(f"custom={missing}")
+    with pytest.raises(FileNotFoundError):
+        read_pgm(missing)
 
 
 @pytest.mark.parametrize("record,name", [

@@ -148,12 +148,20 @@ class TestRank:
         assert code == 1
 
     def test_check_mismatch_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.oracle, "select_desc", lambda data, m: -1)
-        code, _, err = run_cli(capsys, ["rank", "--set-size", "3", "--rank", "1",
-                                        "--check"],
-                               stdin="1 2 3", monkeypatch=monkeypatch)
+        run_stream = cli.run_stream
+
+        def corrupted(params, values):  # the second set's result is off
+            results = run_stream(params, values)
+            results[1] += 1
+            return results
+
+        monkeypatch.setattr(cli, "run_stream", corrupted)
+        code, _, err = run_cli(capsys, ["rank", "--set-size", "3", "--rank",
+                                        "1", "--check"],
+                               stdin="1 2 3 4 5 6 7 8 9",
+                               monkeypatch=monkeypatch)
         assert code == 2
-        assert "check failed" in err
+        assert err == "check failed: set 1: engine said 7, oracle says 6\n"
 
 
 class TestFilter:
@@ -439,6 +447,34 @@ class TestTrace:
             assert fields[i7] == str(int(enable_schedule(7, phase)))
             assert fields[i5] == str(int(enable_schedule(5, phase)))
             assert fields[i3] == str(int(enable_schedule(3, phase)))
+
+    @pytest.mark.parametrize("engine,option", [
+        pytest.param(engine, option, id=f"{engine}-{option[0][2:]}")
+        for engine, option in [
+            ("single", ["--window", "3x3"]),
+            ("single", ["--ranks", "41,25,13,5"]),
+            ("multichannel", ["--set-size", "9"]),
+            ("multichannel", ["--ranks", "41,25,13,5"]),
+            ("sliding", ["--set-size", "9"]),
+            ("sliding", ["--ranks", "41,25,13,5"]),
+            ("9753", ["--set-size", "9"]),
+            ("9753", ["--window", "3x3"]),
+            ("9753", ["--rank", "5"]),
+            ("9753", ["--percentile", "0.5"])]])
+    def test_an_option_the_engine_ignores_is_refused(self, capsys, tmp_path,
+                                                     engine, option):
+        own = {"single": ["--set-size", "9", "--rank", "5"],
+               "multichannel": ["--window", "3x3", "--rank", "5"],
+               "sliding": ["--window", "3x3", "--rank", "5"],
+               "9753": []}[engine]
+        src, dst = tmp_path / "in.txt", tmp_path / "out.csv"
+        src.write_text(" ".join(["4"] * 162))
+        argv = ["trace", str(src), "-o", str(dst), "--engine", engine, *own]
+        code, out, err = run_cli(capsys, argv + option)
+        assert (code, out) == (1, "")
+        assert err == f"error: {option[0]} does not apply to {engine} traces\n"
+        assert not dst.exists()  # refused before anything is written
+        assert run_cli(capsys, argv)[0] == 0  # its own options are valid
 
 
 def render_csv(header, rows) -> bytes:
@@ -730,8 +766,7 @@ class TestBench:
         # offset list is built
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, ["bench", "--window", window,
-                                              "--simulate"])
+            code, out, err = run_cli(capsys, ["bench", "--window", window])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -751,7 +786,7 @@ class TestBench:
 
     def test_simulation_column(self, capsys):
         code, out, _ = run_cli(capsys, ["bench", "--window", "3x3",
-                                        "--simulate", "--sim-dims", "16x12"])
+                                        "--image-dims", "16x12"])
         assert code == 0
         row = [l for l in out.splitlines() if l.startswith("3x3")][0]
         measured = float(row.split()[4])
@@ -760,18 +795,16 @@ class TestBench:
 
     def test_windows_past_the_reference_widths_simulate(self, capsys):
         code, out, err = run_cli(capsys, ["bench", "--window", "17x17",
-                                          "--engine", "sliding", "--simulate",
-                                          "--sim-dims", "20x18"])
+                                          "--engine", "sliding",
+                                          "--image-dims", "20x18"])
         assert code == 0, err
         assert out.splitlines()[-1].split()[:3] == ["17x17", "289", "1"]
 
     @pytest.mark.parametrize("clock", ["nan", "inf", "0", "-5"])
-    @pytest.mark.parametrize("simulate", [[], ["--simulate"]])
-    def test_the_clock_must_be_positive_and_finite(self, capsys, clock,
-                                                   simulate):
+    def test_the_clock_must_be_positive_and_finite(self, capsys, clock):
         code, out, err = run_cli(capsys, ["bench", "--window", "3x3",
-                                          "--sim-dims", "8x6", "--clock",
-                                          clock] + simulate)
+                                          "--image-dims", "8x6", "--clock",
+                                          clock])
         assert code == 1 and out == ""
         assert "positive and finite" in err
 
@@ -780,12 +813,10 @@ class TestBench:
         assert code == 1
 
     @pytest.mark.parametrize("window", ["4x4", "3x5"])
-    @pytest.mark.parametrize("simulate", [[], ["--simulate"]])
-    def test_sliding_rejects_windows_it_cannot_filter(self, capsys, window,
-                                                      simulate):
+    def test_sliding_rejects_windows_it_cannot_filter(self, capsys, window):
         code, out, err = run_cli(capsys, ["bench", "--engine", "sliding",
-                                          "--window", window, "--sim-dims",
-                                          "8x6"] + simulate)
+                                          "--window", window, "--image-dims",
+                                          "8x6"])
         assert code == 1 and out == ""
         assert err.startswith("error:") and "sliding" in err
 
@@ -805,14 +836,46 @@ class TestBench:
                                     5, data_bits=8)
 
         def no_filter(*args, **kwargs):
-            raise AssertionError("bench --simulate filtered a frame")
+            raise AssertionError("bench filtered a frame")
 
         monkeypatch.setattr(imaging, "run_filter", no_filter)
         code, out, _ = run_cli(capsys, ["bench", "--window", "3x3",
-                                        "--simulate", "--sim-dims", "16x12"])
+                                        "--image-dims", "16x12"])
         assert code == 0
         row = [l for l in out.splitlines() if l.startswith("3x3")][0]
         assert row.split()[4] == f"{report.cycles_per_result:.3f}"
+
+    @pytest.mark.parametrize("engine", ["single", "multichannel", "sliding"])
+    def test_the_measured_column_is_the_named_frames(self, capsys, engine):
+        # each standard window the engine filters reads the cycles per
+        # result that filtering the --image-dims frame reports
+        code, out, err = run_cli(capsys, ["bench", "--engine", engine,
+                                          "--image-dims", "16x12"])
+        assert (code, err) == (0, "")
+        rows = [row.split() for row in out.splitlines()[4:]]
+        assert [row[0] for row in rows] == [
+            w for w in cli._STANDARD_WINDOWS
+            if engine in imaging.engines_for(imaging.parse_window(w))]
+        image = np.zeros((12, 16), np.int64)
+        for row in rows:
+            rank = imaging.percentile_to_rank(0.5, int(row[1]))
+            report = imaging.run_filter(image, imaging.parse_window(row[0]),
+                                        rank, engine=engine, data_bits=8)
+            measured = report.cycles_per_result
+            fps = imaging.frame_rate(cli.DEFAULT_CLOCK_HZ, 16, 12, measured)
+            assert row[4:] == [f"{measured:.3f}", f"{fps:.2f}"], row
+
+    @pytest.mark.parametrize("option", [["--simulate"],
+                                        ["--sim-dims", "64x48"]])
+    def test_the_simulation_options_are_gone(self, capsys, option):
+        # every row measures the --image-dims frame, so no option asks for it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            cli.main(["bench", "--help"])
+        assert option[0] not in capsys.readouterr().out
 
 
 class TestParser:

@@ -13,7 +13,6 @@ from rankpipe import (
     FramingError,
     McParams,
     comparison_count,
-    core,
     run_stream,
     run_windows,
     stream_cycles,
@@ -232,7 +231,7 @@ def test_the_clocked_engine_runs_every_chain_record(params, lanes):
     rng = np.random.default_rng(params.set_size)
     cols = rng.integers(0, 1 << params.data_bits,
                         size=(4 * params.set_cycles,) + lanes)
-    trace = core._chain_trace(params, cols)
+    trace = stream_cycles(params, cols)
     engine = Engine(params)
     outs = [engine.clock(trace.din[t], bool(trace.d1st[t]))
             for t in range(trace.cycles)]

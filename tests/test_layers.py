@@ -71,7 +71,9 @@ def test_the_clocked_engines_are_one_chain_class():
     assert Engine.__subclasses__() == []
     assert "SlidingParams" in rankpipe.__all__
     assert not {"McEngine", "SlidingEnsemble"} & set(rankpipe.__all__)
-    assert "trace" not in inspect.signature(core._chain_trace).parameters
+    assert not hasattr(core, "_chain_trace")
+    assert list(inspect.signature(core.stream_cycles).parameters) == [
+        "params", "data"]
     # a Stage takes its record as Engine does, and Engine steps its lists
     # of Stages itself
     assert list(inspect.signature(Stage).parameters) == ["params"]
@@ -146,7 +148,7 @@ def _names(tree):
 
 
 def test_only_core_reaches_the_kernels():
-    # every batch run goes through core._chain_trace, the one caller of the
+    # every batch run goes through core.stream_cycles, the one caller of the
     # kernel; no other module names _kernels
     package = Path(rankpipe.__file__).parent
     runs = []
@@ -159,7 +161,7 @@ def test_only_core_reaches_the_kernels():
                 runs += [(path.stem, fn.name) for call in ast.walk(fn)
                          if isinstance(call, ast.Call) and
                          {"chain_run", "sliding_run"} & set(_names(call.func))]
-    assert runs == [("core", "_chain_trace")]
+    assert runs == [("core", "stream_cycles")]
 
 
 def _assigned(path: Path, name: str):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rankpipe import Border, ConfigError, Rect, select_desc
-from rankpipe.oracle import filter_image_oracle
+from rankpipe.oracle import filter_image_oracle, select_desc_rows
 
 values = st.lists(st.integers(0, 255), min_size=1, max_size=40)
 
@@ -43,6 +43,16 @@ class TestSelectDesc:
     def test_monotone_in_rank(self, data):
         picks = [select_desc(data, m) for m in range(1, len(data) + 1)]
         assert picks == sorted(picks, reverse=True)
+
+
+@given(st.integers(0, 20), st.integers(1, 30), st.data())
+def test_every_row_at_once_is_each_row_alone(sets, size, data):
+    rows = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2**16 - 1), min_size=size, max_size=size),
+        min_size=sets, max_size=sets)), np.int64).reshape(sets, size)
+    rank = data.draw(st.integers(1, size))
+    assert select_desc_rows(rows, rank).tolist() == [
+        select_desc(row.tolist(), rank) for row in rows]
 
 
 class TestImageOracle:
