@@ -6,8 +6,8 @@ trace export, and frame-rate benchmarking.
 one text writer: :func:`_cells` renders values as NUL-padded CSV cells and
 :func:`_lines` turns each record into a line without the padding.
 
-Exit codes: 0 on success, 1 for validation or I/O problems, 2 when a
-``--check`` cross-verification against the sort oracle fails.
+Exit codes: 0 on success, 1 for validation, I/O or out-of-memory errors, 2
+when a ``--check`` cross-verification against the sort oracle fails.
 """
 
 from __future__ import annotations
@@ -420,6 +420,9 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, FramingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names what it refused
+        print(f"error: out of memory{str(exc) and ': '}{exc}", file=sys.stderr)
         return 1
 
 

@@ -16,8 +16,9 @@ every 9 clocks.  Non-square and irregular windows are the single and
 multichannel engines' business.
 
 ``ensemble9753_cycles`` runs each gated chain through ``stream_cycles``,
-core's one batch entry, and builds no clocked object; the clocked
-``Ensemble9753`` is its reference, at the records' default pipe latency.
+core's one batch entry, builds no clocked object, and ends, as every chain
+run does, at its last dv cycle; the clocked ``Ensemble9753`` is its
+reference, at the records' default pipe latency.
 """
 
 from __future__ import annotations
@@ -92,12 +93,6 @@ def _chain_specs(ranks, data_bits: int) -> list[McParams]:
             for w, rank in zip(WIDTHS, (m9, m7, m5, m3))]
 
 
-def _drain_columns(chains) -> int:
-    """Generous idle-column count flushing every started window."""
-    worst = max(p.pipe_delay for p in chains)
-    return CADENCE * (chains[0].stages * worst + 2)
-
-
 class Ensemble9753:
     """Four concentric-window chains on a 9-clock column cadence.
 
@@ -153,18 +148,14 @@ class Ensemble9753:
         return tuple(_enabled(_centered(w), self.last_phase)
                      for w in WIDTHS[1:])
 
-    @property
-    def drain_columns(self) -> int:
-        """Generous idle-column count flushing every started window."""
-        return _drain_columns([chain.params for chain in self.chains])
-
 
 @dataclass(frozen=True)
 class Trace9753(StreamTrace):
-    """A batch 9753 run, drain included: ``values`` has one row per
-    anchored cadence and one column per chain, ``fire`` is the cycle each
-    row emerges at, ``delay`` is the first row's cycle (None without an
-    anchor), so ``dout`` replays the strip delayed to it."""
+    """A batch 9753 run through its last quadruple, or its input's end if
+    later: ``values`` has one row per anchored cadence and one column per
+    chain, ``fire`` is the cycle each row emerges at, ``delay`` is the first
+    row's cycle (None without an anchor), so ``dout`` replays the strip
+    delayed to it."""
 
     @property
     def enables(self) -> np.ndarray:
@@ -178,36 +169,39 @@ class Trace9753(StreamTrace):
 
 def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *,
                         data_bits: int = 8) -> Trace9753:
-    """Batch-run full cadences of a 9-row column strip plus the drain.
+    """Batch-run full cadences of a 9-row column strip through its last
+    quadruple, or to the strip's end if that is later.
 
     Gives what clocking :class:`Ensemble9753` gives.  A gated chain lives in
     its own enabled-column time, so chain w is core's one batch entry over
     the middle w columns and rows of every full cadence; its fire index g
-    maps back to cycle ``9 * (g // w) + (9 - w) // 2 + g % w``.  The k-th
-    quadruple emerges with the last of the chains' k-th results.
+    maps back to cycle ``9 * (g // w) + (9 - w) // 2 + g % w``.  Its k-th
+    result's g is its alignment plus ``k * w``, so the k-th quadruple
+    emerges with the slowest chain's, at ``first + 9 * k``.
     """
     cols = _array(cols)
     if cols.ndim != 2 or cols.shape[1] != CADENCE:
         raise ConfigError(f"column strip must have shape (n, {CADENCE})")
     chains = _chain_specs(ranks, data_bits)
     n = len(cols)
-    din = _framed(cols, chains[0].data_bits, n + _drain_columns(chains))
     anchors = n // CADENCE  # every full cadence
+    first = max(CADENCE * (p.alignment // p.channels)
+                + _centered(p.channels).start + p.alignment % p.channels
+                for p in chains)
+    fire = first + CADENCE * np.arange(anchors)
+    din = _framed(cols, chains[0].data_bits,
+                  max(n, int(fire[-1]) + 1) if anchors else n)
     windows = din[:anchors * CADENCE].reshape(anchors, CADENCE, CADENCE)
-    fires, values, comparisons = [], [], 0
+    values, comparisons = [], 0
     for p in chains:
         w, on = p.channels, _centered(p.channels)
         trace = stream_cycles(p, windows[:, on, on].reshape(-1, w))
-        g = trace.fire
-        fires.append(CADENCE * (g // w) + on.start + g % w)
         values.append(trace.values)
         comparisons += trace.comparisons
-    # the drain lets every chain fire once per anchor
-    fire = np.max(fires, axis=0)
     return Trace9753(din=din, starts=slice(0, anchors * CADENCE, CADENCE),
                      fire=fire, values=np.column_stack(values),
                      comparisons=comparisons,
-                     delay=int(fire[0]) if anchors else None)
+                     delay=first if anchors else None)
 
 
 def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8):

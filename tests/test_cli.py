@@ -187,6 +187,22 @@ class TestFilter:
         ref = filter_image_oracle(img, Rect(5, 5), 13, Border.CLAMP)
         assert (result == ref).all()
 
+    @pytest.mark.parametrize("raised,message", [
+        (MemoryError("Unable to allocate 4.00 GiB for an array"),
+         "error: out of memory: Unable to allocate 4.00 GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n")], ids=["numpy", "bare"])
+    def test_running_out_of_memory_is_an_error(self, capsys, tmp_path,
+                                               monkeypatch, image_file,
+                                               raised, message):
+        def exhausted(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(imaging, "run_filter", exhausted)
+        code, out, err = run_cli(capsys, ["filter", str(image_file[0]),
+                                          str(tmp_path / "out.pgm"),
+                                          "--window", "3x3", "--rank", "5"])
+        assert (code, out, err) == (1, "", message)
+
     def test_rank_one_is_a_local_maximum_filter(self, capsys, tmp_path,
                                                 image_file):
         in_path, img = image_file
@@ -527,13 +543,18 @@ def clocked_stream_csv(engine, values, window, rank) -> bytes:
 
 
 def clocked_9753_csv(values, ranks) -> bytes:
-    """A 9753 trace from clocking Ensemble9753 column by column."""
+    """A 9753 trace from clocking Ensemble9753 column by column over the
+    strip and a margin past it, cut at the last quadruple or the strip's
+    end.  Every anchored window has emerged by then, so no quadruple
+    follows in the margin."""
     cols = values.reshape(-1, 9)
-    ens = Ensemble9753(ranks, data_bits=infer_data_bits(values))
+    bits = infer_data_bits(values)
+    ens = Ensemble9753(ranks, data_bits=bits)
     n = cols.shape[0]
     zero = np.zeros(9, dtype=np.int64)
     d1st_log, en_log, quads = [], [], []
-    for t in range(n + ens.drain_columns):
+    # a gated chain matures a window within B/2 (9 + L) enabled columns
+    for t in range(n + 9 * ((bits + 1) // 2 * (9 + 5) + 2)):
         col = cols[t] if t < n else zero
         d1st = t < n and t % 9 == 0 and t + 9 <= n
         quad = ens.clock(col, d1st=d1st)
@@ -541,9 +562,10 @@ def clocked_9753_csv(values, ranks) -> bytes:
         en_log.append(tuple(int(flag) for flag in ens.enable_flags()))
         quads.append(quad)
     dv_cycles = [t for t, quad in enumerate(quads) if quad is not None]
+    assert len(dv_cycles) == n // 9
     delay = dv_cycles[0] if dv_cycles else 0
     rows = []
-    for t, quad in enumerate(quads):
+    for t, quad in enumerate(quads[:max([n] + [t + 1 for t in dv_cycles])]):
         col = cols[t] if t < n else zero
         dcol = cols[t - delay] if delay and 0 <= t - delay < n else zero
         row = [t, d1st_log[t]]
@@ -608,7 +630,8 @@ class TestTraceBytes:
     @pytest.mark.parametrize("columns,ranks", [
         (5, (41, 25, 13, 5)),  # shorter than one cadence: nothing anchors
         (22, (1, 49, 13, 9)),  # partial trailing cadence, custom ranks
-        (18, (41, 25, 13, 5))])
+        (18, (41, 25, 13, 5)),
+        (0, (41, 25, 13, 5))])  # empty input: the header alone
     def test_9753(self, capsys, tmp_path, columns, ranks):
         rng = np.random.default_rng(100 + columns)
         values = rng.integers(0, 256, size=9 * columns)

@@ -3,6 +3,8 @@ concentric sub-windows, and cadence timing."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankpipe import (
     ConfigError,
@@ -237,22 +239,52 @@ class Test9753:
             ens.clock(col, d1st=True)
 
 
+def margin(bits):
+    """Idle columns clocked past a strip at ``bits``: a gated chain matures
+    a window within B/2 (9 + L) of its enabled columns, at most 9 times as
+    many clocks, and two cadences more stay quiet."""
+    return 9 * ((bits + 1) // 2 * (9 + 5) + 2)
+
+
 def clocked_9753(cols, ranks=(41, 25, 13, 5), data_bits=8):
-    """Clock Ensemble9753 over a strip plus its drain, anchoring every full
-    cadence: (emit cycles, quadruples, per-cycle enable flags, comparisons)."""
+    """Clock Ensemble9753 over a strip and a margin past it, anchoring every
+    full cadence, and cut the run at its last quadruple or the strip's end:
+    (emit cycles, quadruples, per-cycle enable flags, comparisons).  Every
+    anchored window has emerged by then, so no quadruple follows in the
+    margin."""
     ens = Ensemble9753(ranks, data_bits=data_bits)
     n = len(cols)
     zero = np.zeros(9, dtype=np.int64)
     cycles, quads, enables = [], [], []
-    for t in range(n + ens.drain_columns):
+    for t in range(n + margin(data_bits)):
         quad = ens.clock(cols[t] if t < n else zero,
                          d1st=t % 9 == 0 and t + 9 <= n)
         enables.append(ens.enable_flags())
         if quad is not None:
             cycles.append(t)
             quads.append(quad)
+    assert len(quads) == n // 9
+    end = max([n] + [t + 1 for t in cycles])
     comparisons = sum(chain.comparisons for chain in ens.chains)
-    return cycles, quads, np.array(enables, dtype=bool), comparisons
+    return cycles, quads, np.array(enables, dtype=bool)[:end], comparisons
+
+
+def check_against_the_clocked_ensemble(cols, ranks, bits):
+    """The batch trace of ``cols`` is the clocked ensemble's run, cut at its
+    last quadruple or the strip's end."""
+    cycles, quads, enables, comparisons = clocked_9753(cols, ranks, bits)
+    trace = ensemble9753_cycles(cols, ranks, data_bits=bits)
+    assert trace.fire.tolist() == cycles
+    assert np.flatnonzero(trace.dv).tolist() == cycles
+    assert [tuple(q) for q in trace.result[trace.dv].tolist()] == quads
+    assert not trace.result[~trace.dv].any()
+    assert np.array_equal(trace.enables, enables)
+    assert trace.comparisons == comparisons
+    assert trace.cycles == len(trace.din) == len(enables)
+    assert trace.d1st.tolist() == [t % 9 == 0 and t + 9 <= len(cols)
+                                   for t in range(trace.cycles)]
+    assert ensemble9753_results(cols, ranks,
+                                data_bits=bits) == (cycles, quads)
 
 
 class TestBatch9753:
@@ -267,22 +299,24 @@ class TestBatch9753:
         (22, 8, (81, 49, 25, 9)),  # every chain's minimum
         (19, 4, (1, 1, 1, 1)),  # every chain's maximum
         (26, 10, (81, 49, 25, 9)),
-    ])
+    ] + [(9 * windows, bits, (41, 25, 13, 5))  # the run ends where it fires
+         for windows in (0, 1) for bits in range(2, 17, 2)]
+      + [(720, 8, (41, 25, 13, 5)), (720, 16, (41, 25, 13, 5))])
     def test_matches_the_clocked_ensemble(self, columns, bits, ranks):
         rng = np.random.default_rng(columns * 100 + bits)
         cols = rng.integers(0, 1 << bits, size=(columns, 9))
-        cycles, quads, enables, comparisons = clocked_9753(cols, ranks, bits)
-        trace = ensemble9753_cycles(cols, ranks, data_bits=bits)
-        assert np.flatnonzero(trace.dv).tolist() == cycles
-        assert [tuple(q) for q in trace.result[trace.dv].tolist()] == quads
-        assert not trace.result[~trace.dv].any()
-        assert np.array_equal(trace.enables, enables)
-        assert trace.comparisons == comparisons
-        assert len(trace.din) == len(enables)
-        assert trace.d1st.tolist() == [t % 9 == 0 and t + 9 <= columns
-                                       for t in range(len(trace.din))]
-        assert ensemble9753_results(cols, ranks,
-                                    data_bits=bits) == (cycles, quads)
+        check_against_the_clocked_ensemble(cols, ranks, bits)
+
+    @given(st.data())
+    def test_any_strip_matches_the_clocked_ensemble(self, data):
+        bits = data.draw(st.sampled_from(range(2, 17, 2)), label="bits")
+        ranks = tuple(data.draw(st.integers(1, w * w), label=f"m{w}")
+                      for w in (9, 7, 5, 3))
+        columns = data.draw(st.integers(0, 40), label="columns")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cols = np.random.default_rng(seed).integers(0, 1 << bits,
+                                                    size=(columns, 9))
+        check_against_the_clocked_ensemble(cols, ranks, bits)
 
     def test_twelve_bit_strip_matches_the_oracle(self):
         rng = np.random.default_rng(36)

@@ -5,7 +5,9 @@ benchmark counts by."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,22 @@ def test_benchmark_hook_names_resolve():
     for module, attr, *_ in _assigned(PERFBENCH / "spans.py", "_SPANS"):
         assert callable(getattr(getattr(rankpipe, module), attr)), (module, attr)
     assert callable(rankpipe.ensembles.Ensemble9753.clock)
+
+
+def test_9753_runs_keep_the_benchmark_closed_form(monkeypatch):
+    # perfbench/workloads.py pins a 9753 call's first quadruple to its own
+    # closed form; the package's runs end at their last quadruple
+    spec = importlib.util.spec_from_file_location(
+        "workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cols = np.random.default_rng(9).integers(0, 4, size=(80 * 9, 9))
+    for bits in range(2, 17, 2):
+        trace = ensemble9753_cycles(cols, data_bits=bits)
+        assert trace.fire[0] == workloads.first_dv_9753(bits // 2), bits
+        assert set(np.diff(trace.fire).tolist()) == {9}, bits
+        assert trace.cycles == trace.fire[-1] + 1, bits
 
 
 def test_kernel_calls_keep_the_benchmark_convention(monkeypatch):

@@ -187,7 +187,7 @@ def test_empty_float_input_still_runs():
     assert run_windows(MC, empty).tolist() == []
     assert mc_stream_cycles(MC, empty.reshape(0, 3)).cycles == MC.drain_cycles
     assert sliding_window_results(SLIDING, empty.reshape(0, 3)).tolist() == []
-    assert not ensemble9753_cycles(empty.reshape(0, 9)).dv.any()
+    assert ensemble9753_cycles(empty.reshape(0, 9)).cycles == 0
 
 
 def shifted_int64(din, delay):

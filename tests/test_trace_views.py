@@ -72,17 +72,30 @@ def test_cycle_views_lay_out_the_per_set_data(run, marked):
         assert not trace.dout.any()
 
 
+def test_a_9753_strip_without_an_anchor_is_its_input_alone():
+    trace = ensemble9753_cycles(_samples((5, 9)))
+    assert trace.cycles == 5
+    assert trace.enables.shape == (5, 3) and not trace.enables.any()
+
+
+# idle columns clocked past an 8-bit strip: a gated chain matures a window
+# within B/2 (9 + L) of its enabled columns
+MARGIN = 9 * (4 * (9 + 5) + 2)
+
+
 def _clocked_9753(cols):
-    """(cycles, quadruples) of the clocked ensemble fed ``cols`` and its
-    drain, markers on every full cadence."""
+    """(cycles, quadruples) of the clocked ensemble fed ``cols`` and a
+    margin past them, markers on every full cadence.  Every anchored window
+    has emerged by then, so no quadruple follows in the margin."""
     ens = Ensemble9753()
     cycles, quads = [], []
-    for t in range(len(cols) + ens.drain_columns):
+    for t in range(len(cols) + MARGIN):
         col = cols[t] if t < len(cols) else np.zeros(9, np.int64)
         quad = ens.clock(col, d1st=t % 9 == 0 and t + 9 <= len(cols))
         if quad is not None:
             cycles.append(t)
             quads.append(quad)
+    assert len(quads) == len(cols) // 9
     return cycles, quads
 
 
