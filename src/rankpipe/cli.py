@@ -21,7 +21,8 @@ import numpy as np
 
 from . import imaging, oracle, pgm
 from .core import run_stream, stream_cycles
-from .ensembles import CADENCE, WIDTHS, ensemble9753_cycles, sliding_cycles
+from .ensembles import (CADENCE, RANKS, WIDTHS, ensemble9753_cycles,
+                        sliding_cycles)
 from .imaging import Border, frame_rate, percentile_to_rank
 from .multichannel import mc_stream_cycles
 from .params import ConfigError, FilterParams, FramingError
@@ -29,6 +30,7 @@ from .params import ConfigError, FilterParams, FramingError
 DEFAULT_CLOCK_HZ = 275e6
 BLANK = -1  # trace cell left empty; samples are never negative
 _CHUNK_ROWS = 1024  # trace rows written per translate
+_RANKS_TEXT = ",".join(map(str, RANKS))  # 9753 --ranks default
 
 
 class CheckFailure(Exception):
@@ -74,6 +76,15 @@ def _resolve_rank(args, n: int) -> int:
     if args.rank is not None:
         return args.rank
     return percentile_to_rank(args.percentile, n)
+
+
+def _single_params(args, bits: int) -> FilterParams:
+    """The single-channel record of ``rank`` and single-engine ``trace``:
+    ``--set-size`` is checked before the rank is resolved against it."""
+    if args.set_size < 1:
+        raise ConfigError("--set-size must be positive")
+    return FilterParams(data_bits=bits, set_size=args.set_size,
+                        rank=_resolve_rank(args, args.set_size))
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -128,18 +139,15 @@ def cmd_rank(args) -> int:
     """Print the rank-th largest of each ``--set-size`` set of the stream,
     one line per set; with ``--check``, compare them with the oracle's."""
     values = _read_values(args.input)
-    if args.set_size < 1:
-        raise ConfigError("--set-size must be positive")
-    rank = _resolve_rank(args, args.set_size)
     bits = (imaging.infer_data_bits(values) if args.data_bits is None
             else args.data_bits)
-    params = FilterParams(data_bits=bits, set_size=args.set_size, rank=rank)
+    params = _single_params(args, bits)
     results = run_stream(params, values)
     for block in _lines(_cells(results)):  # one decimal line per result
         sys.stdout.write(block.decode("ascii"))
     if args.check:
         expected = oracle.select_desc_rows(
-            values.reshape(-1, args.set_size), rank)
+            values.reshape(-1, args.set_size), params.rank)
         wrong = np.flatnonzero(results != expected)
         if len(wrong):
             i = wrong[0]
@@ -277,10 +285,7 @@ def cmd_trace(args) -> int:
     if args.engine == "single":
         if args.set_size is None:
             raise ConfigError("--set-size is required for single-engine traces")
-        rank = _resolve_rank(args, args.set_size)
-        params = FilterParams(data_bits=bits, set_size=args.set_size,
-                              rank=rank)
-        trace = stream_cycles(params, values)
+        trace = stream_cycles(_single_params(args, bits), values)
         header, text = _trace_stream(trace, 1)
     elif args.engine in ("multichannel", "sliding"):
         if args.window is None:
@@ -298,7 +303,7 @@ def cmd_trace(args) -> int:
         header, text = _trace_stream(trace, shape.height)
     else:  # 9753
         ranks = []
-        spec = "41,25,13,5" if args.ranks is None else args.ranks
+        spec = _RANKS_TEXT if args.ranks is None else args.ranks
         for token in spec.split(","):
             try:
                 ranks.append(int(token))
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="WxH for multichannel, WxW for sliding")
     p_trace.add_argument("--ranks", default=None,
                          help="9753 per-chain ranks m9,m7,m5,m3 "
-                              "(default 41,25,13,5)")
+                              f"(default {_RANKS_TEXT})")
     p_trace.add_argument("--data-bits", type=int, default=None)
     p_trace.set_defaults(func=cmd_trace)
 

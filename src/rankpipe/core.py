@@ -40,6 +40,7 @@ from .params import (
     CycleOutput,
     FramingError,
     PartialMedian,
+    SlidingParams,
     _ChainTiming,
     _array,
     _integral,
@@ -107,7 +108,8 @@ def _record(params):
 def comparison_count(params: _ChainTiming, num_sets: int) -> int:
     """Exact boundary comparisons for ``num_sets`` sets: 3 * N * (B/2) each,
     except under ``SlidingParams``, whose W chains share a first stage that
-    compares each column of the run once (``SlidingParams.comparisons``)."""
+    compares each column of the run once (``SlidingParams.comparisons``).
+    The batch trace and the clocked :class:`Engine` both count this."""
     return _record(params).comparisons(num_sets)
 
 
@@ -270,8 +272,13 @@ class Engine:
 
     @property
     def comparisons(self) -> int:
-        return sum(stage.comparisons for stages in self.chains
-                   for stage in stages)
+        """Boundary comparisons so far, as the record counts them: every
+        stage's own, except that under ``SlidingParams`` the chains share
+        one first-stage bank, which compares each clock's column once."""
+        shared = isinstance(self.params, SlidingParams)
+        own = sum(stage.comparisons for stages in self.chains
+                  for stage in stages[shared:])
+        return own + (3 * self.params.channels * self._t if shared else 0)
 
     @property
     def cycle(self) -> int:

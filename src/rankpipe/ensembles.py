@@ -42,6 +42,7 @@ from .params import (
 sliding_cycles = stream_cycles
 CADENCE = 9  # fixed column cadence of the 9753 variant
 WIDTHS = (9, 7, 5, 3)  # the 9753 chains' window sides, widest first
+RANKS = (41, 25, 13, 5)  # their default ranks, each window's median
 
 
 def _centered(w: int) -> slice:
@@ -105,7 +106,7 @@ class Ensemble9753:
     in steady state.
     """
 
-    def __init__(self, ranks=(41, 25, 13, 5), *, data_bits: int = 8):
+    def __init__(self, ranks=RANKS, *, data_bits: int = 8):
         self.chains = [Engine(p) for p in _chain_specs(ranks, data_bits)]
         self._queues = [deque() for _ in self.chains]
         self._phase: int | None = None
@@ -167,8 +168,7 @@ class Trace9753(StreamTrace):
         return np.column_stack(flags) & (self.delay is not None)
 
 
-def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *,
-                        data_bits: int = 8) -> Trace9753:
+def ensemble9753_cycles(cols, ranks=RANKS, *, data_bits: int = 8) -> Trace9753:
     """Batch-run full cadences of a 9-row column strip through its last
     quadruple, or to the strip's end if that is later.
 
@@ -204,7 +204,7 @@ def ensemble9753_cycles(cols, ranks=(41, 25, 13, 5), *,
                      delay=first if anchors else None)
 
 
-def ensemble9753_results(cols, ranks=(41, 25, 13, 5), *, data_bits: int = 8):
+def ensemble9753_results(cols, ranks=RANKS, *, data_bits: int = 8):
     """Run full cadences of a 9-row column strip; returns (cycles, quadruples).
 
     ``cols`` has shape (n, 9); only window positions with all 9 columns of

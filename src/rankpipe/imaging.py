@@ -8,10 +8,10 @@ streams, so every engine choice must produce bit-identical output.
 ``run_filter`` checks the image once, casts it once to the sample dtype
 (uint8 up to 8 bits, uint16 up to 16) and edge-pads it once by the
 window's extents, so clamp borders need no clipping and valid borders are
-anchors inside the same frame.  Every engine's stream is slices of that
-one frame: a single-channel band copies one slice per offset into its
-``(rows, cols, N)`` stream, a multichannel band the same slices in column
-order, and a sliding band each row's transposed slice, one after another.
+anchors inside the same frame.  Every band is one ``stream_cycles`` call
+on slices of it, cut as the engine's record says: a chain band copies one
+slice per offset, in column order, into its windows (a sample or K-sample
+column per clock), a sliding band each row's transposed slice in turn.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from numbers import Integral, Real
 import numpy as np
 
 from .core import stream_cycles
-from .ensembles import sliding_cycles
-from .multichannel import mc_stream_cycles
+# kept for the benchmark's span table; every band calls stream_cycles
+from .ensembles import sliding_cycles  # noqa: F401
+from .multichannel import mc_stream_cycles  # noqa: F401
 from .params import (
     MAX_DATA_BITS,
     ConfigError,
@@ -306,30 +307,25 @@ def _windows(frame, shifts, x0, cols, y0, rows):
     return out
 
 
-def _single_streams(frame, shifts, params, x0, cols, y0, rows):
-    """One sample stream per band: each anchor's window in offset order."""
+def _chain_streams(frame, shifts, params, x0, cols, y0, rows):
+    """One stream per band under ``FilterParams`` or ``McParams``: each
+    anchor's window in column order, one input of ``params.lanes`` per
+    clock (a sample, or a column of K samples from the top row)."""
     samples = _windows(frame, shifts, x0, cols, y0, rows)
-    return stream_cycles(params, samples.reshape(-1)).results
-
-
-def _multichannel_streams(frame, shifts, params, x0, cols, y0, rows):
-    """One column stream per band: each anchor's window columns in turn,
-    every column K samples from the top row."""
-    samples = _windows(frame, sorted(shifts), x0, cols, y0, rows)
-    return mc_stream_cycles(params,
-                            samples.reshape(-1, params.channels)).results
+    return stream_cycles(params,
+                         samples.reshape((-1,) + params.lanes)).results
 
 
 def _sliding_streams(frame, shifts, params, x0, cols, y0, rows):
     """One column stream per band: each row's strip of the columns its
     windows span, a transposed slice of the frame, one after another; the
     W - 1 windows per row that cross into the next strip are dropped."""
-    sx, sy = min(shifts)  # the top-left corner of the square window
+    sx, sy = shifts[0]  # the top-left corner of the square window
     side, span = params.columns, cols + params.columns - 1
     block = frame[y0 + sy:y0 + sy + rows + side - 1, x0 + sx:x0 + sx + span]
     # strip r, column c, row k is block[r + k, c]
     strips = np.lib.stride_tricks.sliding_window_view(block, side, axis=0)
-    values = sliding_cycles(params, strips.reshape(-1, side)).values
+    values = stream_cycles(params, strips.reshape(-1, side)).values
     pixels = values[:rows * span].reshape(rows, span)
     return pixels[:, :cols].astype(np.int64).reshape(-1)
 
@@ -397,7 +393,7 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     threads = _integral(threads, "thread counts")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    offsets = window_offsets(shape)
+    offsets = sorted(window_offsets(shape))  # column order: by dx, then dy
     n = len(offsets)
     rank = _integral(rank, "rank values")
     bits = data_bits if data_bits is not None else infer_data_bits(image)
@@ -409,9 +405,8 @@ def run_filter(image, shape: WindowShape, rank: int, engine: str = "single",
     x_lo, x_hi = _anchor_bounds(width, offsets, 0, border)
     y_lo, y_hi = _anchor_bounds(height, offsets, 1, border)
     cols, rows = x_hi - x_lo + 1, y_hi - y_lo + 1
-    streams = {"single": _single_streams,
-               "multichannel": _multichannel_streams,
-               "sliding": _sliding_streams}[engine]
+    streams = (_sliding_streams if isinstance(params, SlidingParams)
+               else _chain_streams)
 
     def worker(band):
         return streams(frame, shifts, params, x_lo, cols, *band)

@@ -352,6 +352,23 @@ class TestFilter:
         assert err == f"error: expected 6 ASCII samples, found {found}\n"
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+@pytest.mark.parametrize("pick", [["--rank", "1"], ["--percentile", "0.5"]],
+                         ids=["rank", "percentile"])
+@pytest.mark.parametrize("command", ["rank", "trace"])
+def test_a_set_size_below_one_is_one_error(capsys, tmp_path, monkeypatch,
+                                           command, pick, size):
+    # rank and single-engine trace check the size before resolving a rank
+    out_csv = tmp_path / "t.csv"
+    argv = [command, "--set-size", size] + pick
+    if command == "trace":
+        argv += ["-o", str(out_csv)]
+    code, out, err = run_cli(capsys, argv, stdin="1 2 3",
+                             monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: --set-size must be positive\n")
+    assert not out_csv.exists()
+
+
 class TestTrace:
     def test_dv_pulses_every_n_rows(self, capsys, tmp_path, monkeypatch):
         rng = np.random.default_rng(62)

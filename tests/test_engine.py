@@ -227,7 +227,8 @@ class TestEngineObject:
 def test_the_clocked_engine_runs_every_chain_record(params, lanes):
     # one Engine clocks any record, under SlidingParams its W staggered
     # chains: every set of the batch entry fires on the same cycle with the
-    # same value, and dout then carries the set's first sample or column
+    # same value, dout then carries the set's first sample or column, and
+    # the comparisons are the trace's (one shared first stage for sliding)
     rng = np.random.default_rng(params.set_size)
     cols = rng.integers(0, 1 << params.data_bits,
                         size=(4 * params.set_cycles,) + lanes)
@@ -240,6 +241,7 @@ def test_the_clocked_engine_runs_every_chain_record(params, lanes):
     assert [outs[t].result for t in fire] == trace.values.tolist()
     for t in fire:
         assert np.array_equal(outs[t].dout, trace.dout[t])
+    assert engine.comparisons == trace.comparisons
 
 
 @st.composite

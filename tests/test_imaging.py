@@ -316,24 +316,23 @@ class TestDerivedWidths:
 
 
 class TestBandDriver:
-    @pytest.mark.parametrize("engine,name,strips", [
-        ("single", "stream_cycles", False),
-        ("multichannel", "mc_stream_cycles", False),
-        ("sliding", "sliding_cycles", True)])
+    @pytest.mark.parametrize("engine,strips", [
+        ("single", False), ("multichannel", False), ("sliding", True)])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_engines_are_looked_up_at_call_time(self, monkeypatch, engine,
-                                                name, strips, threads):
-        # run_filter reaches each engine through the imaging module's own
-        # globals, once per band; a sliding band joins its rows' strips of
-        # cols + W - 1 columns into one stream
+                                                strips, threads):
+        # run_filter reaches the one batch entry through the imaging
+        # module's own globals, once per band, whatever the engine; a
+        # sliding band joins its rows' strips of cols + W - 1 columns into
+        # one stream
         calls = []
-        real = getattr(imaging, name)
+        real = imaging.stream_cycles
 
         def counted(*args, **kwargs):
             calls.append(len(args[-1]))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(imaging, name, counted)
+        monkeypatch.setattr(imaging, "stream_cycles", counted)
         img = np.random.default_rng(44).integers(0, 256, size=(7, 6))
         report = run_filter(img, Rect(3, 3), 5, engine=engine,
                             threads=threads, data_bits=8)
@@ -365,25 +364,23 @@ class TestBandDriver:
                                border=border, threads=threads)
             assert got.shape == want.shape and (got == want).all(), border
 
-    @pytest.mark.parametrize("engine,name,shape", [
-        ("single", "stream_cycles", Rect(3, 3)),
-        ("single", "stream_cycles", Diamond(5)),
-        ("multichannel", "mc_stream_cycles", Rect(4, 3)),
-        ("sliding", "sliding_cycles", Rect(3, 3))])
+    @pytest.mark.parametrize("engine,shape", [
+        ("single", Rect(3, 3)), ("single", Diamond(5)),
+        ("multichannel", Rect(4, 3)), ("sliding", Rect(3, 3))])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_pixels_are_the_results_the_traces_flag(self, monkeypatch, engine,
-                                                    name, shape, threads):
+                                                    shape, threads):
         # the bands read each result at its fire cycle; the dv mask over
         # every cycle of the same traces gives the same pixels, band by band
         # (threads may finish their bands in any order)
         traces = []
-        real = getattr(imaging, name)
+        real = imaging.stream_cycles
 
         def keep(*args, **kwargs):
             traces.append((len(args[-1]), real(*args, **kwargs)))
             return traces[-1][1]
 
-        monkeypatch.setattr(imaging, name, keep)
+        monkeypatch.setattr(imaging, "stream_cycles", keep)
         img = np.random.default_rng(45).integers(0, 256, size=(7, 6))
         for border in Border:
             traces.clear()
@@ -406,26 +403,25 @@ class TestBandDriver:
             assert sorted(band.ravel().tolist() for band in bands) == sorted(
                 flagged(*kept).ravel().tolist() for kept in traces)
 
-    @pytest.mark.parametrize("engine,name,shape", [
-        ("single", "stream_cycles", Custom(((2, 0), (0, 0), (-1, -3)))),
-        ("single", "stream_cycles", Rect(4, 3)),
-        ("multichannel", "mc_stream_cycles", Rect(4, 3)),
-        ("sliding", "sliding_cycles", Rect(3, 3))])
-    def test_streams_carry_each_window_in_scan_order(self, monkeypatch,
-                                                     engine, name, shape):
+    @pytest.mark.parametrize("engine,shape", [
+        ("single", Custom(((2, 0), (0, 0), (-1, -3)))),
+        ("single", Rect(4, 3)), ("multichannel", Rect(4, 3)),
+        ("sliding", Rect(3, 3))])
+    def test_streams_carry_each_window_in_column_order(self, monkeypatch,
+                                                       engine, shape):
         # the padded-frame gather feeds each engine what clamping every
-        # coordinate gives: single a window per anchor in offset order,
-        # multichannel its columns left to right, sliding every column each
-        # row's windows span, row after row; each column lists its rows top
-        # down
+        # coordinate gives: a chain engine a window per anchor, its
+        # columns left to right and each column's rows top down, as one
+        # sample or one K-sample column per clock; sliding every column
+        # each row's windows span, row after row
         streams = []
-        real = getattr(imaging, name)
+        real = imaging.stream_cycles
 
         def spy(*args, **kwargs):
             streams.append(np.asarray(args[-1]).tolist())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(imaging, name, spy)
+        monkeypatch.setattr(imaging, "stream_cycles", spy)
         img = np.random.default_rng(46).integers(0, 256, size=(4, 5))
         run_filter(img, shape, 2, engine=engine)
 
@@ -433,15 +429,13 @@ class TestBandDriver:
             return int(img[min(max(y, 0), 3), min(max(x, 0), 4)])
 
         anchors = [(x, y) for y in range(4) for x in range(5)]
-        offsets = window_offsets(shape)
+        offsets = sorted(window_offsets(shape))  # by dx, then dy
         if engine == "single":
             want = [[pixel(x + dx, y + dy) for x, y in anchors
                      for dx, dy in offsets]]
         elif engine == "multichannel":
-            dxs = sorted({dx for dx, _ in offsets})
-            dys = sorted({dy for _, dy in offsets})
-            want = [[[pixel(x + dx, y + dy) for dy in dys] for x, y in anchors
-                     for dx in dxs]]
+            want = [[[pixel(x + dx, y + dy) for dy in range(-1, 2)]
+                     for x, y in anchors for dx in range(-2, 2)]]
         else:
             want = [[[pixel(x, y + dy) for dy in (-1, 0, 1)]
                      for y in range(4) for x in range(-1, 6)]]

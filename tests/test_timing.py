@@ -59,15 +59,10 @@ def _batch_trace(p, rng, sets):
 
 
 def _clocked_comparisons(p, trace):
-    """Comparisons of the clocked engine fed the trace's input; the sliding
-    chains' first stages count each column once, as the shared stage does."""
+    """Comparisons of the clocked engine fed the trace's input."""
     engine = Engine(p)
     for din, d1st in zip(trace.din, trace.d1st):
         engine.clock(din, bool(d1st))
-    if isinstance(p, SlidingParams):
-        own_first = sum(chain[0].comparisons for chain in engine.chains)
-        return (engine.comparisons - own_first
-                + 3 * p.channels * trace.cycles)
     return engine.comparisons
 
 
@@ -165,33 +160,31 @@ def test_sliding_windows_must_be_odd_squares(make):
         make()
 
 
-def _summed_traces(monkeypatch, name):
-    """The traces ``run_filter`` makes through ``imaging.<name>``."""
+def _summed_traces(monkeypatch):
+    """The traces ``run_filter`` makes through ``imaging.stream_cycles``."""
     traces = []
-    real = getattr(imaging, name)
+    real = imaging.stream_cycles
 
     def kept(*args, **kwargs):
         traces.append(real(*args, **kwargs))
         return traces[-1]
 
-    monkeypatch.setattr(imaging, name, kept)
+    monkeypatch.setattr(imaging, "stream_cycles", kept)
     return traces
 
 
-@pytest.mark.parametrize("engine,name,shape", [
-    ("single", "stream_cycles", Rect(3, 3)),
-    ("single", "stream_cycles", Rect(4, 3)),
-    ("multichannel", "mc_stream_cycles", Rect(5, 3)),
-    ("sliding", "sliding_cycles", Rect(3, 3)),
-    ("sliding", "sliding_cycles", Rect(5, 5))])
+@pytest.mark.parametrize("engine,shape", [
+    ("single", Rect(3, 3)), ("single", Rect(4, 3)),
+    ("multichannel", Rect(5, 3)),
+    ("sliding", Rect(3, 3)), ("sliding", Rect(5, 5))])
 @pytest.mark.parametrize("border", list(Border))
 @pytest.mark.parametrize("threads", [1, 3])
 def test_the_image_report_is_the_band_traces_less_the_seams(
-        monkeypatch, engine, name, shape, border, threads):
+        monkeypatch, engine, shape, border, threads):
     # the bands of a chain engine are one stream, which drains once; a
     # sliding band streams its rows' strips back to back, but the report
     # counts each row as the stream of its strip alone
-    traces = _summed_traces(monkeypatch, name)
+    traces = _summed_traces(monkeypatch)
     image = np.random.default_rng(47).integers(0, 256, size=(9, 11))
     report = run_filter(image, shape, 4, engine, border, threads=threads)
     rows, cols = report.image.shape
